@@ -14,7 +14,6 @@ from .capacity import (
     GaussianLogDetOracle,
     RankGF2Oracle,
     check_capacity_axioms,
-    eval_capacity,
     oracle_from_spec,
     oracle_to_spec,
     quantizer_leak,

@@ -41,6 +41,10 @@ MAX_JOINT_CELLS = 10_000_000
 #: largest layer-pair width (m_in + m_out) for exhaustive axiom checking
 AXIOM_GUARD_BITS = 16
 
+#: largest layer-pair width (m_in + m_out) for a dense capacity table:
+#: 2^24 float64 cells, 128 MB
+TABLE_GUARD_BITS = 24
+
 
 def _to_mask(subset: Iterable[int], size: int) -> int:
     """Pack 1-based indices into a bitmask; bit ``i-1`` stands for index ``i``."""
@@ -67,6 +71,7 @@ class CapacityOracle:
     """Base class; concrete families implement ``_value(umask, vmask)``."""
 
     kind: str = "abstract"
+    _dense: np.ndarray | None = None
 
     def __init__(self, dims: tuple[int, int]):
         m_in, m_out = dims
@@ -90,12 +95,25 @@ class CapacityOracle:
     def _value(self, umask: int, vmask: int) -> float:
         raise NotImplementedError
 
+    def table(self) -> np.ndarray:
+        """Every cell as a ``2^m_in x 2^m_out`` float64 array indexed by
+        ``[umask, vmask]``, filled through :meth:`value_masks` on first use
+        and cached.
 
-def eval_capacity(
-    oracle: CapacityOracle, transmitters: Iterable[int], receivers: Iterable[int]
-) -> float:
-    """Functional form of :meth:`CapacityOracle.value`."""
-    return oracle.value(transmitters, receivers)
+        Raises:
+            TooLarge: if ``m_in + m_out`` exceeds ``TABLE_GUARD_BITS``.
+        """
+        if self._dense is None:
+            m_in, m_out = self.dims
+            if m_in + m_out > TABLE_GUARD_BITS:
+                raise TooLarge(
+                    f"capacity table limited to {TABLE_GUARD_BITS} nodes per layer pair"
+                )
+            dense = np.empty((1 << m_in, 1 << m_out))
+            for umask in range(1 << m_in):
+                dense[umask] = [self.value_masks(umask, v) for v in range(1 << m_out)]
+            self._dense = dense
+        return self._dense
 
 
 class AdditiveOracle(CapacityOracle):
@@ -230,14 +248,15 @@ class DiscreteMIOracle(CapacityOracle):
             raise TooLarge("discrete capacity oracle limited to 12 nodes per layer pair")
         self.model = model
         # full value table built up front so evaluation stays read-only
-        self._table = {
-            (umask, vmask): model.mutual_information_masks(umask, vmask)
-            for umask in range(1 << m_in)
-            for vmask in range(1 << m_out)
-        }
+        self._dense = np.array(
+            [
+                [model.mutual_information_masks(umask, vmask) for vmask in range(1 << m_out)]
+                for umask in range(1 << m_in)
+            ]
+        )
 
     def _value(self, umask: int, vmask: int) -> float:
-        return self._table[(umask, vmask)]
+        return float(self._dense[umask, vmask])
 
 
 @dataclass
@@ -270,7 +289,7 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
             f"axiom check limited to {AXIOM_GUARD_BITS} nodes per layer pair"
         )
     nu, nv = 1 << m_in, 1 << m_out
-    tab = [[oracle.value_masks(u, v) for v in range(nv)] for u in range(nu)]
+    tab = oracle.table().tolist()
     n_checks = 0
     counterexample = None
 

@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the file schema and capacity axioms")
+    p = sub.add_parser("validate", help="check the capacity axioms of every layer pair")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 

@@ -13,6 +13,13 @@ subsets; ``max_flow`` constructs a flow attaining it by recursive
 bisection: the split layer's flow is a point in the intersection of two
 polymatroids whose rank functions are computed by the same subset DP.
 
+The DP reads each oracle's dense table (``CapacityOracle.table``) and has
+one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
+and of the sink-side boundary function, the forward pass of the
+source-side boundary function (on the transposed cost) and the cut
+reconstruction all run it.  ``verify_flow`` reads the same tables, so
+every consumer sees the same floats.
+
 Determinism rules used throughout: cut values accumulate from the sink
 side (right fold), and ties between equal-value cuts resolve to the
 lexicographically smallest membership-indicator vector ordered by
@@ -23,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .capacity import _leq, _mask_indices
+from .capacity import TABLE_GUARD_BITS, CapacityOracle, _leq, _mask_indices
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -49,6 +56,12 @@ LAYER_GUARD = 16
 def _guard_layers(net: LayeredNetwork) -> None:
     if max(net.layer_sizes) > LAYER_GUARD:
         raise TooLarge(f"subset enumeration limited to {LAYER_GUARD} nodes per layer")
+    pair = max(a + b for a, b in zip(net.layer_sizes, net.layer_sizes[1:]))
+    if pair > TABLE_GUARD_BITS:
+        raise TooLarge(
+            f"capacity tables limited to {TABLE_GUARD_BITS} nodes per layer pair, "
+            f"network has {pair}"
+        )
 
 
 def _lex_masks(m: int) -> list[int]:
@@ -103,32 +116,33 @@ def _boundary_lists(
     return first, last
 
 
+def _subset_sums(values: Sequence[float]) -> list[float]:
+    """``sums[mask]``: total of ``values`` over the 1-based indices in ``mask``,
+    added in ascending index order."""
+    return [
+        sum(values[i - 1] for i in _mask_indices(mask)) for mask in range(1 << len(values))
+    ]
+
+
+def _cost(oracle: CapacityOracle) -> np.ndarray:
+    """``cost[mask, nmask]``: capacity from the cut's transmitters ``mask`` to
+    the receivers outside the cut's next-layer part ``nmask``."""
+    return oracle.table()[:, ::-1]
+
+
+def _sweep(cost: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Min-plus step: ``out[i] = min over j of cost[i, j] + tail[j]``."""
+    return (cost + tail).min(axis=1)
+
+
 def _backward_tables(
-    net: LayeredNetwork, final_costs: Sequence[float]
-) -> list[list[float]]:
-    """``tables[l][mask]``: cheapest completion cost from state ``mask`` at
-    layer ``l`` to the last layer (final-layer states priced by
-    ``final_costs``)."""
-    L = net.num_layers
-    tables: list[list[float]] = [[] for _ in range(L + 1)]
-    tables[L] = list(final_costs)
-    for l in range(L - 1, 0, -1):
-        m_next = net.layer_sizes[l]
-        full_next = (1 << m_next) - 1
-        oracle = net.oracles[l - 1]
-        nxt = tables[l + 1]
-        cur = []
-        for mask in range(1 << net.layer_sizes[l - 1]):
-            best = INF
-            for nmask in range(full_next + 1):
-                tail = nxt[nmask]
-                if tail == INF:
-                    continue
-                cand = oracle.value_masks(mask, full_next & ~nmask) + tail
-                if cand < best:
-                    best = cand
-            cur.append(best)
-        tables[l] = cur
+    costs: Sequence[np.ndarray], final_costs: Sequence[float]
+) -> list[np.ndarray]:
+    """``tables[l][mask]``: cheapest completion from state ``mask`` through
+    ``costs[l:]`` (final states priced by ``final_costs``)."""
+    tables = [np.asarray(final_costs, dtype=float)]
+    for cost in reversed(costs):
+        tables.insert(0, _sweep(cost, tables[0]))
     return tables
 
 
@@ -146,63 +160,29 @@ def min_cut(
     Ties resolve to the lexicographically smallest indicator vector.
     """
     _guard_layers(net)
-    L = net.num_layers
     m_first, m_last = net.layer_sizes[0], net.layer_sizes[-1]
-    full_first = (1 << m_first) - 1
-
     if boundary is None:
-        first_flows = last_flows = None
+        init_costs = [INF] * (1 << m_first)
+        init_costs[-1] = 0.0
         final_costs = [INF] * (1 << m_last)
         final_costs[0] = 0.0
     else:
         first_flows, last_flows = _boundary_lists(net, boundary)
-        final_costs = [
-            sum(last_flows[i - 1] for i in _mask_indices(mask))
-            for mask in range(1 << m_last)
-        ]
-    tables = _backward_tables(net, final_costs)
-
-    def init_cost(mask: int) -> float:
-        if first_flows is None:
-            return 0.0 if mask == full_first else INF
-        return sum(first_flows[i - 1] for i in _mask_indices(full_first & ~mask))
-
-    value = INF
-    for mask in range(full_first + 1):
-        cand = init_cost(mask)
-        if cand == INF:
-            continue
-        cand = cand + tables[1][mask]
-        if cand < value:
-            value = cand
+        init_costs = _subset_sums(first_flows)[::-1]
+        final_costs = _subset_sums(last_flows)
+    # a one-state layer 0 prices the first layer's states
+    costs = [np.array([init_costs])] + [_cost(o) for o in net.oracles]
+    tables = _backward_tables(costs, final_costs)
+    value = float(tables[0][0])
 
     # forward reconstruction: scan masks in tie-break order, match exactly
     members: set[NodeId] = set()
-    chosen = None
-    for mask in _lex_masks(m_first):
-        cand = init_cost(mask)
-        if cand != INF and cand + tables[1][mask] == value:
-            chosen = mask
-            break
-    assert chosen is not None
-    members.update(NodeId(1, i) for i in _mask_indices(chosen))
-    for l in range(1, L):
-        m_next = net.layer_sizes[l]
-        full_next = (1 << m_next) - 1
-        oracle = net.oracles[l - 1]
+    chosen = 0
+    for l, cost in enumerate(costs):
+        row = cost[chosen] + tables[l + 1]
         target = tables[l][chosen]
-        nxt = None
-        for nmask in _lex_masks(m_next):
-            tail = tables[l + 1][nmask]
-            if tail == INF:
-                continue
-            if oracle.value_masks(chosen, full_next & ~nmask) + tail == target:
-                nxt = nmask
-                break
-        assert nxt is not None
-        members.update(NodeId(l + 1, i) for i in _mask_indices(nxt))
-        chosen = nxt
-
+        chosen = next(s for s in _lex_masks(net.layer_sizes[l]) if row[s] == target)
+        members.update(NodeId(l + 1, i) for i in _mask_indices(chosen))
     return value, Cut(frozenset(members), value)
 
 
@@ -273,46 +253,23 @@ def boundary_function(
     boundary flow the cut leaves exposed.
     """
     _guard_layers(half)
-    if side == "source":
-        m_far = half.layer_sizes[0]
-        if len(far_flows) != m_far:
-            raise RateCountMismatch(f"need {m_far} far-boundary flows")
-        m_ground = half.layer_sizes[-1]
-        full_ground = (1 << m_ground) - 1
-        # forward sweep: cheapest way to reach each final-layer state
-        cur = [
-            sum(far_flows[i - 1] for i in _mask_indices(((1 << m_far) - 1) & ~mask))
-            for mask in range(1 << m_far)
-        ]
-        for l in range(1, half.num_layers):
-            m_next = half.layer_sizes[l]
-            full_next = (1 << m_next) - 1
-            oracle = half.oracles[l - 1]
-            nxt = []
-            for nmask in range(full_next + 1):
-                best = INF
-                for mask in range(len(cur)):
-                    cand = cur[mask] + oracle.value_masks(mask, full_next & ~nmask)
-                    if cand < best:
-                        best = cand
-                nxt.append(best)
-            cur = nxt
-        values = tuple(cur[full_ground & ~t] for t in range(full_ground + 1))
-        return BoundaryFunction("source", m_ground, values)
-
+    if side not in ("source", "sink"):
+        raise BadRange(f"unknown side {side!r}")
+    m_far, m_ground = half.layer_sizes[0], half.layer_sizes[-1]
     if side == "sink":
-        m_far = half.layer_sizes[-1]
-        if len(far_flows) != m_far:
-            raise RateCountMismatch(f"need {m_far} far-boundary flows")
-        m_ground = half.layer_sizes[0]
-        final_costs = [
-            sum(far_flows[i - 1] for i in _mask_indices(mask))
-            for mask in range(1 << m_far)
-        ]
-        tables = _backward_tables(half, final_costs)
-        return BoundaryFunction("sink", m_ground, tuple(tables[1]))
-
-    raise BadRange(f"unknown side {side!r}")
+        m_far, m_ground = m_ground, m_far
+    if len(far_flows) != m_far:
+        raise RateCountMismatch(f"need {m_far} far-boundary flows")
+    costs = [_cost(o) for o in half.oracles]
+    if side == "sink":
+        values = _backward_tables(costs, _subset_sums(far_flows))[0]
+    else:
+        # forward sweep: cheapest way to reach each ground-layer state
+        values = np.asarray(_subset_sums(far_flows)[::-1], dtype=float)
+        for cost in costs:
+            values = _sweep(cost.T, values)
+        values = values[::-1]
+    return BoundaryFunction(side, m_ground, tuple(values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +399,6 @@ def max_flow(
     net: LayeredNetwork,
     boundary: Mapping[NodeId, float] | None = None,
     split_layer: int | None = None,
-    boundary_fn_hook: Callable[[BoundaryFunction], None] | None = None,
 ) -> Flow:
     """Construct a full node-flow meeting the min-cut (unicast) or the given
     boundary totals.
@@ -455,8 +411,6 @@ def max_flow(
         boundary: per-node flows for the first and last layers; omit it for
             a unicast network, where both ends carry the min-cut value.
         split_layer: override the top-level split (debugging aid).
-        boundary_fn_hook: called with every boundary function the recursion
-            builds, in construction order.
 
     Raises:
         InfeasibleBoundary: boundary totals unequal, infeasible against the
@@ -485,7 +439,7 @@ def max_flow(
     if split_layer is not None and not 2 <= split_layer <= net.num_layers - 1:
         raise BadRange(f"split layer must lie strictly inside [1, {net.num_layers}]")
 
-    per_layer = _construct(net, first, last, split_layer, boundary_fn_hook)
+    per_layer = _construct(net, first, last, split_layer)
     values = {
         NodeId(l + 1, i + 1): per_layer[l][i]
         for l in range(net.num_layers)
@@ -499,7 +453,6 @@ def _construct(
     first: list[float],
     last: list[float],
     split_layer: int | None,
-    hook: Callable[[BoundaryFunction], None] | None,
 ) -> list[list[float]]:
     if net.num_layers == 2:
         return [first, last]
@@ -508,12 +461,9 @@ def _construct(
     lower, _ = subnetwork(net, split, net.num_layers)
     r_source = boundary_function(upper, "source", first)
     r_sink = boundary_function(lower, "sink", last)
-    if hook is not None:
-        hook(r_source)
-        hook(r_sink)
     middle = polymatroid_intersect(r_source, r_sink, sum(first))
-    upper_flows = _construct(upper, first, middle, None, hook)
-    lower_flows = _construct(lower, middle, last, None, hook)
+    upper_flows = _construct(upper, first, middle, None)
+    lower_flows = _construct(lower, middle, last, None)
     return upper_flows + lower_flows[1:]
 
 
@@ -544,18 +494,11 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     n_constraints = 0
     violations: list[dict] = []
     for l in range(1, net.num_layers):
-        vals_u = layer_vals[l - 1]
-        vals_v = layer_vals[l]
-        m_in, m_out = net.layer_sizes[l - 1], net.layer_sizes[l]
-        full_in = (1 << m_in) - 1
-        oracle = net.oracles[l - 1]
-        for umask in range(full_in + 1):
-            f_excluded = sum(
-                vals_u[i - 1] for i in _mask_indices(full_in & ~umask)
-            )
-            for vmask in range(1 << m_out):
-                lhs = sum(vals_v[i - 1] for i in _mask_indices(vmask)) - f_excluded
-                rhs = oracle.value_masks(umask, vmask)
+        f_excluded = _subset_sums(layer_vals[l - 1])[::-1]
+        f_included = _subset_sums(layer_vals[l])
+        for umask, row in enumerate(net.oracles[l - 1].table().tolist()):
+            for vmask, rhs in enumerate(row):
+                lhs = f_included[vmask] - f_excluded[umask]
                 n_constraints += 1
                 excess = lhs - rhs
                 if excess > worst:

@@ -215,11 +215,9 @@ def check_layered_feasible(
     # family 2: interior layer pairs
     for l in range(2, L - 1):
         model = models[l - 1]
-        oracle = net.oracles[l - 1]
-        m_in, m_out = net.layer_sizes[l - 1], net.layer_sizes[l]
-        full_out = (1 << m_out) - 1
-        for umask in range(1 << m_in):
-            for vmask in range(full_out + 1):
+        full_out = (1 << net.layer_sizes[l]) - 1
+        for umask, row in enumerate(net.oracles[l - 1].table().tolist()):
+            for vmask, capacity in enumerate(row):
                 undecoded = full_out & ~vmask
                 if umask == 0 and undecoded == 0:
                     continue
@@ -228,9 +226,7 @@ def check_layered_feasible(
                 ) - _sum_compression(
                     plan, (NodeId(l + 1, i) for i in _mask_indices(undecoded))
                 )
-                rhs = oracle.value_masks(umask, vmask) - model.leak(
-                    _mask_indices(undecoded)
-                )
+                rhs = capacity - model.leak(_mask_indices(undecoded))
                 consider(
                     lhs,
                     rhs,
@@ -245,15 +241,13 @@ def check_layered_feasible(
     # family 3: the source against the first layer pair
     if L >= 3:
         model = models[0]
-        oracle = net.oracles[0]
-        m_out = net.layer_sizes[1]
-        full_out = (1 << m_out) - 1
-        for vmask in range(full_out + 1):
+        full_out = (1 << net.layer_sizes[1]) - 1
+        for vmask, capacity in enumerate(net.oracles[0].table()[1].tolist()):
             undecoded = full_out & ~vmask
             lhs = plan.rate - _sum_compression(
                 plan, (NodeId(2, i) for i in _mask_indices(undecoded))
             )
-            rhs = oracle.value_masks(1, vmask) - model.leak(_mask_indices(undecoded))
+            rhs = capacity - model.leak(_mask_indices(undecoded))
             consider(lhs, rhs, {"family": "source", "layer": 1, "V": _mask_indices(vmask)})
 
     return FeasibilityReport(
@@ -469,6 +463,7 @@ def check_multi_source(
 
     L = net.num_layers
     mask_orders = [_lex_masks(m) for m in net.layer_sizes[:-1]] + [[0]]
+    tables = [oracle.table().tolist() for oracle in net.oracles]
     worst = math.inf
     binding_masks: tuple[int, ...] = ()
     binding_value = math.inf
@@ -477,10 +472,7 @@ def check_multi_source(
         value = 0.0
         for l in range(L - 1, 0, -1):
             full_next = (1 << net.layer_sizes[l]) - 1
-            value = (
-                net.oracles[l - 1].value_masks(combo[l - 1], full_next & ~combo[l])
-                + value
-            )
+            value = tables[l - 1][combo[l - 1]][full_next & ~combo[l]] + value
         first = _mask_indices(combo[0])
         margin = value - sum(rates[i - 1] for i in first) - len(first) * penalty
         n_constraints += 1

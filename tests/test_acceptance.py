@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import relayflow as rf
+from relayflow import cutflow
 from relayflow.oracle import (
     FAMILIES,
     InstanceSpec,
@@ -61,6 +62,14 @@ class SuiteRecord:
 @pytest.fixture(scope="module")
 def suite():
     records = []
+    boundary_function = cutflow.boundary_function
+
+    def recording(*args, **kwargs):
+        # collects into the current instance's list, bound in the loop below
+        fn = boundary_function(*args, **kwargs)
+        collected.append(fn)
+        return fn
+
     start = time.monotonic()
     for spec in duality_specs():
         instance = random_instance(spec)
@@ -69,7 +78,9 @@ def suite():
         bcut, _ = brute_min_cut(net)
         bflow = brute_max_flow(net)
         collected = []
-        flow = rf.max_flow(net, boundary_fn_hook=collected.append)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cutflow, "boundary_function", recording)
+            flow = rf.max_flow(net)
         records.append(
             SuiteRecord(
                 spec,

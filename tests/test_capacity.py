@@ -17,10 +17,14 @@ from relayflow import (
     TooLarge,
     UnsupportedModel,
     check_capacity_axioms,
-    eval_capacity,
     quantizer_leak,
 )
-from relayflow.oracle import discrete_mi_reference
+from relayflow.oracle import (
+    FAMILIES,
+    InstanceSpec,
+    discrete_mi_reference,
+    random_instance,
+)
 
 
 def identity_channel():
@@ -98,7 +102,7 @@ def test_out_of_range_indices():
     with pytest.raises(OutOfRange):
         orc.value([2], [1])
     with pytest.raises(OutOfRange):
-        eval_capacity(orc, [1], [0])
+        orc.value([1], [0])
 
 
 def test_discrete_identity_channel_one_bit():
@@ -196,6 +200,34 @@ def test_constructed_table_fails_monotonicity():
 def test_axiom_guard():
     with pytest.raises(TooLarge):
         check_capacity_axioms(AdditiveOracle(np.ones((9, 9))))
+
+
+# --- dense tables -------------------------------------------------------------
+
+
+def test_table_matches_value_masks():
+    oracles = [
+        ExplicitTableOracle(
+            (2, 2), {((1,), (1,)): 1.0, ((2,), (2,)): 0.5, ((1, 2), (1, 2)): 1.25}
+        )
+    ]
+    for family in FAMILIES:
+        oracles += random_instance(InstanceSpec(5, (1, 3, 2), {family: 1.0})).network.oracles
+    for orc in oracles:
+        tab = orc.table()
+        m_in, m_out = orc.dims
+        assert tab.shape == (1 << m_in, 1 << m_out)
+        assert tab.dtype == np.float64
+        for u in range(1 << m_in):
+            for v in range(1 << m_out):
+                assert tab[u, v] == orc.value_masks(u, v), (orc.kind, u, v)
+        assert orc.table() is tab
+
+
+def test_table_guard_refuses_before_any_cell(oracle_calls):
+    with pytest.raises(TooLarge):
+        AdditiveOracle(np.ones((13, 12))).table()
+    assert oracle_calls == []
 
 
 # --- quantizer leak ----------------------------------------------------------

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from relayflow import cli
+from relayflow.oracle import FAMILIES
+
 DATA = Path(__file__).parent / "data"
+SCHEMA = Path(__file__).parent.parent / "schema" / "network.schema.json"
 
 GOLDEN = {
     ("mincut", "line.json"): '{"cut": ["1.1", "2.1"], "value": 2.0}\n',
@@ -125,6 +129,37 @@ def test_guard_exits_three(tmp_path):
     proc = run_cli("mincut", str(netfile))
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"] == "too_large"
+
+
+@pytest.mark.parametrize("command", ["mincut", "maxflow"])
+def test_table_guard_exits_three_before_any_cell(tmp_path, capsys, oracle_calls, command):
+    # 13 + 13 nodes in the middle pair: a dense table would hold 2^26 cells
+    wide = {
+        "layers": [1, 13, 13, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1.0] * 13]},
+            {"kind": "additive", "matrix": [[1.0] * 13] * 13},
+            {"kind": "additive", "matrix": [[1.0]] * 13},
+        ],
+    }
+    netfile = tmp_path / "wide.json"
+    netfile.write_text(json.dumps(wide))
+    assert cli.main([command, str(netfile)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "too_large"
+    assert oracle_calls == []
+
+
+def test_files_match_schema(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+    paths = sorted(DATA.glob("*.json"))
+    assert paths
+    for path in paths:
+        data = json.loads(path.read_text())
+        validator.validate(data.get("network", data))  # fixtures wrap the network
+    for family in (*FAMILIES, "mixed"):
+        assert cli.main(["gen", "--seed", "3", "--layers", "1,2,2,1", "--family", family]) == 0
+        validator.validate(json.loads(capsys.readouterr().out))
 
 
 def test_check_layered_on_deterministic_plan(tmp_path):

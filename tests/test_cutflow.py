@@ -14,11 +14,12 @@ from relayflow import (
     cut_value,
     max_flow,
     min_cut,
+    oracle_to_spec,
     polymatroid_intersect,
     subnetwork,
     verify_flow,
 )
-from relayflow.oracle import brute_max_flow, brute_min_cut
+from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
 
 
 def line_net(caps=(3.0, 2.0)):
@@ -101,6 +102,19 @@ def test_min_cut_layer_guard():
     net = build_network([1, 17, 1], [AdditiveOracle([[1.0] * 17]), AdditiveOracle([[1.0]] * 17)])
     with pytest.raises(TooLarge):
         min_cut(net)
+
+
+def test_max_flow_and_verify_evaluate_each_cell_once(oracle_calls):
+    mix = {"additive": 1.0, "rank_gf2": 1.0, "gaussian": 1.0}
+    generated = random_instance(InstanceSpec(11, (1, 3, 3, 2, 1), mix)).network
+    # rebuild from specs so no oracle has a cached table yet
+    net = build_network(
+        generated.layer_sizes, [oracle_to_spec(o) for o in generated.oracles]
+    )
+    oracle_calls.clear()
+    assert verify_flow(net, max_flow(net)).passed
+    cells = sum(1 << (a + b) for a, b in zip(net.layer_sizes, net.layer_sizes[1:]))
+    assert len(oracle_calls) == len(set(oracle_calls)) == cells
 
 
 def test_min_cut_with_boundary_flows():
