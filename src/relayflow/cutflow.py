@@ -17,8 +17,9 @@ The DP reads each oracle's dense table (``CapacityOracle.table``) and has
 one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
 and of the sink-side boundary function, the forward pass of the
 source-side boundary function (on the transposed cost) and the cut
-reconstruction all run it.  ``verify_flow`` reads the same tables, so
-every consumer sees the same floats.
+reconstruction all run it.  ``verify_flow`` and the layered-region check
+scan the same tables whole, one layer pair at a time, through
+``_scan_constraints``, so every consumer sees the same floats.
 
 Determinism rules used throughout: cut values accumulate from the sink
 side (right fold), and ties between equal-value cuts resolve to the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -64,13 +66,16 @@ def _guard_layers(net: LayeredNetwork) -> None:
         )
 
 
-def _lex_masks(m: int) -> list[int]:
+@cache
+def _lex_masks(m: int) -> tuple[int, ...]:
     """Subset masks ordered by their membership-indicator vector, index 1 first.
 
     The empty set comes first and, among ties elsewhere, sets avoiding
-    low-index nodes precede sets containing them.
+    low-index nodes precede sets containing them.  Computed once per ``m``.
     """
-    return sorted(range(1 << m), key=lambda s: tuple((s >> i) & 1 for i in range(m)))
+    return tuple(
+        sorted(range(1 << m), key=lambda s: tuple((s >> i) & 1 for i in range(m)))
+    )
 
 
 def _layer_masks(net: LayeredNetwork, members: Iterable[NodeId]) -> list[int]:
@@ -118,10 +123,12 @@ def _boundary_lists(
 
 def _subset_sums(values: Sequence[float]) -> list[float]:
     """``sums[mask]``: total of ``values`` over the 1-based indices in ``mask``,
-    added in ascending index order."""
-    return [
-        sum(values[i - 1] for i in _mask_indices(mask)) for mask in range(1 << len(values))
-    ]
+    added in ascending index order (``sum`` of them: 0 plus each in turn)."""
+    sums = [0]
+    for value in values:
+        # masks with this index set: their highest index is added last
+        sums += [total + value for total in sums]
+    return sums
 
 
 def _cost(oracle: CapacityOracle) -> np.ndarray:
@@ -479,9 +486,76 @@ class FlowCheck:
     violations: list[dict] = field(default_factory=list)
 
 
+#: one checked cell of a constraint table: ``(u, v, lhs, rhs)``
+_Cell = tuple[int, int, float, float]
+
+
+def _scan_constraints(
+    table: np.ndarray,
+    lhs_row: Sequence[float],
+    lhs_col: Sequence[float],
+    tol: float,
+    rhs_col: Sequence[float] | None = None,
+    skip_corner: bool = False,
+) -> tuple[int, _Cell | None, list[_Cell]]:
+    """Check ``lhs[u, v] <= rhs[u, v]`` on every cell of a capacity table, with
+
+        lhs[u, v] = lhs_row[u] + lhs_col[v]
+        rhs[u, v] = table[u, v] + rhs_col[v]      (``table[u, v]`` without ``rhs_col``)
+
+    A subtracted term is passed negated: ``x - y`` and ``x + (-y)`` are the
+    same float, so every cell carries the bits of the scalar expression.
+    ``skip_corner`` leaves out cell ``(0, last column)``.
+
+    Returns the number of cells checked; the binding cell, which is the
+    first in row-major order with the smallest margin ``rhs - lhs`` (NaN
+    margins never bind, and there is none when no margin is below +inf);
+    and the cells failing ``_leq(lhs, rhs, tol)``, in row-major order.
+
+    Allocates ``lhs``, ``rhs`` (unless it is ``table`` itself) and one
+    scratch array, which holds the margins and then the tolerance bounds,
+    all of ``table``'s shape, plus boolean masks.
+    """
+    lhs = np.add.outer(np.asarray(lhs_row, dtype=float), np.asarray(lhs_col, dtype=float))
+    rhs = table if rhs_col is None else table + np.asarray(rhs_col, dtype=float)
+    scratch = np.subtract(rhs, lhs)
+    if skip_corner:
+        scratch[0, -1] = np.nan
+    margins = scratch.ravel()
+    worst = np.fmin.reduce(margins)
+    binding = None
+    if worst < INF:
+        u, v = divmod(int(np.argmax(margins == worst)), table.shape[1])
+        binding = (u, v, float(lhs[u, v]), float(rhs[u, v]))
+
+    # _leq cell by cell: lhs <= rhs + tol * max(1, |lhs|, |rhs|); |lhs| is
+    # max(lhs, -lhs), negating lhs in place and back (negation is exact)
+    np.abs(rhs, out=scratch)
+    np.maximum(scratch, 1.0, out=scratch)
+    np.maximum(scratch, lhs, out=scratch)
+    np.maximum(scratch, np.negative(lhs, out=lhs), out=scratch)
+    np.negative(lhs, out=lhs)
+    scratch *= tol
+    scratch += rhs
+    failed = ~(lhs <= scratch)
+    if skip_corner:
+        failed[0, -1] = False
+    violations = [
+        (int(u), int(v), float(lhs[u, v]), float(rhs[u, v]))
+        for u, v in zip(*np.nonzero(failed))
+    ]
+    return table.size - int(skip_corner), binding, violations
+
+
 def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck:
     """Check ``f(V) - f(layer_l minus U) <= capacity_l(U, V)`` for every
-    layer pair and subset pair, plus conservation of the boundary totals."""
+    layer pair and subset pair, plus conservation of the boundary totals.
+
+    Each layer pair is one whole-table pass over its capacity table.
+    ``worst_excess`` is ``lhs - rhs`` at the first constraint, in (layer,
+    U mask, V mask) order, with the largest excess.  Violations are listed
+    in the same order.
+    """
     _guard_layers(net)
     for node in net.nodes():
         if node not in flow.values:
@@ -494,26 +568,26 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     n_constraints = 0
     violations: list[dict] = []
     for l in range(1, net.num_layers):
-        f_excluded = _subset_sums(layer_vals[l - 1])[::-1]
+        f_excluded = np.negative(_subset_sums(layer_vals[l - 1])[::-1])
         f_included = _subset_sums(layer_vals[l])
-        for umask, row in enumerate(net.oracles[l - 1].table().tolist()):
-            for vmask, rhs in enumerate(row):
-                lhs = f_included[vmask] - f_excluded[umask]
-                n_constraints += 1
-                excess = lhs - rhs
-                if excess > worst:
-                    worst = excess
-                if not _leq(lhs, rhs, tol):
-                    violations.append(
-                        {
-                            "layer": l,
-                            "U": _mask_indices(umask),
-                            "V": _mask_indices(vmask),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "excess": excess,
-                        }
-                    )
+        n, binding, failed = _scan_constraints(
+            net.oracles[l - 1].table(), f_excluded, f_included, tol
+        )
+        n_constraints += n
+        if binding is not None:
+            _, _, lhs, rhs = binding
+            worst = max(worst, lhs - rhs)
+        for umask, vmask, lhs, rhs in failed:
+            violations.append(
+                {
+                    "layer": l,
+                    "U": _mask_indices(umask),
+                    "V": _mask_indices(vmask),
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "excess": lhs - rhs,
+                }
+            )
     total_in = sum(layer_vals[0])
     total_out = sum(layer_vals[-1])
     gap = abs(total_in - total_out)

@@ -37,7 +37,7 @@ from .capacity import (
     _mask_indices,
     quantizer_leak,
 )
-from .cutflow import _lex_masks, max_flow, min_cut
+from .cutflow import _lex_masks, _scan_constraints, _subset_sums, max_flow, min_cut
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -165,6 +165,23 @@ def _sum_compression(plan: RatePlan, nodes: Iterable[NodeId]) -> float:
     return sum(plan.compression[n] for n in nodes)
 
 
+def _compression_sums(plan: RatePlan, net: LayeredNetwork, l: int) -> list[float]:
+    """``sums[mask]``: compression total of layer ``l``'s relays in ``mask``."""
+    return _subset_sums([plan.compression[n] for n in net.layer_nodes(l)])
+
+
+def _undecoded_terms(
+    plan: RatePlan, net: LayeredNetwork, model: LayerModel, l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Negated compression total and leak of the receivers of layer pair ``l``
+    left undecoded, indexed by the decoded mask ``V`` (undecoded is the
+    complement of ``V``).  The leak is evaluated once per undecoded mask."""
+    m_out = net.layer_sizes[l]
+    sums = _compression_sums(plan, net, l + 1)
+    leaks = [model.leak(_mask_indices(d)) for d in range(1 << m_out)]
+    return np.negative(sums[::-1]), np.negative(leaks[::-1])
+
+
 def check_layered_feasible(
     net: LayeredNetwork,
     models: Sequence[LayerModel],
@@ -181,7 +198,13 @@ def check_layered_feasible(
        pair capacity less the leak of the compression left undecoded;
     3. the source family: the end-to-end rate against the first layer pair.
 
-    Identically-zero rows (both sides empty) are skipped.
+    Identically-zero rows (both sides empty) are skipped.  Families 2 and 3
+    are whole-table passes over the pair's capacity table, and each pair's
+    leak is evaluated once per undecoded mask.
+
+    The binding constraint is the first one with the smallest margin in
+    (family, layer, U mask, V mask) order; violations are listed in the
+    same order.
     """
     if not net.is_unicast:
         raise InputError("layered feasibility is defined for unicast networks")
@@ -192,63 +215,61 @@ def check_layered_feasible(
     n_constraints = 0
     violations: list[dict] = []
 
-    def consider(lhs: float, rhs: float, desc: dict) -> None:
+    def consider(scan, describe) -> None:
         nonlocal worst, binding, n_constraints
-        n_constraints += 1
-        margin = rhs - lhs
-        if margin < worst:
-            worst = margin
-            binding = dict(desc, lhs=lhs, rhs=rhs)
-        if not _leq(lhs, rhs, tol):
-            violations.append(dict(desc, lhs=lhs, rhs=rhs, margin=margin))
+        n, first, failed = scan
+        n_constraints += n
+        if first is not None:
+            umask, vmask, lhs, rhs = first
+            if rhs - lhs < worst:
+                worst = rhs - lhs
+                binding = dict(describe(umask, vmask), lhs=lhs, rhs=rhs)
+        for umask, vmask, lhs, rhs in failed:
+            violations.append(
+                dict(describe(umask, vmask), lhs=lhs, rhs=rhs, margin=rhs - lhs)
+            )
 
-    # family 1: last layer pair, against the raw received signal
+    # family 1: last layer pair, against the raw received signal; row
+    # ``umask - 1`` holds transmit set ``umask`` (adding -0.0 changes no float)
     last_model = models[L - 2]
-    m_last_relay = net.layer_sizes[L - 2]
+    u_masks = range(1, 1 << net.layer_sizes[L - 2])
     dest_set = tuple(range(1, net.layer_sizes[L - 1] + 1))
-    for umask in range(1, 1 << m_last_relay):
-        u_nodes = [NodeId(L - 1, i) for i in _mask_indices(umask)]
-        lhs = plan.rate if L == 2 else _sum_compression(plan, u_nodes)
-        rhs = last_model.mi_received(_mask_indices(umask), dest_set)
-        consider(lhs, rhs, {"family": "last_layer", "layer": L - 1, "U": _mask_indices(umask)})
+    received = [[last_model.mi_received(_mask_indices(u), dest_set)] for u in u_masks]
+    sent = [plan.rate] * len(u_masks) if L == 2 else _compression_sums(plan, net, L - 1)[1:]
+    consider(
+        _scan_constraints(np.array(received, dtype=float), sent, [-0.0], tol),
+        lambda u, v: {"family": "last_layer", "layer": L - 1, "U": _mask_indices(u + 1)},
+    )
 
     # family 2: interior layer pairs
     for l in range(2, L - 1):
-        model = models[l - 1]
-        full_out = (1 << net.layer_sizes[l]) - 1
-        for umask, row in enumerate(net.oracles[l - 1].table().tolist()):
-            for vmask, capacity in enumerate(row):
-                undecoded = full_out & ~vmask
-                if umask == 0 and undecoded == 0:
-                    continue
-                lhs = _sum_compression(
-                    plan, (NodeId(l, i) for i in _mask_indices(umask))
-                ) - _sum_compression(
-                    plan, (NodeId(l + 1, i) for i in _mask_indices(undecoded))
-                )
-                rhs = capacity - model.leak(_mask_indices(undecoded))
-                consider(
-                    lhs,
-                    rhs,
-                    {
-                        "family": "relay",
-                        "layer": l,
-                        "U": _mask_indices(umask),
-                        "V": _mask_indices(vmask),
-                    },
-                )
+        undecoded, leaks = _undecoded_terms(plan, net, models[l - 1], l)
+        consider(
+            _scan_constraints(
+                net.oracles[l - 1].table(),
+                _compression_sums(plan, net, l),
+                undecoded,
+                tol,
+                rhs_col=leaks,
+                skip_corner=True,
+            ),
+            lambda u, v, l=l: {
+                "family": "relay",
+                "layer": l,
+                "U": _mask_indices(u),
+                "V": _mask_indices(v),
+            },
+        )
 
-    # family 3: the source against the first layer pair
+    # family 3: the source against the first layer pair (row 1: the source sends)
     if L >= 3:
-        model = models[0]
-        full_out = (1 << net.layer_sizes[1]) - 1
-        for vmask, capacity in enumerate(net.oracles[0].table()[1].tolist()):
-            undecoded = full_out & ~vmask
-            lhs = plan.rate - _sum_compression(
-                plan, (NodeId(2, i) for i in _mask_indices(undecoded))
-            )
-            rhs = capacity - model.leak(_mask_indices(undecoded))
-            consider(lhs, rhs, {"family": "source", "layer": 1, "V": _mask_indices(vmask)})
+        undecoded, leaks = _undecoded_terms(plan, net, models[0], 1)
+        consider(
+            _scan_constraints(
+                net.oracles[0].table()[1:2], [plan.rate], undecoded, tol, rhs_col=leaks
+            ),
+            lambda u, v: {"family": "source", "layer": 1, "V": _mask_indices(v)},
+        )
 
     return FeasibilityReport(
         passed=not violations,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from relayflow import cli
@@ -150,7 +151,6 @@ def test_table_guard_exits_three_before_any_cell(tmp_path, capsys, oracle_calls,
 
 
 def test_files_match_schema(capsys):
-    jsonschema = pytest.importorskip("jsonschema")
     validator = jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
     paths = sorted(DATA.glob("*.json"))
     assert paths

@@ -352,3 +352,58 @@ def test_zero_flow_always_passes():
     net = diamond_net()
     zero = Flow({n: 0.0 for n in net.nodes()})
     assert verify_flow(net, zero).passed
+
+
+def _reference_verify(net, flow, tol=1e-9):
+    """Today's flow check spelled out cell by cell, as
+    ``(worst_excess, n_constraints, violations)``."""
+    worst, n, violations = -float("inf"), 0, []
+    for l in range(1, net.num_layers):
+        m_in, m_out = net.layer_sizes[l - 1], net.layer_sizes[l]
+        for u in range(1 << m_in):
+            for v in range(1 << m_out):
+                outside = [i for i in range(1, m_in + 1) if not u >> (i - 1) & 1]
+                inside = [i for i in range(1, m_out + 1) if v >> (i - 1) & 1]
+                lhs = sum(flow.at(NodeId(l + 1, i)) for i in inside) - sum(
+                    flow.at(NodeId(l, i)) for i in outside
+                )
+                rhs = net.oracles[l - 1].value_masks(u, v)
+                n += 1
+                if lhs - rhs > worst:
+                    worst = lhs - rhs
+                if not lhs <= rhs + tol * max(1.0, abs(lhs), abs(rhs)):
+                    violations.append(
+                        {
+                            "layer": l,
+                            "U": tuple(i for i in range(1, m_in + 1) if i not in outside),
+                            "V": tuple(inside),
+                            "lhs": lhs,
+                            "rhs": rhs,
+                            "excess": lhs - rhs,
+                        }
+                    )
+    return worst, n, violations
+
+
+def test_verify_flow_matches_cell_by_cell_reference():
+    from relayflow import Flow, GaussianLayerModel, network_from_models
+
+    n_violated = 0
+    for family in ("additive", "rank_gf2", "gaussian", "discrete"):
+        for seed, shape in enumerate([(1, 2, 1), (1, 2, 2, 1), (1, 3, 2, 1)], start=1):
+            inst = random_instance(InstanceSpec(seed, shape, {family: 1.0}))
+            nets = [inst.network]
+            if family == "gaussian":
+                loud = [GaussianLayerModel(m.h * 1000.0) for m in inst.models]
+                nets.append(network_from_models(loud))
+            for net in nets:
+                flow = max_flow(net)
+                raised = dict(flow.values)
+                raised[NodeId(2, 1)] += 0.5
+                for f in (flow, Flow(raised)):
+                    report = verify_flow(net, f)
+                    got = (report.worst_excess, report.n_constraints, report.violations)
+                    # repr tells apart every float, -0.0 from 0.0 included
+                    assert repr(got) == repr(_reference_verify(net, f))
+                    n_violated += bool(report.violations)
+    assert n_violated

@@ -200,6 +200,111 @@ def test_strong_channels_can_starve_a_relay_past_its_leak():
         assert report.passed
 
 
+def _reference_layered(net, models, plan, tol=1e-9):
+    """Today's region check spelled out cell by cell, as
+    ``(margin, binding, n_constraints, violations)``."""
+    L = net.num_layers
+    worst, binding, n, violations = math.inf, {}, 0, []
+
+    def total(nodes):
+        return sum(plan.compression[v] for v in nodes)
+
+    def leq(lhs, rhs):
+        return lhs <= rhs + tol * max(1.0, abs(lhs), abs(rhs))
+
+    def consider(lhs, rhs, desc):
+        nonlocal worst, binding, n
+        n += 1
+        if rhs - lhs < worst:
+            worst = rhs - lhs
+            binding = dict(desc, lhs=lhs, rhs=rhs)
+        if not leq(lhs, rhs):
+            violations.append(dict(desc, lhs=lhs, rhs=rhs, margin=rhs - lhs))
+
+    def indices(mask):
+        return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+    dest = tuple(range(1, net.layer_sizes[-1] + 1))
+    for u in range(1, 1 << net.layer_sizes[L - 2]):
+        lhs = plan.rate if L == 2 else total(NodeId(L - 1, i) for i in indices(u))
+        rhs = models[L - 2].mi_received(indices(u), dest)
+        consider(lhs, rhs, {"family": "last_layer", "layer": L - 1, "U": indices(u)})
+    for l in range(2, L - 1):
+        full = (1 << net.layer_sizes[l]) - 1
+        for u in range(1 << net.layer_sizes[l - 1]):
+            for v in range(full + 1):
+                if u == 0 and v == full:
+                    continue
+                lhs = total(NodeId(l, i) for i in indices(u)) - total(
+                    NodeId(l + 1, i) for i in indices(full & ~v)
+                )
+                rhs = net.oracles[l - 1].value_masks(u, v) - models[l - 1].leak(
+                    indices(full & ~v)
+                )
+                desc = {"family": "relay", "layer": l, "U": indices(u), "V": indices(v)}
+                consider(lhs, rhs, desc)
+    if L >= 3:
+        full = (1 << net.layer_sizes[1]) - 1
+        for v in range(full + 1):
+            lhs = plan.rate - total(NodeId(2, i) for i in indices(full & ~v))
+            rhs = net.oracles[0].value_masks(1, v) - models[0].leak(indices(full & ~v))
+            consider(lhs, rhs, {"family": "source", "layer": 1, "V": indices(v)})
+    return worst, binding, n, violations
+
+
+def _layered_cases():
+    shapes = [(1, 1), (1, 2, 1), (1, 2, 2, 1), (1, 3, 2, 1), (1, 2, 1, 2, 1)]
+    for family in ("additive", "rank_gf2", "gaussian", "discrete"):
+        for seed, shape in enumerate(shapes, start=1):
+            inst = random_instance(InstanceSpec(seed, shape, {family: 1.0}))
+            yield inst.network, list(inst.models)
+            if family == "gaussian":
+                loud = [GaussianLayerModel(m.h * 1000.0) for m in inst.models]
+                yield network_from_models(loud), loud
+
+
+def test_layered_check_matches_cell_by_cell_reference():
+    from relayflow import RatePlan
+
+    n_violated = n_tied = 0
+    for net, models in _layered_cases():
+        plan = plan_rates(net, models)
+        plans = [plan]
+        if plan.compression:
+            raised = dict(plan.compression)
+            raised[min(raised)] += 0.5
+            plans.append(RatePlan(plan.rate, raised, plan.penalties, (), plan.flow))
+        for p in plans:
+            report = check_layered_feasible(net, models, p)
+            got = (report.margin, report.binding, report.n_constraints, report.violations)
+            want = _reference_layered(net, models, p)
+            # repr tells apart every float, -0.0 from 0.0 included
+            assert repr(got) == repr(want)
+            assert all(type(report.binding[k]) is float for k in ("lhs", "rhs"))
+            n_violated += bool(report.violations)
+            margins = [v["margin"] for v in report.violations]
+            n_tied += len(margins) != len(set(margins))
+    assert n_violated and n_tied
+
+
+def test_layered_check_evaluates_each_leak_once_per_undecoded_mask(monkeypatch):
+    inst = random_instance(InstanceSpec(4, (1, 2, 3, 1), {"discrete": 1.0}))
+    net, models = inst.network, list(inst.models)
+    plan = plan_rates(net, models)
+    calls = []
+    original = DiscreteLayerModel.leak
+
+    def counting(self, receivers=None):
+        calls.append(id(self))
+        return original(self, receivers)
+
+    monkeypatch.setattr(DiscreteLayerModel, "leak", counting)
+    check_layered_feasible(net, models, plan)
+    assert calls
+    for model in models:
+        assert calls.count(id(model)) <= 1 << model.dims[1]
+
+
 # --- joint feasibility ---------------------------------------------------------------
 
 
