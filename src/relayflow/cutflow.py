@@ -12,6 +12,11 @@ every subset pair (U, V), by
 subsets; ``max_flow`` constructs a flow attaining it by recursive
 bisection: the split layer's flow is a point in the intersection of two
 polymatroids whose rank functions are computed by the same subset DP.
+That point comes from a Bland's-rule simplex over the 2·(2^m - 1) rank
+constraints.  It stores the tableau by columns and touches only the
+columns a pivot changes, so it makes the pivots of a dense tableau, with
+its floats, in memory proportional to the rows times the structural and
+pivoted columns.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
 one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
@@ -280,7 +285,7 @@ def boundary_function(
 
 
 # ---------------------------------------------------------------------------
-# Polymatroid intersection at a prescribed total, via a small dense simplex.
+# Polymatroid intersection at a prescribed total, via a column-stored simplex.
 # ---------------------------------------------------------------------------
 
 
@@ -292,6 +297,22 @@ def _simplex_max(
     Requires ``b >= 0`` so the slack basis starts feasible.  Pivoting uses
     Bland's rule (smallest eligible index for both the entering column and
     ratio ties), which cannot cycle.
+
+    The tableau is held by columns, each an array of length ``m + 1`` with
+    the objective (``-c``) entry last.  The structural columns and the rhs
+    are built up front; slack column ``n + i`` stays the implicit unit
+    vector ``e_i`` until a pivot on row ``i`` makes it nonzero in the pivot
+    row, and only then is it stored.  Implicit slacks have objective 0, so
+    they never enter.  A pivot divides the pivot row and updates, on the
+    rows where the entering column is nonzero, only the stored columns
+    that are nonzero in the pivot row, and the rhs.  Every other cell of
+    the dense update would get ``T[i, j] - T[i, e] * 0``: the same value,
+    at most a zero changing sign, which no comparison sees.  Each updated
+    cell gets ``T[i, j] - T[i, e] * T'[r, j]``, the dense update's own
+    expression.  With finite coefficients the pivots are therefore the
+    dense tableau's, one for one, and the rhs, hence ``x`` and the optimum,
+    match it bit for bit.  Memory is one column per structural variable
+    and per slack a pivot reached.
     """
     a = np.asarray(a_rows, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -300,41 +321,44 @@ def _simplex_max(
     if (b < 0).any():
         raise NumericalFailure("simplex requires nonnegative right-hand sides")
     eps = 1e-12
-    # tableau: columns = structural vars, slacks, rhs; last row = -objective
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[m, :n] = -c
+    structural = np.empty((n, m + 1))
+    structural[:, :m] = a.T
+    structural[:, m] = -c
+    columns = dict(enumerate(structural))
+    rhs = np.zeros(m + 1)
+    rhs[:m] = b
     basis = list(range(n, n + m))
 
     for _ in range(10_000):
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -eps:
-                enter = j
-                break
+        enter = min((j for j, col in columns.items() if col[m] < -eps), default=-1)
         if enter < 0:
             break
+        entering = columns[enter]
+        candidates = np.flatnonzero(entering[:m] > eps)
+        ratios = rhs[candidates] / entering[candidates]
         leave = -1
         best_ratio = INF
-        for i in range(m):
-            coef = tab[i, enter]
-            if coef > eps:
-                ratio = tab[i, -1] / coef
-                if ratio < best_ratio - eps or (
-                    abs(ratio - best_ratio) <= eps
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        for i, ratio in zip(candidates.tolist(), ratios.tolist()):
+            if ratio < best_ratio - eps or (
+                abs(ratio - best_ratio) <= eps
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         if leave < 0:
             raise NumericalFailure("linear program is unbounded")
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i] -= tab[i, enter] * tab[leave]
+        if n + leave not in columns:
+            slack = np.zeros(m + 1)
+            slack[leave] = 1.0
+            columns[n + leave] = slack
+        pivot = entering[leave]
+        rows = np.flatnonzero(entering)
+        rows = rows[rows != leave]
+        factors = entering[rows]
+        touched = [col for col in columns.values() if col[leave] != 0.0]
+        for col in [rhs, *touched]:
+            col[leave] /= pivot
+            col[rows] -= factors * col[leave]
         basis[leave] = enter
     else:
         raise NumericalFailure("simplex did not converge")
@@ -342,8 +366,8 @@ def _simplex_max(
     x = [0.0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = float(tab[i, -1])
-    return float(tab[m, -1]), x
+            x[var] = float(rhs[i])
+    return float(rhs[m]), x
 
 
 def polymatroid_intersect(
@@ -369,21 +393,19 @@ def polymatroid_intersect(
     if r_sink.ground_size != m:
         raise DimensionMismatch("boundary functions have different ground sets")
     full = (1 << m) - 1
-    bound = min(
-        r_source.value_mask(full & ~t) + r_sink.value_mask(t) for t in range(full + 1)
-    )
+    src = np.array(r_source.values, dtype=float)
+    snk = np.array(r_sink.values, dtype=float)
+    # src[::-1][t] is r_source at the complement of t
+    bound = float((src[::-1] + snk).min())
     if target_total > bound + tol * max(1.0, abs(bound)):
         raise Infeasible(
             f"target total {target_total} exceeds intersection bound {bound}"
         )
 
-    rows, rhs = [], []
-    for mask in range(1, full + 1):
-        row = [1.0 if mask & (1 << i) else 0.0 for i in range(m)]
-        rows.append(row)
-        rhs.append(r_source.value_mask(mask))
-        rows.append(row)
-        rhs.append(r_sink.value_mask(mask))
+    # per nonempty mask, two rows of its 0/1 membership: source rank, sink rank
+    bits = (np.arange(1, full + 1)[:, None] >> np.arange(m)) & 1
+    rows = np.repeat(bits, 2, axis=0)
+    rhs = np.stack([src[1:], snk[1:]], axis=1).ravel()
     value, x = _simplex_max(rows, rhs, [1.0] * m)
     if value < target_total - max(tol, 1e-9) * max(1.0, abs(target_total)):
         raise NumericalFailure(

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from relayflow import (
     Infeasible,
     InfeasibleBoundary,
     NodeId,
+    NumericalFailure,
     BadRange,
     TooLarge,
     boundary_function,
@@ -19,6 +23,8 @@ from relayflow import (
     subnetwork,
     verify_flow,
 )
+from relayflow import cutflow
+from relayflow.cutflow import _simplex_max
 from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
 
 
@@ -189,6 +195,160 @@ def test_intersect_reduction_is_deterministic():
     # excess comes out of the lowest indices first
     r = BoundaryFunction("source", 2, (0.0, 2.0, 2.0, 4.0))
     assert polymatroid_intersect(r, r, 1.0) == pytest.approx([0.0, 1.0])
+
+
+def _dense_simplex_max(a_rows, b, c):
+    """The dense Bland's-rule tableau ``_simplex_max`` replaced, kept verbatim
+    as the reference its pivots must reproduce."""
+    INF = float("inf")
+    a = np.asarray(a_rows, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = a.shape
+    if (b < 0).any():
+        raise NumericalFailure("simplex requires nonnegative right-hand sides")
+    eps = 1e-12
+    # tableau: columns = structural vars, slacks, rhs; last row = -objective
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[m, :n] = -c
+    basis = list(range(n, n + m))
+
+    for _ in range(10_000):
+        enter = -1
+        for j in range(n + m):
+            if tab[m, j] < -eps:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = INF
+        for i in range(m):
+            coef = tab[i, enter]
+            if coef > eps:
+                ratio = tab[i, -1] / coef
+                if ratio < best_ratio - eps or (
+                    abs(ratio - best_ratio) <= eps
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise NumericalFailure("linear program is unbounded")
+        pivot = tab[leave, enter]
+        tab[leave] /= pivot
+        for i in range(m + 1):
+            if i != leave and tab[i, enter] != 0.0:
+                tab[i] -= tab[i, enter] * tab[leave]
+        basis[leave] = enter
+    else:
+        raise NumericalFailure("simplex did not converge")
+
+    x = [0.0] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = float(tab[i, -1])
+    return float(tab[m, -1]), x
+
+
+def _solve(simplex, a, b, c):
+    """``repr`` of the simplex result, which tells apart every float (-0.0
+    from 0.0 included), or the ``NumericalFailure`` message."""
+    try:
+        return repr(simplex(a, b, c))
+    except NumericalFailure as exc:
+        return f"NumericalFailure: {exc}"
+
+
+def _seeded_lps(seed, count):
+    """``(A, b, c)`` drawn in turn from four kinds: 0/1 matrices with integer
+    rhs (eps ties), Gaussian matrices, mixed-sign integer matrices (often
+    unbounded), and positive diagonally dominant square matrices, whose
+    pivot rows are dense and whose optimum makes every structural column
+    basic, so every row is pivoted and every slack column created."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+        kind = k % 4
+        if kind == 0:
+            a = rng.integers(0, 2, (m, n)).astype(float)
+            b = rng.integers(0, 4, m).astype(float)
+        elif kind == 1:
+            a = rng.normal(size=(m, n))
+            b = np.abs(rng.normal(size=m))
+        elif kind == 2:
+            a = rng.integers(-2, 3, (m, n)).astype(float)
+            b = rng.integers(0, 3, m).astype(float)
+        else:
+            n = m
+            a = np.eye(m) + rng.uniform(0.01, 0.5 / m, (m, m))
+            b = np.ones(m)
+        c = rng.integers(-1, 3, n).astype(float) if kind < 3 else np.ones(n)
+        yield kind, a.tolist(), b.tolist(), c.tolist()
+
+
+def test_simplex_matches_dense_tableau_on_seeded_lps():
+    unbounded = all_basic = 0
+    for kind, a, b, c in _seeded_lps(4, 400):
+        got = _solve(_simplex_max, a, b, c)
+        assert got == _solve(_dense_simplex_max, a, b, c), (kind, a, b, c)
+        unbounded += got == "NumericalFailure: linear program is unbounded"
+        if kind == 3:
+            all_basic += all(v > 0 for v in _simplex_max(a, b, c)[1])
+    assert unbounded
+    assert all_basic == 100
+
+
+def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
+    lps = []
+
+    def recording(a, b, c):
+        lps.append((a, b, c))
+        return _simplex_max(a, b, c)
+
+    monkeypatch.setattr(cutflow, "_simplex_max", recording)
+    for family in ("additive", "rank_gf2", "gaussian", "discrete"):
+        for seed, shape in enumerate([(1, 3, 1), (1, 4, 1), (1, 2, 3, 1), (1, 3, 3, 2, 1)]):
+            max_flow(random_instance(InstanceSpec(seed, shape, {family: 1.0})).network)
+    assert len(lps) > 16
+    for a, b, c in lps:
+        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+
+
+def test_simplex_error_paths():
+    with pytest.raises(NumericalFailure, match="simplex requires nonnegative right-hand sides"):
+        _simplex_max([[1.0]], [-1.0], [1.0])
+    with pytest.raises(NumericalFailure, match="linear program is unbounded"):
+        _simplex_max([[-1.0, 1.0]], [1.0], [1.0, 0.0])
+
+
+def test_intersect_stores_no_dense_tableau():
+    m = 10
+    net = build_network(
+        [1, m, 1],
+        [
+            AdditiveOracle([[1.0 + i for i in range(m)]]),
+            AdditiveOracle([[2.0 + (i % 3)] for i in range(m)]),
+        ],
+    )
+    value, _ = min_cut(net)
+    upper, _ = subnetwork(net, 1, 2)
+    lower, _ = subnetwork(net, 2, 3)
+    r_src = boundary_function(upper, "source", [value])
+    r_snk = boundary_function(lower, "sink", [value])
+    rows = 2 * ((1 << m) - 1)
+    dense_bytes = (rows + 1) * (m + rows + 1) * 8
+    tracemalloc.start()
+    try:
+        flows = polymatroid_intersect(r_src, r_snk, value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(flows) == pytest.approx(value)
+    assert peak < dense_bytes / 8
 
 
 # --- max flow -------------------------------------------------------------------
