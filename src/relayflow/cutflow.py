@@ -227,9 +227,6 @@ class BoundaryFunction:
             mask |= 1 << (i - 1)
         return self.values[mask]
 
-    def value_mask(self, mask: int) -> float:
-        return self.values[mask]
-
     def check_polymatroid(self, tol: float = 1e-9) -> tuple[bool, str | None]:
         """Exhaustively verify zero-at-empty, monotonicity, and submodularity."""
         vals = self.values

@@ -24,16 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .capacity import (
+    MAX_JOINT_CELLS,
     DiscreteLayerModel,
     GaussianLayerModel,
     LayerModel,
     _entropy,
-    _leq,
+    _logdet_mi,
     _mask_indices,
     quantizer_leak,
 )
@@ -159,10 +160,6 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
                 r = 0.0
             compression[node] = r
     return RatePlan(rate, compression, tuple(penalties), tuple(flags), flow)
-
-
-def _sum_compression(plan: RatePlan, nodes: Iterable[NodeId]) -> float:
-    return sum(plan.compression[n] for n in nodes)
 
 
 def _compression_sums(plan: RatePlan, net: LayeredNetwork, l: int) -> list[float]:
@@ -300,62 +297,85 @@ def check_joint_feasible(
     quantization leak of everything undecoded.  The destination's quantized
     output is taken to be its raw received signal, which is never worse.
 
-    Supported model families: all-Gaussian (closed forms) and all-discrete
-    (exact summation over a global joint table).  Deterministic channels
-    should be expressed as discrete models with 0/1 conditionals.
+    The source side is the source plus a relay mask ``s``, the decoded side
+    the destination plus a submask ``d`` of the other relays, both taken in
+    ascending order; compression and leak totals come from ``_subset_sums``,
+    and ``_scan_constraints`` checks every rhs, in one row, against the rate.
+
+    Supported model families: all-Gaussian (``_logdet_mi`` on one stacked
+    receivers x senders channel matrix, noise 2 at relays and 1 at the
+    destination) and all-discrete (exact summation over every sender
+    assignment, whose probability and receiver rows are built once per
+    check; each pair keeps its own summation order, since summing one
+    global joint table instead changes the last digit of some results).
+    Deterministic channels should be expressed as discrete models with 0/1
+    conditionals.
+
+    Raises:
+        TooLarge: above 12 relays, or a joint table over all senders and
+            receivers above ``MAX_JOINT_CELLS``, before any information is
+            computed.
     """
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
-    L = net.num_layers
-    relays = [n for l in range(2, L) for n in net.layer_nodes(l)]
+    relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
     if len(relays) > 12:
         raise TooLarge("joint region enumeration limited to 12 relays")
 
     if all(isinstance(m, GaussianLayerModel) for m in models):
-        mi_fn = _gaussian_joint_mi(net, models)
-        leak_of = {v: 1.0 for v in relays}
+        gains = np.zeros((len(relays) + 1, len(relays) + 1), dtype=complex)
+        row = col = 0
+        for l, model in enumerate(models, start=2):
+            m_in, m_out = model.dims
+            noise = 1.0 if l == net.num_layers else 2.0
+            gains[row : row + m_out, col : col + m_in] = model.h / math.sqrt(noise)
+            row, col = row + m_out, col + m_in
+
+        def mi(s: int, d: int) -> float:
+            return _logdet_mi(gains, 1 | s << 1, d | 1 << len(relays), noise=1.0)
+
+        leaks = [1.0] * len(relays)
     elif all(isinstance(m, DiscreteLayerModel) for m in models):
-        mi_fn = _discrete_joint_mi(net, models)
-        leak_of = {
-            v: models[v.layer - 2].leak([v.index]) for v in relays
-        }
+        mi = _discrete_joint_mi(net, models)
+        leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
     else:
         raise UnsupportedModel(
             "joint region checker supports all-Gaussian or all-discrete models"
         )
 
-    worst = math.inf
-    binding: dict = {}
-    n_constraints = 0
-    violations: list[dict] = []
-    for source_extra in _subsets(relays):
-        in_source = set(source_extra)
-        rest = [v for v in relays if v not in in_source]
-        for decoded_extra in _subsets(rest):
-            decoded = set(decoded_extra)
-            omega = {net.source, *in_source}
-            phi = {net.destination, *decoded}
-            undecoded_relays = [v for v in relays if v not in phi]
-            lhs = float(rate)
-            rhs = (
-                sum(compression[v] for v in rest if v not in decoded)
-                + mi_fn(omega, phi)
-                - sum(leak_of[v] for v in undecoded_relays)
-            )
-            n_constraints += 1
-            margin = rhs - lhs
-            desc = {
-                "omega": sorted(n.key() for n in omega),
-                "phi": sorted(n.key() for n in phi),
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-            if margin < worst:
-                worst = margin
-                binding = desc
-            if not _leq(lhs, rhs, tol):
-                violations.append(dict(desc, margin=margin))
+    full = (1 << len(relays)) - 1
+    compression_sums = _subset_sums([compression[v] for v in relays])
+    leak_sums = _subset_sums(leaks)
+    pairs: list[tuple[int, int]] = []
+    rhs_row: list[float] = []
+    for s in range(full + 1):
+        rest = full & ~s
+        d = 0
+        while True:
+            pairs.append((s, d))
+            rhs_row.append(compression_sums[rest & ~d] + mi(s, d) - leak_sums[full & ~d])
+            if d == rest:
+                break
+            d = (d - rest) & rest
+    n_constraints, first, failed = _scan_constraints(
+        np.array(rhs_row)[None], [rate], [-0.0] * len(rhs_row), tol
+    )
+
+    def keys(end: NodeId, mask: int) -> list[str]:
+        return sorted([end.key()] + [v.key() for i, v in enumerate(relays) if mask >> i & 1])
+
+    def describe(c: int) -> dict:
+        s, d = pairs[c]
+        return {"omega": keys(net.source, s), "phi": keys(net.destination, d)}
+
+    worst, binding = math.inf, {}
+    if first is not None:
+        _, c, lhs, rhs = first
+        worst, binding = rhs - lhs, dict(describe(c), lhs=lhs, rhs=rhs)
+    violations = [
+        dict(describe(c), lhs=lhs, rhs=rhs, margin=rhs - lhs) for _, c, lhs, rhs in failed
+    ]
     return FeasibilityReport(
         passed=not violations,
         margin=worst,
@@ -365,81 +385,56 @@ def check_joint_feasible(
     )
 
 
-def _subsets(items: list[NodeId]):
-    for mask in range(1 << len(items)):
-        yield [items[i] for i in range(len(items)) if mask & (1 << i)]
-
-
-def _gaussian_joint_mi(net: LayeredNetwork, models: Sequence[GaussianLayerModel]):
-    """Closed-form conditional mutual information for the all-Gaussian case.
-
-    Receivers see independent unit noise plus unit quantization noise
-    (noise power 2); the destination is unquantized (noise power 1).
-    """
-
-    def mi(omega: set[NodeId], phi: set[NodeId]) -> float:
-        cols = sorted(omega)
-        rows = sorted(phi)
-        mat = np.zeros((len(rows), len(cols)), dtype=complex)
-        for r, w in enumerate(rows):
-            h = models[w.layer - 2].h
-            noise = 1.0 if w == net.destination else 2.0
-            for c, u in enumerate(cols):
-                if u.layer == w.layer - 1:
-                    mat[r, c] = h[w.index - 1, u.index - 1] / math.sqrt(noise)
-        gram = np.eye(len(rows), dtype=complex) + mat @ mat.conj().T
-        gram = (gram + gram.conj().T) / 2.0
-        chol = np.linalg.cholesky(gram)
-        return float(2.0 * np.log2(np.real(np.diag(chol))).sum())
-
-    return mi
-
-
 def _discrete_joint_mi(net: LayeredNetwork, models: Sequence[DiscreteLayerModel]):
-    """Exact conditional mutual information over the global joint pmf.
+    """``mi(s, d)``: exact conditional mutual information over the global
+    joint pmf, from the source and relay mask ``s`` to relay mask ``d`` and
+    the destination.
 
     Transmit symbols are independent across nodes; given all of them, the
     receivers' quantized outputs are independent with per-receiver
     conditionals taken from the layer models (the destination's conditional
     is its raw channel).
     """
-    L = net.num_layers
-    senders = [n for l in range(1, L) for n in net.layer_nodes(l)]
-    pmf_of = {
-        n: models[n.layer - 1].input_pmfs[n.index - 1] for n in senders
-    }
-    x_sizes = [pmf_of[n].size for n in senders]
+    senders = [n for l in range(1, net.num_layers) for n in net.layer_nodes(l)]
+    receivers = senders[1:] + [net.destination]
+    pmfs = [models[n.layer - 1].input_pmfs[n.index - 1] for n in senders]
+    x_sizes = [pmf.size for pmf in pmfs]
     pos_of = {n: i for i, n in enumerate(senders)}
+    conditionals = [
+        models[w.layer - 2].channels[w.index - 1]
+        if w == net.destination
+        else models[w.layer - 2].quantized_conditional(w.index)
+        for w in receivers
+    ]
+    inputs = [[pos_of[u] for u in net.layer_nodes(w.layer - 1)] for w in receivers]
+    out_cells = math.prod(c.shape[-1] for c in conditionals)
+    if math.prod(x_sizes) * out_cells > MAX_JOINT_CELLS:
+        raise TooLarge("global joint table exceeds the cell cap")
 
-    def cond_output(w: NodeId, assignment: tuple[int, ...]) -> np.ndarray:
-        model = models[w.layer - 2]
-        prev = net.layer_nodes(w.layer - 1)
-        x_prev = tuple(assignment[pos_of[u]] for u in prev)
-        if w == net.destination:
-            return model.channels[w.index - 1][x_prev]
-        return model.quantized_conditional(w.index)[x_prev]
+    # per sender assignment with p > 0: (assignment, p, receiver rows, row entropies)
+    states = []
+    for assignment in product(*(range(s) for s in x_sizes)):
+        p = 1.0
+        for pmf, v in zip(pmfs, assignment):
+            p *= pmf[v]
+        if p == 0.0:
+            continue
+        rows = [
+            cond[tuple(assignment[i] for i in positions)]
+            for cond, positions in zip(conditionals, inputs)
+        ]
+        states.append((assignment, p, rows, [_entropy(row) for row in rows]))
 
-    def mi(omega: set[NodeId], phi: set[NodeId]) -> float:
-        receivers = sorted(phi)
-        out_cells = math.prod(
-            cond_output(w, tuple(0 for _ in senders)).size for w in receivers
-        )
-        if math.prod(x_sizes) * out_cells > 10_000_000:
-            raise TooLarge("global joint table exceeds the cell cap")
-        cond_positions = [pos_of[n] for n in senders if n not in omega]
+    def mi(s: int, d: int) -> float:
+        phi = _mask_indices(d | 1 << (len(receivers) - 1))
+        cond_positions = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
         groups: dict[tuple[int, ...], np.ndarray] = {}
         h_out_given_all = 0.0
-        for assignment in product(*(range(s) for s in x_sizes)):
-            p = 1.0
-            for n, v in zip(senders, assignment):
-                p *= pmf_of[n][v]
-            if p == 0.0:
-                continue
+        for assignment, p, rows, entropies in states:
             block = np.ones(1)
-            for w in receivers:
-                row = cond_output(w, assignment)
-                h_out_given_all += p * _entropy(row)
-                block = np.multiply.outer(block, row)
+            for w in phi:
+                h_out_given_all += p * entropies[w - 1]
+                block = np.multiply.outer(block, rows[w - 1])
             key = tuple(assignment[i] for i in cond_positions)
             if key in groups:
                 groups[key] = groups[key] + p * block.ravel()
@@ -554,7 +549,9 @@ def decoding_complexity(
 
     terms = []
     for l in range(1, net.num_layers):
-        r_total = plan.rate if l == 1 else _sum_compression(plan, net.layer_nodes(l))
+        r_total = (
+            plan.rate if l == 1 else sum(plan.compression[n] for n in net.layer_nodes(l))
+        )
         terms.append(
             r_total * block_length
             + sum(log_points(v) for v in net.layer_nodes(l + 1))

@@ -9,6 +9,7 @@ from relayflow import (
     DiscreteLayerModel,
     GaussianLayerModel,
     NodeId,
+    TooLarge,
     UnsupportedModel,
     build_network,
     check_joint_feasible,
@@ -22,6 +23,7 @@ from relayflow import (
     plan_rates,
     unit_leak_penalties,
 )
+from relayflow.capacity import MAX_JOINT_CELLS
 from relayflow.oracle import InstanceSpec, SplitMix64, random_instance
 
 
@@ -343,6 +345,231 @@ def test_joint_gaussian_binding_cut_is_the_bottleneck():
     weak = models[1].mi_received([1], [1])
     report = check_joint_feasible(net, models, weak + 0.5, plan.compression)
     assert not report.passed
+
+
+def _reference_joint(net, models, rate, compression, tol=1e-9):
+    """The joint-region check as it enumerated node sets, kept verbatim as
+    the reference, returned as ``(margin, binding, n_constraints,
+    violations)``."""
+    from itertools import product
+
+    from relayflow.capacity import _entropy, _leq
+
+    def _subsets(items):
+        for mask in range(1 << len(items)):
+            yield [items[i] for i in range(len(items)) if mask & (1 << i)]
+
+    def _gaussian_joint_mi(net, models):
+        def mi(omega, phi):
+            cols = sorted(omega)
+            rows = sorted(phi)
+            mat = np.zeros((len(rows), len(cols)), dtype=complex)
+            for r, w in enumerate(rows):
+                h = models[w.layer - 2].h
+                noise = 1.0 if w == net.destination else 2.0
+                for c, u in enumerate(cols):
+                    if u.layer == w.layer - 1:
+                        mat[r, c] = h[w.index - 1, u.index - 1] / math.sqrt(noise)
+            gram = np.eye(len(rows), dtype=complex) + mat @ mat.conj().T
+            gram = (gram + gram.conj().T) / 2.0
+            chol = np.linalg.cholesky(gram)
+            return float(2.0 * np.log2(np.real(np.diag(chol))).sum())
+
+        return mi
+
+    def _discrete_joint_mi(net, models):
+        L = net.num_layers
+        senders = [n for l in range(1, L) for n in net.layer_nodes(l)]
+        pmf_of = {n: models[n.layer - 1].input_pmfs[n.index - 1] for n in senders}
+        x_sizes = [pmf_of[n].size for n in senders]
+        pos_of = {n: i for i, n in enumerate(senders)}
+
+        def cond_output(w, assignment):
+            model = models[w.layer - 2]
+            prev = net.layer_nodes(w.layer - 1)
+            x_prev = tuple(assignment[pos_of[u]] for u in prev)
+            if w == net.destination:
+                return model.channels[w.index - 1][x_prev]
+            return model.quantized_conditional(w.index)[x_prev]
+
+        def mi(omega, phi):
+            receivers = sorted(phi)
+            out_cells = math.prod(
+                cond_output(w, tuple(0 for _ in senders)).size for w in receivers
+            )
+            if math.prod(x_sizes) * out_cells > 10_000_000:
+                raise TooLarge("global joint table exceeds the cell cap")
+            cond_positions = [pos_of[n] for n in senders if n not in omega]
+            groups = {}
+            h_out_given_all = 0.0
+            for assignment in product(*(range(s) for s in x_sizes)):
+                p = 1.0
+                for n, v in zip(senders, assignment):
+                    p *= pmf_of[n][v]
+                if p == 0.0:
+                    continue
+                block = np.ones(1)
+                for w in receivers:
+                    row = cond_output(w, assignment)
+                    h_out_given_all += p * _entropy(row)
+                    block = np.multiply.outer(block, row)
+                key = tuple(assignment[i] for i in cond_positions)
+                if key in groups:
+                    groups[key] = groups[key] + p * block.ravel()
+                else:
+                    groups[key] = p * block.ravel()
+            h_joint = sum(_entropy(arr) for arr in groups.values())
+            h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
+            return max(0.0, (h_joint - h_cond) - h_out_given_all)
+
+        return mi
+
+    L = net.num_layers
+    relays = [n for l in range(2, L) for n in net.layer_nodes(l)]
+    if all(isinstance(m, GaussianLayerModel) for m in models):
+        mi_fn = _gaussian_joint_mi(net, models)
+        leak_of = {v: 1.0 for v in relays}
+    else:
+        mi_fn = _discrete_joint_mi(net, models)
+        leak_of = {v: models[v.layer - 2].leak([v.index]) for v in relays}
+
+    worst = math.inf
+    binding = {}
+    n_constraints = 0
+    violations = []
+    for source_extra in _subsets(relays):
+        in_source = set(source_extra)
+        rest = [v for v in relays if v not in in_source]
+        for decoded_extra in _subsets(rest):
+            decoded = set(decoded_extra)
+            omega = {net.source, *in_source}
+            phi = {net.destination, *decoded}
+            undecoded_relays = [v for v in relays if v not in phi]
+            lhs = float(rate)
+            rhs = (
+                sum(compression[v] for v in rest if v not in decoded)
+                + mi_fn(omega, phi)
+                - sum(leak_of[v] for v in undecoded_relays)
+            )
+            n_constraints += 1
+            margin = rhs - lhs
+            desc = {
+                "omega": sorted(n.key() for n in omega),
+                "phi": sorted(n.key() for n in phi),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+            if margin < worst:
+                worst = margin
+                binding = desc
+            if not _leq(lhs, rhs, tol):
+                violations.append(dict(desc, margin=margin))
+    return worst, binding, n_constraints, violations
+
+
+def _as_floats(value):
+    """``value`` with every numpy scalar turned into a Python ``float``."""
+    if isinstance(value, dict):
+        return {k: _as_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_as_floats(v) for v in value)
+    return float(value) if isinstance(value, np.floating) else value
+
+
+def _joint_cases():
+    shapes = [(1, 1), (1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 3, 2, 1), (1, 2, 1, 2, 1)]
+    for family in ("gaussian", "discrete"):
+        for seed, shape in enumerate(shapes, start=1):
+            inst = random_instance(InstanceSpec(seed, shape, {family: 1.0}))
+            yield seed, inst.network, list(inst.models)
+            if family == "gaussian":
+                loud = [GaussianLayerModel(m.h * 30.0) for m in inst.models]
+                yield seed, network_from_models(loud), loud
+
+
+def test_joint_check_matches_node_set_reference():
+    n_passed = n_failed = 0
+    for seed, net, models in _joint_cases():
+        relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
+        rng = SplitMix64(1000 + seed)
+        plan = plan_rates(net, models)
+        cases = [(plan.rate, plan.compression)] + [
+            (scale * rng.random(), {v: scale * rng.random() for v in relays})
+            for scale in (0.5, 4.0)
+        ]
+        for rate, compression in cases:
+            report = check_joint_feasible(net, models, rate, compression)
+            got = (report.margin, report.binding, report.n_constraints, report.violations)
+            want = _reference_joint(net, models, rate, compression)
+            # repr tells apart every float, -0.0 from 0.0 included
+            assert repr(_as_floats(got)) == repr(_as_floats(want))
+            assert report.passed == (not want[3])
+            n_passed += report.passed
+            n_failed += not report.passed
+    assert n_passed and n_failed
+
+
+@pytest.fixture
+def information_calls(monkeypatch):
+    """Every ``_entropy`` and ``_logdet_mi`` call made during the test."""
+    from relayflow import capacity, rateplan
+
+    calls = []
+    for module in (capacity, rateplan):
+        for name in ("_entropy", "_logdet_mi"):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _placeholder_network(sizes):
+    """Additive zero oracles of the given layer sizes: building them computes
+    no information and trips no per-pair oracle guard."""
+    return build_network(
+        sizes,
+        [AdditiveOracle(np.zeros((a, b))) for a, b in zip(sizes, sizes[1:])],
+    )
+
+
+def _uniform_discrete(m_in, m_out, alphabet):
+    """A discrete layer model with uniform inputs and channels and identity
+    quantizers over ``alphabet`` symbols at every node."""
+    x_shape = (alphabet,) * m_in
+    return DiscreteLayerModel(
+        [np.full(alphabet, 1.0 / alphabet)] * m_in,
+        [np.full(x_shape + (alphabet,), 1.0 / alphabet)] * m_out,
+        [np.eye(alphabet)] * m_out,
+    )
+
+
+@pytest.mark.parametrize("family", ["gaussian", "discrete"])
+def test_joint_relay_guard_raises_before_any_information(family, information_calls):
+    sizes = (1, 13, 1)
+    if family == "gaussian":
+        models = [GaussianLayerModel(np.ones((13, 1))), GaussianLayerModel(np.ones((1, 13)))]
+    else:
+        models = [_uniform_discrete(1, 13, 2), _uniform_discrete(13, 1, 2)]
+    relays = {NodeId(2, i): 0.0 for i in range(1, 14)}
+    with pytest.raises(TooLarge, match="limited to 12 relays"):
+        check_joint_feasible(_placeholder_network(sizes), models, 0.1, relays)
+    assert information_calls == []
+
+
+def test_joint_cell_cap_raises_before_any_information(information_calls):
+    # each layer pair holds 32^3 cells, the joint table over all senders
+    # and receivers 32^6, past MAX_JOINT_CELLS
+    sizes = (1, 2, 1)
+    models = [_uniform_discrete(1, 2, 32), _uniform_discrete(2, 1, 32)]
+    assert 32**6 > MAX_JOINT_CELLS
+    relays = {NodeId(2, 1): 0.0, NodeId(2, 2): 0.0}
+    with pytest.raises(TooLarge, match="global joint table exceeds the cell cap"):
+        check_joint_feasible(_placeholder_network(sizes), models, 0.1, relays)
+    assert information_calls == []
 
 
 # --- multi-source region ---------------------------------------------------------------
