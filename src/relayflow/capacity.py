@@ -45,6 +45,10 @@ AXIOM_GUARD_BITS = 16
 #: 2^24 float64 cells, 128 MB
 TABLE_GUARD_BITS = 24
 
+#: largest temporary array, in cells, of the blocked exhaustive checks
+#: (64 KB of float64; larger blocks were no faster and raised peak RSS)
+_BLOCK_CELLS = 1 << 13
+
 
 def _to_mask(subset: Iterable[int], size: int) -> int:
     """Pack 1-based indices into a bitmask; bit ``i-1`` stands for index ``i``."""
@@ -276,8 +280,44 @@ def _leq(lhs: float, rhs: float, tol: float) -> bool:
     return lhs <= rhs + tol * max(1.0, abs(lhs), abs(rhs))
 
 
+def _leq_cells(
+    lhs: np.ndarray, rhs: np.ndarray, tol: float, bound: np.ndarray | None = None
+) -> np.ndarray:
+    """``_leq`` cell by cell: ``lhs <= rhs + tol * max(1, |lhs|, |rhs|)``.
+
+    ``bound``, of ``lhs``'s shape, is scratch space (allocated when not
+    given).  ``|lhs|`` is taken as ``max(lhs, -lhs)`` by negating ``lhs`` in
+    place and back, which is exact, so no other float array is allocated.
+    """
+    bound = np.abs(rhs, out=bound)
+    np.maximum(bound, 1.0, out=bound)
+    np.maximum(bound, lhs, out=bound)
+    np.maximum(bound, np.negative(lhs, out=lhs), out=bound)
+    np.negative(lhs, out=lhs)
+    bound *= tol
+    bound += rhs
+    return lhs <= bound
+
+
 def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomReport:
     """Exhaustively verify bisubmodularity, monotonicity, and zero-on-empty.
+
+    Every check compares two table cells with ``_leq``, except zero-on-empty,
+    which requires exact zeros.  The counterexample is the first failing
+    check in this order:
+
+    1. zero-on-empty: the ``V = {}`` column by ascending ``U``, then the
+       ``U = {}`` row by ascending ``V``; each stops at its first failure;
+    2. monotonicity, single-element steps: by ``(U, V)`` in row-major mask
+       order, adding each absent transmitter, then each absent receiver, in
+       ascending index order;
+    3. bisubmodularity: by ``(U1, V1, U2, V2)`` mask order with
+       ``U2 >= U1`` and, when ``U2 == U1``, ``V2 >= V1``.
+
+    ``n_checks`` counts every check of families 2 and 3 and the zero checks
+    made up to each one's first failure.  Families 2 and 3 are whole-table
+    comparisons; family 3 is evaluated per ``U1`` in blocks of at most
+    ``_BLOCK_CELLS`` cells, or one row over ``V2`` where that is longer.
 
     Raises:
         TooLarge: if the layer pair exceeds the enumeration guard
@@ -289,83 +329,28 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
             f"axiom check limited to {AXIOM_GUARD_BITS} nodes per layer pair"
         )
     nu, nv = 1 << m_in, 1 << m_out
-    tab = oracle.table().tolist()
-    n_checks = 0
+    tab = oracle.table()
     counterexample = None
 
-    zero_ok = True
-    for u in range(nu):
-        n_checks += 1
-        if tab[u][0] != 0.0:
-            zero_ok = False
-            counterexample = {"axiom": "zero_on_empty", "U": _mask_indices(u), "V": ()}
-            break
-    for v in range(nv):
-        n_checks += 1
-        if tab[0][v] != 0.0:
-            zero_ok = False
-            counterexample = counterexample or {
-                "axiom": "zero_on_empty",
-                "U": (),
-                "V": _mask_indices(v),
-            }
-            break
+    n_checks = 0
+    for cells, side in ((tab[:, 0], "U"), (tab[0], "V")):
+        bad = np.flatnonzero(cells != 0.0)
+        n_checks += int(bad[0]) + 1 if bad.size else cells.size
+        if bad.size and counterexample is None:
+            empty = {"U": (), "V": ()}
+            empty[side] = _mask_indices(int(bad[0]))
+            counterexample = {"axiom": "zero_on_empty", **empty}
+    zero_ok = counterexample is None
 
-    mono_ok = True
-    # single-element steps imply monotonicity along every inclusion chain
-    for u in range(nu):
-        for v in range(nv):
-            base = tab[u][v]
-            for i in range(m_in):
-                if u & (1 << i):
-                    continue
-                n_checks += 1
-                if not _leq(base, tab[u | (1 << i)][v], tol):
-                    mono_ok = False
-                    counterexample = counterexample or {
-                        "axiom": "monotone",
-                        "U": _mask_indices(u),
-                        "V": _mask_indices(v),
-                        "added_transmitter": i + 1,
-                        "value": base,
-                        "larger_set_value": tab[u | (1 << i)][v],
-                    }
-            for j in range(m_out):
-                if v & (1 << j):
-                    continue
-                n_checks += 1
-                if not _leq(base, tab[u][v | (1 << j)], tol):
-                    mono_ok = False
-                    counterexample = counterexample or {
-                        "axiom": "monotone",
-                        "U": _mask_indices(u),
-                        "V": _mask_indices(v),
-                        "added_receiver": j + 1,
-                        "value": base,
-                        "larger_set_value": tab[u][v | (1 << j)],
-                    }
-
-    bisub_ok = True
-    for u1 in range(nu):
-        for v1 in range(nv):
-            for u2 in range(u1, nu):
-                for v2 in range(nv):
-                    if u2 == u1 and v2 < v1:
-                        continue
-                    n_checks += 1
-                    lhs = tab[u1 | u2][v1 & v2] + tab[u1 & u2][v1 | v2]
-                    rhs = tab[u1][v1] + tab[u2][v2]
-                    if not _leq(lhs, rhs, tol):
-                        bisub_ok = False
-                        counterexample = counterexample or {
-                            "axiom": "bisubmodular",
-                            "U1": _mask_indices(u1),
-                            "V1": _mask_indices(v1),
-                            "U2": _mask_indices(u2),
-                            "V2": _mask_indices(v2),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
+    # single-element steps imply monotonicity along every inclusion chain;
+    # overflow to inf and inf - inf = NaN pass silently, as with Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        monotone = _first_monotone_failure(tab, m_in, m_out, tol)
+        bisubmodular = _first_bisubmodular_failure(tab, tol)
+    n_checks += nu * nv * (m_in + m_out) // 2
+    n_checks += nv * nv * nu * (nu - 1) // 2 + nu * nv * (nv + 1) // 2
+    mono_ok, bisub_ok = monotone is None, bisubmodular is None
+    counterexample = counterexample or monotone or bisubmodular
 
     return AxiomReport(
         passed=zero_ok and mono_ok and bisub_ok,
@@ -375,6 +360,85 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
         counterexample=counterexample,
         n_checks=n_checks,
     )
+
+
+def _first_monotone_failure(
+    tab: np.ndarray, m_in: int, m_out: int, tol: float
+) -> dict | None:
+    """First failing step ``tab[U, V] <= tab[U + i, V]`` (transmitters ``i``)
+    or ``tab[U, V] <= tab[U, V + j]`` (receivers ``j``) in ``(U, V, step)``
+    order, steps ordered transmitters first, each by ascending index."""
+    first = None  # (U, V, step)
+    for step in range(m_in + m_out):
+        axis, bit = (0, step) if step < m_in else (1, step - m_in)
+        masks = np.arange(tab.shape[axis])
+        smaller = masks[masks >> bit & 1 == 0]
+        failed = ~_leq_cells(
+            np.take(tab, smaller, axis=axis), np.take(tab, smaller | 1 << bit, axis=axis), tol
+        )
+        if failed.any():
+            cell = [int(i) for i in np.unravel_index(int(np.argmax(failed)), failed.shape)]
+            cell[axis] = int(smaller[cell[axis]])
+            first = min(first or (*cell, step), (*cell, step))
+    if first is None:
+        return None
+    u, v, step = first
+    if step < m_in:
+        key, added, larger = "added_transmitter", step + 1, (u | 1 << step, v)
+    else:
+        key, added, larger = "added_receiver", step - m_in + 1, (u, v | 1 << (step - m_in))
+    return {
+        "axiom": "monotone",
+        "U": _mask_indices(u),
+        "V": _mask_indices(v),
+        key: added,
+        "value": float(tab[u, v]),
+        "larger_set_value": float(tab[larger]),
+    }
+
+
+def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
+    """First failing check of ``tab[U1|U2, V1&V2] + tab[U1&U2, V1|V2] <=
+    tab[U1, V1] + tab[U2, V2]`` in ``(U1, V1, U2, V2)`` order, over
+    ``U2 >= U1`` and, on ``U2 == U1``, ``V2 >= V1``.
+
+    For each ``U1`` the cells ``(V1, U2, V2)`` are taken in C-order blocks of
+    at most ``_BLOCK_CELLS`` cells, or one ``V2`` row where that is longer
+    (one block holds whole ``(U2, V2)`` planes for some ``V1``, or some rows
+    of one plane), so the first failing cell of the first failing block is
+    the first failure.
+    """
+    nu, nv = tab.shape
+    v_all = np.arange(nv)
+    u_step = max(1, _BLOCK_CELLS // nv)
+    for u1 in range(nu):
+        n_u2 = nu - u1
+        v_step = max(1, _BLOCK_CELLS // (n_u2 * nv))
+        for v_lo in range(0, nv, v_step):
+            v1 = v_all[v_lo : v_lo + v_step]
+            v_and = (v1[:, None] & v_all)[:, None, :]
+            v_or = (v1[:, None] | v_all)[:, None, :]
+            for u_lo in range(u1, nu, u_step):
+                u2 = np.arange(u_lo, min(u_lo + u_step, nu))
+                lhs = tab[(u1 | u2)[:, None], v_and]
+                lhs += tab[(u1 & u2)[:, None], v_or]
+                rhs = tab[u1, v1][:, None, None] + tab[u2]
+                failed = ~_leq_cells(lhs, rhs, tol)
+                if u_lo == u1:
+                    # U2 == U1 pairs only V2 >= V1
+                    failed[:, 0, :] &= v_all >= v1[:, None]
+                if failed.any():
+                    i, j, v2 = np.unravel_index(int(np.argmax(failed)), failed.shape)
+                    return {
+                        "axiom": "bisubmodular",
+                        "U1": _mask_indices(u1),
+                        "V1": _mask_indices(int(v1[i])),
+                        "U2": _mask_indices(int(u2[j])),
+                        "V2": _mask_indices(int(v2)),
+                        "lhs": float(lhs[i, j, v2]),
+                        "rhs": float(rhs[i, j, v2]),
+                    }
+    return None
 
 
 # ---------------------------------------------------------------------------

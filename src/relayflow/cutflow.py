@@ -41,7 +41,13 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .capacity import TABLE_GUARD_BITS, CapacityOracle, _leq, _mask_indices
+from .capacity import (
+    TABLE_GUARD_BITS,
+    CapacityOracle,
+    _leq,
+    _leq_cells,
+    _mask_indices,
+)
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -547,16 +553,7 @@ def _scan_constraints(
         u, v = divmod(int(np.argmax(margins == worst)), table.shape[1])
         binding = (u, v, float(lhs[u, v]), float(rhs[u, v]))
 
-    # _leq cell by cell: lhs <= rhs + tol * max(1, |lhs|, |rhs|); |lhs| is
-    # max(lhs, -lhs), negating lhs in place and back (negation is exact)
-    np.abs(rhs, out=scratch)
-    np.maximum(scratch, 1.0, out=scratch)
-    np.maximum(scratch, lhs, out=scratch)
-    np.maximum(scratch, np.negative(lhs, out=lhs), out=scratch)
-    np.negative(lhs, out=lhs)
-    scratch *= tol
-    scratch += rhs
-    failed = ~(lhs <= scratch)
+    failed = ~_leq_cells(lhs, rhs, tol, bound=scratch)
     if skip_corner:
         failed[0, -1] = False
     violations = [

@@ -29,7 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .capacity import (
+    _BLOCK_CELLS,
     MAX_JOINT_CELLS,
+    TABLE_GUARD_BITS,
     DiscreteLayerModel,
     GaussianLayerModel,
     LayerModel,
@@ -306,8 +308,9 @@ def check_joint_feasible(
     receivers x senders channel matrix, noise 2 at relays and 1 at the
     destination) and all-discrete (exact summation over every sender
     assignment, whose probability and receiver rows are built once per
-    check; each pair keeps its own summation order, since summing one
-    global joint table instead changes the last digit of some results).
+    check and whose weighted output blocks once per decoded set; each pair
+    keeps its own summation order, since summing one global joint table
+    instead changes the last digit of some results).
     Deterministic channels should be expressed as discrete models with 0/1
     conditionals.
 
@@ -323,7 +326,24 @@ def check_joint_feasible(
     if len(relays) > 12:
         raise TooLarge("joint region enumeration limited to 12 relays")
 
-    if all(isinstance(m, GaussianLayerModel) for m in models):
+    gaussian = all(isinstance(m, GaussianLayerModel) for m in models)
+    if not gaussian and not all(isinstance(m, DiscreteLayerModel) for m in models):
+        raise UnsupportedModel(
+            "joint region checker supports all-Gaussian or all-discrete models"
+        )
+
+    full = (1 << len(relays)) - 1
+    pairs: list[tuple[int, int]] = []
+    for s in range(full + 1):
+        rest = full & ~s
+        d = 0
+        while True:
+            pairs.append((s, d))
+            if d == rest:
+                break
+            d = (d - rest) & rest
+
+    if gaussian:
         gains = np.zeros((len(relays) + 1, len(relays) + 1), dtype=complex)
         row = col = 0
         for l, model in enumerate(models, start=2):
@@ -331,33 +351,20 @@ def check_joint_feasible(
             noise = 1.0 if l == net.num_layers else 2.0
             gains[row : row + m_out, col : col + m_in] = model.h / math.sqrt(noise)
             row, col = row + m_out, col + m_in
-
-        def mi(s: int, d: int) -> float:
-            return _logdet_mi(gains, 1 | s << 1, d | 1 << len(relays), noise=1.0)
-
+        info = [
+            _logdet_mi(gains, 1 | s << 1, d | 1 << len(relays), noise=1.0) for s, d in pairs
+        ]
         leaks = [1.0] * len(relays)
-    elif all(isinstance(m, DiscreteLayerModel) for m in models):
-        mi = _discrete_joint_mi(net, models)
-        leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
     else:
-        raise UnsupportedModel(
-            "joint region checker supports all-Gaussian or all-discrete models"
-        )
+        info = _discrete_joint_mi(net, models, pairs)
+        leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
 
-    full = (1 << len(relays)) - 1
     compression_sums = _subset_sums([compression[v] for v in relays])
     leak_sums = _subset_sums(leaks)
-    pairs: list[tuple[int, int]] = []
-    rhs_row: list[float] = []
-    for s in range(full + 1):
-        rest = full & ~s
-        d = 0
-        while True:
-            pairs.append((s, d))
-            rhs_row.append(compression_sums[rest & ~d] + mi(s, d) - leak_sums[full & ~d])
-            if d == rest:
-                break
-            d = (d - rest) & rest
+    rhs_row = [
+        compression_sums[full & ~s & ~d] + mi - leak_sums[full & ~d]
+        for (s, d), mi in zip(pairs, info)
+    ]
     n_constraints, first, failed = _scan_constraints(
         np.array(rhs_row)[None], [rate], [-0.0] * len(rhs_row), tol
     )
@@ -385,15 +392,23 @@ def check_joint_feasible(
     )
 
 
-def _discrete_joint_mi(net: LayeredNetwork, models: Sequence[DiscreteLayerModel]):
-    """``mi(s, d)``: exact conditional mutual information over the global
-    joint pmf, from the source and relay mask ``s`` to relay mask ``d`` and
-    the destination.
+def _discrete_joint_mi(
+    net: LayeredNetwork,
+    models: Sequence[DiscreteLayerModel],
+    pairs: Sequence[tuple[int, int]],
+) -> list[float]:
+    """Exact conditional mutual information over the global joint pmf, for
+    each pair ``(s, d)``: from the source and relay mask ``s`` to relay mask
+    ``d`` and the destination.
 
     Transmit symbols are independent across nodes; given all of them, the
     receivers' quantized outputs are independent with per-receiver
     conditionals taken from the layer models (the destination's conditional
     is its raw channel).
+
+    Each assignment's probability, receiver rows and row entropies are built
+    once; each decoded mask's weighted output blocks and conditional output
+    entropy once, for the pairs sharing it, one mask's blocks at a time.
     """
     senders = [n for l in range(1, net.num_layers) for n in net.layer_nodes(l)]
     receivers = senders[1:] + [net.destination]
@@ -425,26 +440,34 @@ def _discrete_joint_mi(net: LayeredNetwork, models: Sequence[DiscreteLayerModel]
         ]
         states.append((assignment, p, rows, [_entropy(row) for row in rows]))
 
-    def mi(s: int, d: int) -> float:
+    by_decoded: dict[int, list[int]] = {}
+    for c, (_, d) in enumerate(pairs):
+        by_decoded.setdefault(d, []).append(c)
+    info = [0.0] * len(pairs)
+    for d, members in by_decoded.items():
         phi = _mask_indices(d | 1 << (len(receivers) - 1))
-        cond_positions = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
-        groups: dict[tuple[int, ...], np.ndarray] = {}
         h_out_given_all = 0.0
-        for assignment, p, rows, entropies in states:
+        blocks = []
+        for _, p, rows, entropies in states:
             block = np.ones(1)
             for w in phi:
                 h_out_given_all += p * entropies[w - 1]
                 block = np.multiply.outer(block, rows[w - 1])
-            key = tuple(assignment[i] for i in cond_positions)
-            if key in groups:
-                groups[key] = groups[key] + p * block.ravel()
-            else:
-                groups[key] = p * block.ravel()
-        h_joint = sum(_entropy(arr) for arr in groups.values())
-        h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
-        return max(0.0, (h_joint - h_cond) - h_out_given_all)
-
-    return mi
+            blocks.append(p * block.ravel())
+        for c in members:
+            s = pairs[c][0]
+            cond_positions = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
+            groups: dict[tuple[int, ...], np.ndarray] = {}
+            for (assignment, *_), weighted in zip(states, blocks):
+                key = tuple(assignment[i] for i in cond_positions)
+                if key in groups:
+                    groups[key] = groups[key] + weighted
+                else:
+                    groups[key] = weighted
+            h_joint = sum(_entropy(arr) for arr in groups.values())
+            h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
+            info[c] = max(0.0, (h_joint - h_cond) - h_out_given_all)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +489,17 @@ def check_multi_source(
     attaching a source-side supernode with the penalized rates and taking
     the unicast min-cut of the extended network; the two margins must
     agree.
+
+    The node sets are taken in ``product`` order of the per-layer
+    ``_lex_masks`` orders; the binding cut is the first with the smallest
+    margin.  Each cut value is the right fold ``t_1 + (t_2 + (... + 0.0))``
+    of its layer pairs' capacities, computed by broadcast adds over blocks
+    of whole trailing layers, up to ``_BLOCK_CELLS`` node sets each unless
+    the last layer alone has more.
+
+    Raises:
+        TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
+            (``2^24`` node sets), before any table or penalty is computed.
     """
     if net.layer_sizes[-1] != 1:
         raise InputError("multi-source region is defined for a single destination")
@@ -475,31 +509,66 @@ def check_multi_source(
         raise DimensionMismatch(
             f"{net.layer_sizes[0]} sources need {net.layer_sizes[0]} rates"
         )
+    bits = sum(net.layer_sizes[:-1])
+    if bits > TABLE_GUARD_BITS:
+        raise TooLarge(
+            f"multi-source enumeration limited to {TABLE_GUARD_BITS} nodes outside "
+            f"the destination; this network has {bits}, {1 << bits} node sets"
+        )
     penalty = penalty_recursion(net, models)[0]
 
-    L = net.num_layers
-    mask_orders = [_lex_masks(m) for m in net.layer_sizes[:-1]] + [[0]]
-    tables = [oracle.table().tolist() for oracle in net.oracles]
+    # terms[l][a, b]: capacity from the a-th set of layer l+1 to the nodes of
+    # layer l+2 outside its b-th set, sets in ``_lex_masks`` order; the
+    # destination is never in the set
+    orders = [np.array(_lex_masks(m)) for m in net.layer_sizes[:-1]]
+    orders.append(np.zeros(1, dtype=int))
+    terms = [
+        oracle.table()[np.ix_(orders[l], (1 << net.layer_sizes[l + 1]) - 1 & ~orders[l + 1])]
+        for l, oracle in enumerate(net.oracles)
+    ]
+    rate_sums, penalties = [], []
+    for mask in orders[0]:
+        first = _mask_indices(int(mask))
+        rate_sums.append(sum(rates[i - 1] for i in first))
+        penalties.append(len(first) * penalty)
+
+    # value = t_1 + (t_2 + (... + (t_n + 0.0))), folded right to left.  The
+    # layers from k on form one block: as many trailing layers as fit in
+    # _BLOCK_CELLS node sets, and at least the last.  The sets of the layers
+    # before k are walked in product order, one block each.
+    n = len(terms)
+    k = n - 1
+    while k > 0 and math.prod(len(o) for o in orders[k - 1 : n]) <= _BLOCK_CELLS:
+        k -= 1
+    tail = terms[n - 1][:, 0] + 0.0
+    for l in range(n - 2, k - 1, -1):
+        tail = terms[l].reshape(terms[l].shape + (1,) * (n - 2 - l)) + tail
+    column = (-1,) + (1,) * (n - 1 - k)
+
     worst = math.inf
-    binding_masks: tuple[int, ...] = ()
+    binding_sets: tuple[int, ...] = ()
     binding_value = math.inf
-    n_constraints = 0
-    for combo in product(*mask_orders):
-        value = 0.0
-        for l in range(L - 1, 0, -1):
-            full_next = (1 << net.layer_sizes[l]) - 1
-            value = tables[l - 1][combo[l - 1]][full_next & ~combo[l]] + value
-        first = _mask_indices(combo[0])
-        margin = value - sum(rates[i - 1] for i in first) - len(first) * penalty
-        n_constraints += 1
-        if margin < worst:
-            worst = margin
-            binding_masks = combo
-            binding_value = value
+    for prefix in product(*(range(len(o)) for o in orders[:k])):
+        if prefix:
+            value = terms[k - 1][prefix[-1]].reshape(column) + tail
+            for l in range(k - 2, -1, -1):
+                value = terms[l][prefix[l], prefix[l + 1]] + value
+            margins = value - rate_sums[prefix[0]] - penalties[prefix[0]]
+        else:
+            value = tail
+            margins = (
+                value - np.reshape(rate_sums, column) - np.reshape(penalties, column)
+            )
+        low = np.fmin.reduce(margins.ravel())
+        if low < worst:
+            c = int(np.argmax(margins.ravel() == low))
+            worst = float(low)
+            binding_sets = prefix + np.unravel_index(c, margins.shape)
+            binding_value = float(value.ravel()[c])
     members = frozenset(
         NodeId(l + 1, i)
-        for l, mask in enumerate(binding_masks)
-        for i in _mask_indices(mask)
+        for l, at in enumerate(binding_sets)
+        for i in _mask_indices(int(orders[l][at]))
     )
     binding_cut = Cut(members, binding_value)
 
@@ -511,6 +580,7 @@ def check_multi_source(
             f"direct and supernode margins disagree: {worst} vs {super_margin}"
         )
     passed = worst >= -tol * max(1.0, abs(worst))
+    n_constraints = math.prod(len(o) for o in orders)
     return MultiSourceReport(passed, worst, binding_cut, super_margin, n_constraints)
 
 

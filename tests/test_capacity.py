@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from relayflow import (
 from relayflow.oracle import (
     FAMILIES,
     InstanceSpec,
+    SplitMix64,
     discrete_mi_reference,
     random_instance,
 )
@@ -200,6 +202,239 @@ def test_constructed_table_fails_monotonicity():
 def test_axiom_guard():
     with pytest.raises(TooLarge):
         check_capacity_axioms(AdditiveOracle(np.ones((9, 9))))
+
+
+def _reference_axioms(oracle, tol=1e-9):
+    """The axiom check as a loop over every cell and pair, kept verbatim as
+    the reference."""
+    from relayflow.capacity import AxiomReport, _leq, _mask_indices
+
+    m_in, m_out = oracle.dims
+    nu, nv = 1 << m_in, 1 << m_out
+    tab = oracle.table().tolist()
+    n_checks = 0
+    counterexample = None
+
+    zero_ok = True
+    for u in range(nu):
+        n_checks += 1
+        if tab[u][0] != 0.0:
+            zero_ok = False
+            counterexample = {"axiom": "zero_on_empty", "U": _mask_indices(u), "V": ()}
+            break
+    for v in range(nv):
+        n_checks += 1
+        if tab[0][v] != 0.0:
+            zero_ok = False
+            counterexample = counterexample or {
+                "axiom": "zero_on_empty",
+                "U": (),
+                "V": _mask_indices(v),
+            }
+            break
+
+    mono_ok = True
+    # single-element steps imply monotonicity along every inclusion chain
+    for u in range(nu):
+        for v in range(nv):
+            base = tab[u][v]
+            for i in range(m_in):
+                if u & (1 << i):
+                    continue
+                n_checks += 1
+                if not _leq(base, tab[u | (1 << i)][v], tol):
+                    mono_ok = False
+                    counterexample = counterexample or {
+                        "axiom": "monotone",
+                        "U": _mask_indices(u),
+                        "V": _mask_indices(v),
+                        "added_transmitter": i + 1,
+                        "value": base,
+                        "larger_set_value": tab[u | (1 << i)][v],
+                    }
+            for j in range(m_out):
+                if v & (1 << j):
+                    continue
+                n_checks += 1
+                if not _leq(base, tab[u][v | (1 << j)], tol):
+                    mono_ok = False
+                    counterexample = counterexample or {
+                        "axiom": "monotone",
+                        "U": _mask_indices(u),
+                        "V": _mask_indices(v),
+                        "added_receiver": j + 1,
+                        "value": base,
+                        "larger_set_value": tab[u][v | (1 << j)],
+                    }
+
+    bisub_ok = True
+    for u1 in range(nu):
+        for v1 in range(nv):
+            for u2 in range(u1, nu):
+                for v2 in range(nv):
+                    if u2 == u1 and v2 < v1:
+                        continue
+                    n_checks += 1
+                    lhs = tab[u1 | u2][v1 & v2] + tab[u1 & u2][v1 | v2]
+                    rhs = tab[u1][v1] + tab[u2][v2]
+                    if not _leq(lhs, rhs, tol):
+                        bisub_ok = False
+                        counterexample = counterexample or {
+                            "axiom": "bisubmodular",
+                            "U1": _mask_indices(u1),
+                            "V1": _mask_indices(v1),
+                            "U2": _mask_indices(u2),
+                            "V2": _mask_indices(v2),
+                            "lhs": lhs,
+                            "rhs": rhs,
+                        }
+
+    return AxiomReport(
+        passed=zero_ok and mono_ok and bisub_ok,
+        bisubmodular=bisub_ok,
+        monotone=mono_ok,
+        zero_on_empty=zero_ok,
+        counterexample=counterexample,
+        n_checks=n_checks,
+    )
+
+
+def _family_oracle(family, m_in, m_out, seed):
+    """A seeded oracle of ``family`` with ``m_in`` transmitters and ``m_out``
+    receivers, drawn like ``random_instance`` draws its pairs (which caps
+    layers at 4 nodes)."""
+    rng = SplitMix64(seed)
+    if family == "additive":
+        return AdditiveOracle(
+            [[4.0 * rng.random() for _ in range(m_out)] for _ in range(m_in)]
+        )
+    if family == "rank_gf2":
+        return RankGF2Oracle([[rng.bit() for _ in range(m_in)] for _ in range(m_out)])
+    if family == "gaussian":
+        return GaussianLogDetOracle(
+            np.array([[rng.complex_normal() for _ in range(m_in)] for _ in range(m_out)])
+        )
+    pmfs = [np.array([1.0 - p, p]) for p in (0.2 + 0.6 * rng.random() for _ in range(m_in))]
+    channels = []
+    for _ in range(m_out):
+        flat = [(1.0 - p, p) for p in (0.1 + 0.8 * rng.random() for _ in range(2**m_in))]
+        channels.append(np.array(flat).reshape((2,) * m_in + (2,)))
+    quantizers = [
+        np.array([(1.0 - p, p) for p in (0.1 + 0.8 * rng.random() for _ in range(2))])
+        for _ in range(m_out)
+    ]
+    return DiscreteLayerModel(pmfs, channels, quantizers).oracle()
+
+
+def _with_table(oracle, table):
+    """``oracle`` answering from ``table`` instead of its own cells."""
+    oracle._dense = np.array(table, dtype=float)
+    return oracle
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_axiom_check_matches_loop_reference(family):
+    for m_in in range(1, 6):
+        for m_out in range(1, 6):
+            orc = _family_oracle(family, m_in, m_out, seed=10 * m_in + m_out)
+            report = check_capacity_axioms(orc)
+            assert report.passed, (family, m_in, m_out)
+            assert repr(report) == repr(_reference_axioms(orc)), (m_in, m_out)
+            # one cell lowered: monotonicity or bisubmodularity breaks
+            table = orc.table().copy()
+            table[-1, -1] -= 0.25
+            bent = _with_table(AdditiveOracle(np.zeros((m_in, m_out))), table)
+            assert repr(check_capacity_axioms(bent)) == repr(_reference_axioms(bent))
+
+
+def _first_failure_cases():
+    """Additive tables, perturbed so that each fails one axiom first, as
+    ``(name, table, expected counterexample axiom, extra check)``."""
+    for m_in, m_out in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
+        base = _family_oracle("additive", m_in, m_out, seed=m_in * m_out).table()
+        nu, nv = base.shape
+        full_u, full_v = nu - 1, nv - 1
+
+        table = base.copy()
+        table[2, 0] = 0.5
+        yield "zero U side", table, "zero_on_empty", lambda c: c["U"] == (2,)
+
+        table = base.copy()
+        table[0, nv // 2] = 1e-300
+        yield "zero V side", table, "zero_on_empty", lambda c: c["U"] == ()
+
+        table = base.copy()
+        table[3, 1] = table[1, 1] - 0.5
+        yield "added transmitter", table, "monotone", lambda c: "added_transmitter" in c
+
+        table = base.copy()
+        table[1, 1] += 100.0  # every step out of (U, V) = ({1}, {1}) fails
+        yield "first step", table, "monotone", lambda c: c.get("added_transmitter") == 2
+
+        table = base.copy()
+        table[1, 3] = table[1, 1] - 0.5
+        table[3, 3] = table[1, 3] + table[2, 3]  # keep the transmitter steps monotone
+        yield "added receiver", table, "monotone", lambda c: "added_receiver" in c
+
+        table = base.copy()
+        table[1:, full_v] += 1.0
+        yield "diagonal", table, "bisubmodular", lambda c: c["U1"] == c["U2"]
+
+        table = base.copy()
+        table[full_u, 1:] += 1.0
+        yield "off diagonal", table, "bisubmodular", lambda c: c["U1"] != c["U2"]
+
+
+def test_axiom_check_first_failure_matches_loop_reference():
+    for name, table, axiom, holds in _first_failure_cases():
+        m_in, m_out = (int(n).bit_length() - 1 for n in table.shape)
+        orc = _with_table(AdditiveOracle(np.zeros((m_in, m_out))), table)
+        report = check_capacity_axioms(orc)
+        assert report.counterexample["axiom"] == axiom, (name, report)
+        assert holds(report.counterexample), (name, report)
+        assert repr(report) == repr(_reference_axioms(orc)), name
+        assert all(isinstance(i, int) for key in ("U", "V", "U1", "V1", "U2", "V2")
+                   for i in report.counterexample.get(key, ()))
+        assert all(type(report.counterexample[key]) is float
+                   for key in ("value", "larger_set_value", "lhs", "rhs")
+                   if key in report.counterexample)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 63),
+            st.integers(0, 63),
+            st.sampled_from([0.0, -0.5, 0.5, 1e-10, -1e-10, 2.0, math.inf, math.nan]),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([1e-9, 0.0, 0.1]),
+)
+def test_axiom_check_matches_reference_on_perturbed_tables(m_in, m_out, changes, tol):
+    table = _family_oracle("additive", m_in, m_out, seed=m_in + 7 * m_out).table().copy()
+    for u, v, delta in changes:
+        table[u % table.shape[0], v % table.shape[1]] += delta
+    orc = _with_table(AdditiveOracle(np.zeros((m_in, m_out))), table)
+    assert repr(check_capacity_axioms(orc, tol)) == repr(_reference_axioms(orc, tol))
+
+
+def test_axiom_check_memory_is_blocked():
+    # one broadcast over every bisubmodular pair of a 6x6 pair would hold
+    # 2^23 cells per temporary, 64 MB each
+    orc = _family_oracle("additive", 6, 6, seed=66)
+    orc.table()
+    tracemalloc.start()
+    try:
+        report = check_capacity_axioms(orc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2**20
 
 
 # --- dense tables -------------------------------------------------------------

@@ -92,6 +92,26 @@ def test_validate_reports_axiom_violation(tmp_path):
     assert payload["oracles"][-1]["counterexample"]["axiom"] == "monotone"
 
 
+def test_validate_bisubmodular_counterexample_bytes(tmp_path):
+    # zero on empty sets and monotone, but the two single transmitters
+    # together exceed their separate values on the full receiver set
+    values = {
+        "1;1": 0.7, "1;2": 1.4, "1;1,2": 2.1,
+        "2;1": 0.4, "2;2": 2.2, "2;1,2": 2.6,
+        "1,2;1": 1.1, "1,2;2": 3.6, "1,2;1,2": 4.8,
+    }
+    net = {"layers": [2, 2], "capacities": [{"kind": "table", "values": values}]}
+    netfile = tmp_path / "bisub.json"
+    netfile.write_text(json.dumps(net))
+    proc = run_cli("validate", str(netfile))
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        '{"oracles": [{"counterexample": {"U1": [1], "U2": [2], "V1": [1, 2], '
+        '"V2": [1, 2], "axiom": "bisubmodular", "lhs": 4.8, "rhs": 4.7}, '
+        '"layer_pair": 1, "ok": false}], "valid": false}\n'
+    )
+
+
 def test_validate_accepts_well_behaved_table(tmp_path):
     net = {
         "layers": [2, 1],
@@ -193,6 +213,27 @@ def test_check_multi_source(tmp_path):
     proc = run_cli("check", str(netfile), "--mode", "multi")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_check_multi_guard_exits_three_before_any_cell(tmp_path, capsys, oracle_calls):
+    # 36 nodes outside the destination: 2^36 node sets to enumerate
+    wide = {
+        "layers": [12, 12, 12, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1.0] * 12] * 12},
+            {"kind": "additive", "matrix": [[1.0] * 12] * 12},
+            {"kind": "additive", "matrix": [[1.0]] * 12},
+        ],
+        "models": [{"kind": "deterministic"}] * 3,
+        "boundary": {"source_rates": [0.0] * 12},
+    }
+    netfile = tmp_path / "wide.json"
+    netfile.write_text(json.dumps(wide))
+    assert cli.main(["check", str(netfile), "--mode", "multi"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "too_large"
+    assert "68719476736 node sets" in payload["detail"]
+    assert oracle_calls == []
 
 
 def test_maxflow_with_boundary_flows_in_file(tmp_path):

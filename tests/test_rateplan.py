@@ -7,6 +7,7 @@ from relayflow import (
     AdditiveOracle,
     DeterministicLayerModel,
     DiscreteLayerModel,
+    ExplicitTableOracle,
     GaussianLayerModel,
     NodeId,
     TooLarge,
@@ -611,15 +612,127 @@ def test_multi_source_agrees_with_supernode_reduction():
         )
 
 
-def test_multi_source_symmetric_deterministic_boundary():
-    # symmetric two-source diamond: the region boundary sits at the sum cut
+def symmetric_diamond():
     models = [
         DeterministicLayerModel(AdditiveOracle([[1.0], [1.0]])),
         DeterministicLayerModel(AdditiveOracle([[2.0]])),
     ]
-    net = network_from_models(models)
+    return network_from_models(models), models
+
+
+def test_multi_source_symmetric_deterministic_boundary():
+    # symmetric two-source diamond: the region boundary sits at the sum cut
+    net, models = symmetric_diamond()
     assert check_multi_source(net, models, [1.0, 1.0]).margin == pytest.approx(0.0)
     assert not check_multi_source(net, models, [1.1, 1.0]).passed
+
+
+def _reference_multi_source(net, models, source_rates):
+    """The direct multi-source enumeration as a loop over ``product`` of the
+    per-layer mask orders, kept verbatim as the reference, returned as
+    ``(margin, sorted binding members, binding value, n_constraints)``."""
+    from itertools import product
+
+    from relayflow.capacity import _mask_indices
+    from relayflow.cutflow import _lex_masks
+
+    rates = [float(r) for r in source_rates]
+    penalty = penalty_recursion(net, models)[0]
+    L = net.num_layers
+    mask_orders = [_lex_masks(m) for m in net.layer_sizes[:-1]] + [[0]]
+    tables = [oracle.table().tolist() for oracle in net.oracles]
+    worst = math.inf
+    binding_masks = ()
+    binding_value = math.inf
+    n_constraints = 0
+    for combo in product(*mask_orders):
+        value = 0.0
+        for l in range(L - 1, 0, -1):
+            full_next = (1 << net.layer_sizes[l]) - 1
+            value = tables[l - 1][combo[l - 1]][full_next & ~combo[l]] + value
+        first = _mask_indices(combo[0])
+        margin = value - sum(rates[i - 1] for i in first) - len(first) * penalty
+        n_constraints += 1
+        if margin < worst:
+            worst = margin
+            binding_masks = combo
+            binding_value = value
+    members = sorted(
+        NodeId(l + 1, i).key()
+        for l, mask in enumerate(binding_masks)
+        for i in _mask_indices(mask)
+    )
+    return worst, members, binding_value, n_constraints
+
+
+def _multi_source_summary(report):
+    return (
+        report.margin,
+        sorted(n.key() for n in report.binding.members),
+        report.binding.value,
+        report.n_constraints,
+    )
+
+
+def _multi_source_cases():
+    shapes = [(1, 1), (2, 1), (3, 2, 1), (2, 3, 2, 1), (3, 3, 3, 1), (4, 4, 4, 1)]
+    for family in ("additive", "rank_gf2", "gaussian"):
+        for seed, shape in enumerate(shapes, start=1):
+            inst = random_instance(InstanceSpec(seed, shape, {family: 1.0}))
+            yield seed, inst.network, list(inst.models)
+    # under rates (1, 1) five cuts of the diamond tie at margin 0, so the
+    # binding cut is the first in product order
+    yield (0, *symmetric_diamond())
+    # a -0.0 cell: the fold's first addition of 0.0 turns it into 0.0
+    table = ExplicitTableOracle(
+        (2, 1), {((1,), (1,)): -0.0, ((2,), (1,)): 1.0, ((1, 2), (1,)): 1.0}
+    )
+    models = [DeterministicLayerModel(table)]
+    yield 0, network_from_models(models), models
+
+
+@pytest.mark.parametrize("block_cells", [None, 2, 40])
+def test_multi_source_matches_product_reference(monkeypatch, block_cells):
+    # small blocks walk the leading layers' sets one block at a time
+    if block_cells is not None:
+        monkeypatch.setattr("relayflow.rateplan._BLOCK_CELLS", block_cells)
+    for seed, net, models in _multi_source_cases():
+        rng = SplitMix64(2000 + seed)
+        n_sources = net.layer_sizes[0]
+        draws = [[1.0] * n_sources, [0.0] * n_sources] + [
+            [scale * rng.random() for _ in range(n_sources)] for scale in (0.5, 3.0)
+        ]
+        for rates in draws:
+            report = check_multi_source(net, models, rates)
+            assert repr(_multi_source_summary(report)) == repr(
+                _reference_multi_source(net, models, rates)
+            ), (seed, net.layer_sizes, rates)
+
+
+def test_multi_source_tie_binds_first_cut_in_product_order():
+    net, models = symmetric_diamond()
+    report = check_multi_source(net, models, [1.0, 1.0])
+    assert report.margin == 0.0
+    assert report.binding.members == frozenset()
+    assert report.binding.value == 0.0
+    assert report.n_constraints == 8
+
+
+def test_multi_source_guard_raises_before_any_table(oracle_calls, monkeypatch):
+    leak_calls = []
+    monkeypatch.setattr(
+        "relayflow.rateplan.penalty_recursion",
+        lambda *args, **kwargs: leak_calls.append(args),
+    )
+    models = [
+        DeterministicLayerModel(AdditiveOracle(np.zeros((8, 9)))),
+        DeterministicLayerModel(AdditiveOracle(np.zeros((9, 8)))),
+        DeterministicLayerModel(AdditiveOracle(np.zeros((8, 1)))),
+    ]
+    net = network_from_models(models)
+    with pytest.raises(TooLarge, match="this network has 25, 33554432 node sets"):
+        check_multi_source(net, models, [0.0] * 8)
+    assert oracle_calls == [] and leak_calls == []
 
 
 # --- complexity and gap constants ---------------------------------------------------
