@@ -101,8 +101,13 @@ class CapacityOracle:
 
     def table(self) -> np.ndarray:
         """Every cell as a ``2^m_in x 2^m_out`` float64 array indexed by
-        ``[umask, vmask]``, filled through :meth:`value_masks` on first use
-        and cached.
+        ``[umask, vmask]``, built on first use and cached.
+
+        Nonempty cells are computed by :meth:`_cells` in chunks of at most
+        ``_BLOCK_CELLS`` cells that share ``|U|`` and ``|V|`` (discrete
+        oracles go one receiver set at a time).  Each family's batched
+        builder repeats its scalar definition's float operations, so every
+        cell equals the one-cell value bit for bit.
 
         Raises:
             TooLarge: if ``m_in + m_out`` exceeds ``TABLE_GUARD_BITS``.
@@ -114,10 +119,83 @@ class CapacityOracle:
                     f"capacity table limited to {TABLE_GUARD_BITS} nodes per layer pair"
                 )
             dense = np.empty((1 << m_in, 1 << m_out))
-            for umask in range(1 << m_in):
-                dense[umask] = [self.value_masks(umask, v) for v in range(1 << m_out)]
+            # zero whenever either side is empty
+            self._fill(dense, np.arange(1 << m_in), 0, 0.0)
+            self._fill(dense, 0, np.arange(1, 1 << m_out), 0.0)
+            for umasks, vmasks, values in self._nonempty_cells():
+                self._fill(dense, umasks, vmasks, values)
             self._dense = dense
         return self._dense
+
+    def _fill(self, dense: np.ndarray, umasks, vmasks, values) -> None:
+        """Write cells ``(umasks, vmasks)`` of a table being built.  Every
+        cell passes through here exactly once, which tests observe."""
+        dense[umasks, vmasks] = values
+
+    def _nonempty_cells(self):
+        """Yield ``(umasks, vmasks, values)`` covering each nonempty cell once."""
+        for umasks, vmasks in _cell_chunks(*self.dims):
+            yield umasks, vmasks, self._cells(umasks, vmasks)
+
+    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
+        """Values of nonempty cells sharing ``|U|`` and ``|V|``; the default
+        evaluates ``_value`` cell by cell."""
+        return np.array([self._value(int(u), int(v)) for u, v in zip(umasks, vmasks)])
+
+
+def _masks_by_popcount(width: int) -> list[np.ndarray]:
+    """Masks of ``width`` bits, ascending, listed by their number of set bits."""
+    masks = np.arange(1 << width)
+    counts = _popcounts(masks, width)
+    return [masks[counts == k] for k in range(width + 1)]
+
+
+def _popcounts(masks: np.ndarray, width: int) -> np.ndarray:
+    counts = np.zeros_like(masks)
+    for bit in range(width):
+        counts += masks >> bit & 1
+    return counts
+
+
+def _cell_chunks(m_in: int, m_out: int):
+    """The nonempty cells of a ``2^m_in x 2^m_out`` table as ``(umasks,
+    vmasks)`` arrays, grouped by ``(|U|, |V|)``, at most ``_BLOCK_CELLS``
+    cells per chunk."""
+    by_u, by_v = _masks_by_popcount(m_in), _masks_by_popcount(m_out)
+    for us in by_u[1:]:
+        for vs in by_v[1:]:
+            n = us.size * vs.size
+            for lo in range(0, n, _BLOCK_CELLS):
+                i = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+                yield us[i // vs.size], vs[i % vs.size]
+
+
+def _size_chunks(umasks: np.ndarray, vmasks: np.ndarray, m_in: int, m_out: int):
+    """Index arrays into ``(umasks, vmasks)`` grouping the pairs by ``(|U|,
+    |V|)``, at most ``_BLOCK_CELLS`` per chunk."""
+    key = _popcounts(umasks, m_in) * (m_out + 1) + _popcounts(vmasks, m_out)
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for lo in range(0, group.size, _BLOCK_CELLS):
+            yield group[lo : lo + _BLOCK_CELLS]
+
+
+def _bit_positions(masks: np.ndarray) -> np.ndarray:
+    """0-based set-bit positions of masks that share one popcount, ascending,
+    as a ``(len(masks), popcount)`` array."""
+    out = np.empty((masks.size, int(masks[0]).bit_count()), dtype=np.intp)
+    for j in range(out.shape[1]):
+        low = masks & -masks
+        out[:, j] = np.frexp(low)[1] - 1
+        masks = masks ^ low
+    return out
+
+
+def _blocks(mat: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
+    """``mat[np.ix_(rows, cols)]`` of every ``(row_masks[i], col_masks[i])``,
+    stacked; the row masks share one popcount, as do the column masks."""
+    rows, cols = _bit_positions(row_masks), _bit_positions(col_masks)
+    return mat[rows[:, :, None], cols[:, None, :]]
 
 
 class AdditiveOracle(CapacityOracle):
@@ -138,6 +216,10 @@ class AdditiveOracle(CapacityOracle):
         rows = [i - 1 for i in _mask_indices(umask)]
         cols = [j - 1 for j in _mask_indices(vmask)]
         return float(self.matrix[np.ix_(rows, cols)].sum())
+
+    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
+        # one C-order row per cell: the same pairwise sum as ``_value``'s
+        return _blocks(self.matrix, umasks, vmasks).reshape(umasks.size, -1).sum(axis=-1)
 
 
 class RankGF2Oracle(CapacityOracle):
@@ -167,6 +249,16 @@ class RankGF2Oracle(CapacityOracle):
             self._packed_rows[w - 1] & umask for w in _mask_indices(vmask)
         ]
         return float(_gf2_rank(rows))
+
+    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
+        packed = np.array(self._packed_rows)[_bit_positions(vmasks)]
+        basis: list[np.ndarray] = []
+        # ``_gf2_rank`` on every cell at once; a zero row in the basis is inert
+        for row in (packed & umasks[:, None]).T:
+            for b in basis:
+                row = np.where(row & (b & -b), row ^ b, row)
+            basis.append(row)
+        return np.count_nonzero(basis, axis=0).astype(float)
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -204,6 +296,9 @@ class GaussianLogDetOracle(CapacityOracle):
     def _value(self, umask: int, vmask: int) -> float:
         return _logdet_mi(self.h, umask, vmask, noise=2.0)
 
+    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
+        return _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=2.0)
+
 
 def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     """``log2 det(I + H_sub H_sub^* / noise)`` via Cholesky in the log domain."""
@@ -214,6 +309,15 @@ def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     gram = (gram + gram.conj().T) / 2.0
     chol = np.linalg.cholesky(gram)
     return float(2.0 * np.log2(np.real(np.diag(chol))).sum())
+
+
+def _logdet_mi_stack(sub: np.ndarray, noise: float) -> np.ndarray:
+    """``_logdet_mi`` of each matrix in a ``(k, receivers, senders)`` stack of
+    channel submatrices, with the same float operations per matrix."""
+    gram = np.eye(sub.shape[1], dtype=complex) + sub @ sub.conj().swapaxes(1, 2) / noise
+    gram = (gram + gram.conj().swapaxes(1, 2)) / 2.0
+    chol = np.linalg.cholesky(gram)
+    return 2.0 * np.log2(np.real(np.diagonal(chol, axis1=1, axis2=2))).sum(axis=-1)
 
 
 class ExplicitTableOracle(CapacityOracle):
@@ -252,15 +356,15 @@ class DiscreteMIOracle(CapacityOracle):
             raise TooLarge("discrete capacity oracle limited to 12 nodes per layer pair")
         self.model = model
         # full value table built up front so evaluation stays read-only
-        self._dense = np.array(
-            [
-                [model.mutual_information_masks(umask, vmask) for vmask in range(1 << m_out)]
-                for umask in range(1 << m_in)
-            ]
-        )
+        self.table()
 
     def _value(self, umask: int, vmask: int) -> float:
         return float(self._dense[umask, vmask])
+
+    def _nonempty_cells(self):
+        umasks = np.arange(1, 1 << self.dims[0])
+        for vmask, values in self.model._information_columns():
+            yield umasks, vmask, values
 
 
 @dataclass
@@ -583,6 +687,28 @@ class DiscreteLayerModel:
         h_joint = _entropy(joint)
         # I(X_U; out | X_rest) = H(X_all) + H(out, X_rest) - H(all joint) - H(X_rest)
         return max(0.0, h_x_all + h_out_x_rest - h_joint - h_x_rest)
+
+    def _information_columns(self):
+        """``mutual_information_masks(umask, vmask)`` of every nonempty cell
+        with the same float operations, yielded per receiver mask as
+        ``(vmask, values over umask = 1 .. 2^m_in - 1)``.  ``H(X_all)`` is
+        computed once, ``H(X_rest)`` once per transmitter mask, and the joint
+        pmf and its entropy once per receiver mask."""
+        u_axes = [tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self._m_in)]
+        h_x_all = _entropy(self._p_x)
+        h_x_rest = [_entropy(self._p_x.sum(axis=axes)) for axes in u_axes]
+        for vmask in range(1, 1 << self._m_out):
+            joint = self._p_x
+            for w in _mask_indices(vmask):
+                arr = self._quantized[w - 1]
+                joint = joint[..., None] * arr.reshape(
+                    self._x_shape + (1,) * (joint.ndim - len(self._x_shape)) + (arr.shape[-1],)
+                )
+            h_joint = _entropy(joint)
+            yield vmask, [
+                max(0.0, h_x_all + _entropy(joint.sum(axis=axes)) - h_joint - h_rest)
+                for axes, h_rest in zip(u_axes, h_x_rest)
+            ]
 
     def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
         """Mutual information against raw received symbols (quantizer bypassed)."""

@@ -35,9 +35,11 @@ from .capacity import (
     DiscreteLayerModel,
     GaussianLayerModel,
     LayerModel,
+    _blocks,
     _entropy,
-    _logdet_mi,
+    _logdet_mi_stack,
     _mask_indices,
+    _size_chunks,
     quantizer_leak,
 )
 from .cutflow import _lex_masks, _scan_constraints, _subset_sums, max_flow, min_cut
@@ -304,13 +306,14 @@ def check_joint_feasible(
     ascending order; compression and leak totals come from ``_subset_sums``,
     and ``_scan_constraints`` checks every rhs, in one row, against the rate.
 
-    Supported model families: all-Gaussian (``_logdet_mi`` on one stacked
-    receivers x senders channel matrix, noise 2 at relays and 1 at the
-    destination) and all-discrete (exact summation over every sender
-    assignment, whose probability and receiver rows are built once per
-    check and whose weighted output blocks once per decoded set; each pair
-    keeps its own summation order, since summing one global joint table
-    instead changes the last digit of some results).
+    Supported model families: all-Gaussian (``_logdet_mi``'s float steps on
+    one stacked receivers x senders channel matrix, noise 2 at relays and 1
+    at the destination, one batched call per ``(|s|, |d|)`` group) and
+    all-discrete (exact summation over every sender assignment, whose
+    probability and receiver rows are built once per check and whose
+    weighted output blocks once per decoded set; each pair keeps its own
+    summation order, since summing one global joint table instead changes
+    the last digit of some results).
     Deterministic channels should be expressed as discrete models with 0/1
     conditionals.
 
@@ -351,9 +354,12 @@ def check_joint_feasible(
             noise = 1.0 if l == net.num_layers else 2.0
             gains[row : row + m_out, col : col + m_in] = model.h / math.sqrt(noise)
             row, col = row + m_out, col + m_in
-        info = [
-            _logdet_mi(gains, 1 | s << 1, d | 1 << len(relays), noise=1.0) for s, d in pairs
-        ]
+        senders = 1 | np.array([s for s, _ in pairs]) << 1
+        receivers = np.array([d for _, d in pairs]) | 1 << len(relays)
+        mi = np.empty(len(pairs))
+        for i in _size_chunks(senders, receivers, len(relays) + 1, len(relays) + 1):
+            mi[i] = _logdet_mi_stack(_blocks(gains, receivers[i], senders[i]), noise=1.0)
+        info = mi.tolist()
         leaks = [1.0] * len(relays)
     else:
         info = _discrete_joint_mi(net, models, pairs)

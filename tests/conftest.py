@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from relayflow import CapacityOracle
@@ -5,14 +6,21 @@ from relayflow import CapacityOracle
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Every ``CapacityOracle.value_masks`` call made during the test, as
-    ``(id(oracle), umask, vmask)``."""
+    """Every cell an oracle evaluated during the test, as ``(id(oracle),
+    umask, vmask)``: one entry per ``CapacityOracle.value_masks`` call and
+    one per cell a table builder filled."""
     calls = []
-    original = CapacityOracle.value_masks
+    value_masks, fill = CapacityOracle.value_masks, CapacityOracle._fill
 
     def counting(self, umask, vmask):
         calls.append((id(self), umask, vmask))
-        return original(self, umask, vmask)
+        return value_masks(self, umask, vmask)
+
+    def recording(self, dense, umasks, vmasks, values):
+        for u, v in zip(*np.broadcast_arrays(umasks, vmasks)):
+            calls.append((id(self), int(u), int(v)))
+        return fill(self, dense, umasks, vmasks, values)
 
     monkeypatch.setattr(CapacityOracle, "value_masks", counting)
+    monkeypatch.setattr(CapacityOracle, "_fill", recording)
     return calls

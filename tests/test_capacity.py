@@ -20,13 +20,7 @@ from relayflow import (
     check_capacity_axioms,
     quantizer_leak,
 )
-from relayflow.oracle import (
-    FAMILIES,
-    InstanceSpec,
-    SplitMix64,
-    discrete_mi_reference,
-    random_instance,
-)
+from relayflow.oracle import FAMILIES, SplitMix64, discrete_mi_reference
 
 
 def identity_channel():
@@ -440,23 +434,56 @@ def test_axiom_check_memory_is_blocked():
 # --- dense tables -------------------------------------------------------------
 
 
+def _with_zero_inputs(orc):
+    """``orc``'s discrete model with every other transmitter's input fixed to
+    one symbol, so the joint pmf has zero-probability cells."""
+    model = orc.model
+    pmfs = [p if u % 2 else np.array([0.0, 1.0]) for u, p in enumerate(model.input_pmfs)]
+    return DiscreteLayerModel(pmfs, model.channels, model.quantizers).oracle()
+
+
+def _table_cases():
+    yield ExplicitTableOracle(
+        (2, 2), {((1,), (1,)): 1.0, ((2,), (2,)): 0.5, ((1, 2), (1, 2)): 1.25}
+    )
+    for m_in in range(1, 7):
+        for m_out in range(1, 7):
+            for family in FAMILIES:
+                orc = _family_oracle(family, m_in, m_out, seed=10 * m_in + m_out)
+                yield orc
+                if family == "gaussian":
+                    yield GaussianLogDetOracle(orc.h * 30.0)
+                if family == "discrete":
+                    yield _with_zero_inputs(orc)
+
+
 def test_table_matches_value_masks():
-    oracles = [
-        ExplicitTableOracle(
-            (2, 2), {((1,), (1,)): 1.0, ((2,), (2,)): 0.5, ((1, 2), (1, 2)): 1.25}
-        )
-    ]
-    for family in FAMILIES:
-        oracles += random_instance(InstanceSpec(5, (1, 3, 2), {family: 1.0})).network.oracles
-    for orc in oracles:
+    kinds = set()
+    for orc in _table_cases():
         tab = orc.table()
         m_in, m_out = orc.dims
         assert tab.shape == (1 << m_in, 1 << m_out)
         assert tab.dtype == np.float64
-        for u in range(1 << m_in):
-            for v in range(1 << m_out):
-                assert tab[u, v] == orc.value_masks(u, v), (orc.kind, u, v)
+        # a discrete oracle's value_masks reads its table; its scalar
+        # definition is the model's
+        value = orc.model.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
+        want = np.array([[value(u, v) for v in range(1 << m_out)] for u in range(1 << m_in)])
+        assert np.array_equal(tab.view(np.int64), want.view(np.int64)), (orc.kind, orc.dims)
         assert orc.table() is tab
+        kinds.add(orc.kind)
+    assert kinds == {"table", *FAMILIES}
+
+
+def test_table_memory_is_chunked():
+    orc = _family_oracle("additive", 10, 10, seed=1010)
+    tracemalloc.start()
+    try:
+        orc.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^20-cell table itself is 8 MB
+    assert peak < 8 * 2**20 + 8 * 2**20
 
 
 def test_table_guard_refuses_before_any_cell(oracle_calls):

@@ -479,13 +479,28 @@ def _as_floats(value):
 
 def _joint_cases():
     shapes = [(1, 1), (1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 3, 2, 1), (1, 2, 1, 2, 1)]
+    cases = []
     for family in ("gaussian", "discrete"):
         for seed, shape in enumerate(shapes, start=1):
             inst = random_instance(InstanceSpec(seed, shape, {family: 1.0}))
-            yield seed, inst.network, list(inst.models)
-            if family == "gaussian":
-                loud = [GaussianLayerModel(m.h * 30.0) for m in inst.models]
-                yield seed, network_from_models(loud), loud
+            cases.append((seed, inst.network, list(inst.models)))
+    # the 6-relay Gaussian shapes of the regions benchmark, past
+    # random_instance's 4-node cap: every (|s|, |d|) group size its joint
+    # checks batch
+    for seed, shape in enumerate([(1, 3, 3, 1), (1, 6, 1)], start=len(shapes) + 1):
+        rng = SplitMix64(seed)
+        models = [
+            GaussianLayerModel(
+                np.array([[rng.complex_normal() for _ in range(a)] for _ in range(b)])
+            )
+            for a, b in zip(shape, shape[1:])
+        ]
+        cases.append((seed, network_from_models(models), models))
+    for seed, net, models in cases:
+        yield seed, net, models
+        if isinstance(models[0], GaussianLayerModel):
+            loud = [GaussianLayerModel(m.h * 30.0) for m in models]
+            yield seed, network_from_models(loud), loud
 
 
 def test_joint_check_matches_node_set_reference():
@@ -512,12 +527,15 @@ def test_joint_check_matches_node_set_reference():
 
 @pytest.fixture
 def information_calls(monkeypatch):
-    """Every ``_entropy`` and ``_logdet_mi`` call made during the test."""
+    """Every ``_entropy``, ``_logdet_mi`` and ``_logdet_mi_stack`` call made
+    during the test."""
     from relayflow import capacity, rateplan
 
     calls = []
     for module in (capacity, rateplan):
-        for name in ("_entropy", "_logdet_mi"):
+        for name in ("_entropy", "_logdet_mi", "_logdet_mi_stack"):
+            if not hasattr(module, name):
+                continue
             original = getattr(module, name)
 
             def counting(*args, _original=original, _name=name, **kwargs):
