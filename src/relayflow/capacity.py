@@ -19,8 +19,9 @@ node indices within the layer.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +61,10 @@ def _to_mask(subset: Iterable[int], size: int) -> int:
     return mask
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _mask_indices(mask: int) -> tuple[int, ...]:
+    """1-based indices of the set bits of ``mask``, ascending.  Memoized:
+    violation records describe the same few masks thousands of times."""
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
@@ -561,6 +565,7 @@ class GaussianLayerModel:
     """
 
     h: np.ndarray
+    _received: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         hm = np.asarray(self.h, dtype=complex)
@@ -579,7 +584,7 @@ class GaussianLayerModel:
         """Rate spent describing quantization noise: exactly 1 bit per receiver."""
         if receivers is None:
             return float(self.dims[1])
-        return float(len(set(_mask_indices(_to_mask(receivers, self.dims[1])))))
+        return float(_to_mask(receivers, self.dims[1]).bit_count())
 
     def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
         """Mutual information against the raw (unquantized) received signals."""
@@ -588,6 +593,20 @@ class GaussianLayerModel:
         if umask == 0 or vmask == 0:
             return 0.0
         return _logdet_mi(self.h, umask, vmask, noise=1.0)
+
+    def mi_received_column(self) -> np.ndarray:
+        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
+        indexed by ``U``, built on first use and cached: one batched log-det
+        per ``|U|``, with ``_logdet_mi``'s float operations."""
+        if self._received is None:
+            m_in, m_out = self.dims
+            column = np.zeros(1 << m_in)
+            for umasks in _masks_by_popcount(m_in)[1:]:
+                vmasks = np.full(umasks.size, (1 << m_out) - 1)
+                column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
+            column.flags.writeable = False
+            object.__setattr__(self, "_received", column)
+        return self._received
 
 
 class DiscreteLayerModel:
@@ -645,6 +664,10 @@ class DiscreteLayerModel:
             np.tensordot(self.channels[w], self.quantizers[w], axes=([-1], [0]))
             for w in range(m_out)
         ]
+        # model quantities, computed on first use
+        self._input_entropies: tuple[float, list] | None = None
+        self._leak_terms: list[float] | None = None
+        self._received: np.ndarray | None = None
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -670,16 +693,7 @@ class DiscreteLayerModel:
     ) -> float:
         if umask == 0 or vmask == 0:
             return 0.0
-        cond = self._quantized if quantized else [
-            c.reshape(self._x_shape + (c.shape[-1],)) for c in self.channels
-        ]
-        joint = self._p_x
-        for w in _mask_indices(vmask):
-            arr = cond[w - 1]
-            # append one output axis; existing axes broadcast
-            joint = joint[..., None] * arr.reshape(
-                self._x_shape + (1,) * (joint.ndim - len(self._x_shape)) + (arr.shape[-1],)
-            )
+        joint = self._joint(self._quantized if quantized else self.channels, vmask)
         u_axes = tuple(i - 1 for i in _mask_indices(umask))
         h_x_all = _entropy(self._p_x)
         h_x_rest = _entropy(self._p_x.sum(axis=u_axes))
@@ -688,27 +702,43 @@ class DiscreteLayerModel:
         # I(X_U; out | X_rest) = H(X_all) + H(out, X_rest) - H(all joint) - H(X_rest)
         return max(0.0, h_x_all + h_out_x_rest - h_joint - h_x_rest)
 
+    def _joint(self, conditionals: Sequence[np.ndarray], vmask: int) -> np.ndarray:
+        """Joint pmf of the inputs and the outputs of receivers ``vmask``
+        under per-receiver ``conditionals`` (input axes first, then one output
+        axis per receiver, ascending)."""
+        joint = self._p_x
+        for w in _mask_indices(vmask):
+            arr = conditionals[w - 1]
+            # append one output axis; existing axes broadcast
+            joint = joint[..., None] * arr.reshape(
+                self._x_shape + (1,) * (joint.ndim - len(self._x_shape)) + (arr.shape[-1],)
+            )
+        return joint
+
+    def _information_row(self, joint: np.ndarray) -> list[float]:
+        """``mutual_information_masks``' expression for every transmitter mask
+        ``1 .. 2^m_in - 1`` against the outputs of ``joint``.  ``H(X_all)`` and
+        each ``H(X_rest)`` are computed once per model, on first use."""
+        if self._input_entropies is None:
+            u_axes = [
+                tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self._m_in)
+            ]
+            h_x_rest = [_entropy(self._p_x.sum(axis=axes)) for axes in u_axes]
+            self._input_entropies = (_entropy(self._p_x), list(zip(u_axes, h_x_rest)))
+        h_x_all, rests = self._input_entropies
+        h_joint = _entropy(joint)
+        return [
+            max(0.0, h_x_all + _entropy(joint.sum(axis=axes)) - h_joint - h_rest)
+            for axes, h_rest in rests
+        ]
+
     def _information_columns(self):
         """``mutual_information_masks(umask, vmask)`` of every nonempty cell
         with the same float operations, yielded per receiver mask as
-        ``(vmask, values over umask = 1 .. 2^m_in - 1)``.  ``H(X_all)`` is
-        computed once, ``H(X_rest)`` once per transmitter mask, and the joint
-        pmf and its entropy once per receiver mask."""
-        u_axes = [tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self._m_in)]
-        h_x_all = _entropy(self._p_x)
-        h_x_rest = [_entropy(self._p_x.sum(axis=axes)) for axes in u_axes]
+        ``(vmask, values over umask = 1 .. 2^m_in - 1)``, with the joint pmf
+        and its entropy once per receiver mask."""
         for vmask in range(1, 1 << self._m_out):
-            joint = self._p_x
-            for w in _mask_indices(vmask):
-                arr = self._quantized[w - 1]
-                joint = joint[..., None] * arr.reshape(
-                    self._x_shape + (1,) * (joint.ndim - len(self._x_shape)) + (arr.shape[-1],)
-                )
-            h_joint = _entropy(joint)
-            yield vmask, [
-                max(0.0, h_x_all + _entropy(joint.sum(axis=axes)) - h_joint - h_rest)
-                for axes, h_rest in zip(u_axes, h_x_rest)
-            ]
+            yield vmask, self._information_row(self._joint(self._quantized, vmask))
 
     def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
         """Mutual information against raw received symbols (quantizer bypassed)."""
@@ -718,38 +748,62 @@ class DiscreteLayerModel:
             quantized=False,
         )
 
+    def mi_received_column(self) -> np.ndarray:
+        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
+        indexed by ``U``, built on first use and cached: the raw-channel joint
+        pmf and its entropy once, and ``H(out, X_rest)`` per mask."""
+        if self._received is None:
+            joint = self._joint(self.channels, (1 << self._m_out) - 1)
+            column = np.array([0.0] + self._information_row(joint))
+            column.flags.writeable = False
+            self._received = column
+        return self._received
+
     def leak(self, receivers: Iterable[int] | None = None) -> float:
         """``I(Yq_W ; Y_W | X_all)`` for the given receivers (all by default).
 
         Given all inputs, receiver chains are independent, so the leak is the
-        sum over receivers of ``H(Yq_w | X) - H(Yq_w | Y_w)``.
+        sum over receivers of ``H(Yq_w | X) - H(Yq_w | Y_w)``, added in
+        ascending receiver order from the per-receiver terms.
         """
         if receivers is None:
             wset = range(1, self._m_out + 1)
         else:
             wset = _mask_indices(_to_mask(receivers, self._m_out))
+        terms = self._receiver_leaks()
         total = 0.0
-        p_x_flat = self._p_x.ravel()
         for w in wset:
-            q_given_x = self._quantized[w - 1].reshape(p_x_flat.size, -1)
-            h_q_given_x = float(
-                sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
-            )
-            chan = self.channels[w - 1].reshape(p_x_flat.size, -1)
-            p_y = p_x_flat @ chan
-            quant = self.quantizers[w - 1]
-            h_q_given_y = float(
-                sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
-            )
-            total += h_q_given_x - h_q_given_y
+            total += terms[w - 1]
         return max(0.0, total)
+
+    def _receiver_leaks(self) -> list[float]:
+        """``H(Yq_w | X) - H(Yq_w | Y_w)`` of each receiver, computed once per
+        model, on first use."""
+        if self._leak_terms is None:
+            p_x_flat = self._p_x.ravel()
+            terms = []
+            for w in range(self._m_out):
+                q_given_x = self._quantized[w].reshape(p_x_flat.size, -1)
+                h_q_given_x = float(
+                    sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
+                )
+                chan = self.channels[w].reshape(p_x_flat.size, -1)
+                p_y = p_x_flat @ chan
+                quant = self.quantizers[w]
+                h_q_given_y = float(
+                    sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
+                )
+                terms.append(h_q_given_x - h_q_given_y)
+            self._leak_terms = terms
+        return self._leak_terms
 
 
 def _check_pmf(arr: np.ndarray, what: str, axis: int | None = None) -> None:
     if (arr < 0).any():
         raise NonNormalizedPMF(f"{what} has negative entries")
     sums = arr.sum() if axis is None else arr.sum(axis=axis)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=PMF_TOL):
+    # np.allclose(sums, 1.0, rtol=0.0, atol=PMF_TOL)'s verdict, NaN and inf failing
+    if not np.all(np.abs(sums - 1.0) <= PMF_TOL):
         raise NonNormalizedPMF(f"{what} does not sum to 1 within {PMF_TOL}")
 
 
@@ -772,6 +826,11 @@ class DeterministicLayerModel:
 
     def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
         return self.wrapped.value(transmitters, receivers)
+
+    def mi_received_column(self) -> np.ndarray:
+        """``mi_received(U, all receivers)`` of every transmitter mask ``U``:
+        the last column of the wrapped oracle's table."""
+        return self.wrapped.table()[:, -1]
 
 
 LayerModel = GaussianLayerModel | DiscreteLayerModel | DeterministicLayerModel

@@ -556,10 +556,10 @@ def _scan_constraints(
     failed = ~_leq_cells(lhs, rhs, tol, bound=scratch)
     if skip_corner:
         failed[0, -1] = False
-    violations = [
-        (int(u), int(v), float(lhs[u, v]), float(rhs[u, v]))
-        for u, v in zip(*np.nonzero(failed))
-    ]
+    violations: list[_Cell] = []
+    us, vs = np.nonzero(failed)
+    if us.size:
+        violations += zip(us.tolist(), vs.tolist(), lhs[us, vs].tolist(), rhs[us, vs].tolist())
     return table.size - int(skip_corner), binding, violations
 
 

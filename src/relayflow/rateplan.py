@@ -176,7 +176,7 @@ def _undecoded_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Negated compression total and leak of the receivers of layer pair ``l``
     left undecoded, indexed by the decoded mask ``V`` (undecoded is the
-    complement of ``V``).  The leak is evaluated once per undecoded mask."""
+    complement of ``V``).  The leak is read once per undecoded mask."""
     m_out = net.layer_sizes[l]
     sums = _compression_sums(plan, net, l + 1)
     leaks = [model.leak(_mask_indices(d)) for d in range(1 << m_out)]
@@ -199,9 +199,11 @@ def check_layered_feasible(
        pair capacity less the leak of the compression left undecoded;
     3. the source family: the end-to-end rate against the first layer pair.
 
-    Identically-zero rows (both sides empty) are skipped.  Families 2 and 3
-    are whole-table passes over the pair's capacity table, and each pair's
-    leak is evaluated once per undecoded mask.
+    Identically-zero rows (both sides empty) are skipped.  Every family is
+    a whole-table pass: family 1 over the last model's cached
+    ``mi_received_column``, families 2 and 3 over the pair's capacity table.
+    Each pair's leak is read once per undecoded mask from terms the model
+    computes once.
 
     The binding constraint is the first one with the smallest margin in
     (family, layer, U mask, V mask) order; violations are listed in the
@@ -232,13 +234,10 @@ def check_layered_feasible(
 
     # family 1: last layer pair, against the raw received signal; row
     # ``umask - 1`` holds transmit set ``umask`` (adding -0.0 changes no float)
-    last_model = models[L - 2]
-    u_masks = range(1, 1 << net.layer_sizes[L - 2])
-    dest_set = tuple(range(1, net.layer_sizes[L - 1] + 1))
-    received = [[last_model.mi_received(_mask_indices(u), dest_set)] for u in u_masks]
-    sent = [plan.rate] * len(u_masks) if L == 2 else _compression_sums(plan, net, L - 1)[1:]
+    received = models[L - 2].mi_received_column()[1:, None]
+    sent = [plan.rate] * len(received) if L == 2 else _compression_sums(plan, net, L - 1)[1:]
     consider(
-        _scan_constraints(np.array(received, dtype=float), sent, [-0.0], tol),
+        _scan_constraints(received, sent, [-0.0], tol),
         lambda u, v: {"family": "last_layer", "layer": L - 1, "U": _mask_indices(u + 1)},
     )
 

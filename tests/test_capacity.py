@@ -20,6 +20,7 @@ from relayflow import (
     check_capacity_axioms,
     quantizer_leak,
 )
+from relayflow.capacity import PMF_TOL
 from relayflow.oracle import FAMILIES, SplitMix64, discrete_mi_reference
 
 
@@ -141,12 +142,43 @@ def test_discrete_mi_mixed_alphabets():
     assert 0.0 <= model.leak() <= cap + 1e-12
 
 
-def test_pmf_validation():
+def _pmf_verdict(arr, axis=None):
+    from relayflow.capacity import _check_pmf
+
+    try:
+        _check_pmf(np.array(arr, dtype=float), "pmf", axis=axis)
+    except NonNormalizedPMF:
+        return False
+    return True
+
+
+def test_pmf_validation(monkeypatch):
+    from relayflow import capacity
+
     with pytest.raises(NonNormalizedPMF):
         DiscreteLayerModel([np.array([0.6, 0.6])], [identity_channel()], [np.eye(2)])
     bad_chan = np.array([[0.9, 0.0], [0.0, 1.0]])
     with pytest.raises(NonNormalizedPMF):
         DiscreteLayerModel([np.array([0.5, 0.5])], [bad_chan], [np.eye(2)])
+
+    # edge verdicts match np.allclose(sums, 1.0, rtol=0.0, atol=tol), at the
+    # real tolerance and at one that sums near 1 can sit exactly on
+    exact = 2.0**-39
+    for tol in (PMF_TOL, exact):
+        monkeypatch.setattr(capacity, "PMF_TOL", tol)
+        sums = [1.0, np.nan, np.inf, -np.inf, 1.0 + tol, 1.0 - tol]
+        for side in (2.0, 0.0):
+            # the last representable sums inside the tolerance, the first outside
+            step = np.nextafter(1.0, side) - 1.0
+            k = math.floor(tol / abs(step))
+            sums += [1.0 + k * step, 1.0 + (k + 1) * step]
+        for s in sums:
+            want = bool(np.allclose(s, 1.0, rtol=0.0, atol=tol))
+            assert _pmf_verdict([s]) == want, (tol, s)
+            assert _pmf_verdict([[0.5, 0.5], [s, 0.0]], axis=-1) == want, (tol, s)
+        # a sum exactly the tolerance away passes
+        assert _pmf_verdict([1.0 + exact]) == _pmf_verdict([0.5, 0.5 - exact]) == (tol == exact)
+    assert not _pmf_verdict([np.nan]) and not _pmf_verdict([np.inf])
 
 
 # --- axiom checker -----------------------------------------------------------
@@ -514,6 +546,91 @@ def test_independent_quantizer_leak_zero():
 def test_leak_needs_a_model():
     with pytest.raises(UnsupportedModel):
         quantizer_leak(AdditiveOracle([[1.0]]))
+
+
+def _indices(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def _leak_per_call(model, receivers=None):
+    """``DiscreteLayerModel.leak`` as it was before the per-receiver terms
+    were cached: every term recomputed on every call."""
+    from relayflow.capacity import _entropy, _mask_indices, _to_mask
+
+    if receivers is None:
+        wset = range(1, model._m_out + 1)
+    else:
+        wset = _mask_indices(_to_mask(receivers, model._m_out))
+    total = 0.0
+    p_x_flat = model._p_x.ravel()
+    for w in wset:
+        q_given_x = model._quantized[w - 1].reshape(p_x_flat.size, -1)
+        h_q_given_x = float(
+            sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
+        )
+        chan = model.channels[w - 1].reshape(p_x_flat.size, -1)
+        p_y = p_x_flat @ chan
+        quant = model.quantizers[w - 1]
+        h_q_given_y = float(
+            sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
+        )
+        total += h_q_given_x - h_q_given_y
+    return max(0.0, total)
+
+
+def test_cached_leak_matches_per_call_leak():
+    n_models = 0
+    for m_in in (1, 2, 3):
+        for m_out in range(1, 6):
+            orc = _family_oracle("discrete", m_in, m_out, seed=100 * m_in + m_out)
+            for model in (orc.model, _with_zero_inputs(orc).model):
+                # the full set first, so later masks read terms cached by it
+                want = [_leak_per_call(model)] + [
+                    _leak_per_call(model, _indices(v)) for v in range(1 << m_out)
+                ]
+                got = [model.leak()] + [model.leak(_indices(v)) for v in range(1 << m_out)]
+                assert np.array_equal(_bits(got), _bits(want)), (m_in, m_out)
+                n_models += 1
+    assert n_models == 30
+
+
+def _received_cases():
+    from relayflow import DeterministicLayerModel
+
+    yield DeterministicLayerModel(
+        ExplicitTableOracle((2, 2), {((1,), (1, 2)): 1.0, ((1, 2), (1, 2)): 1.25})
+    )
+    for m_in in range(1, 7):
+        for m_out in range(1, 7):
+            for family in FAMILIES:
+                orc = _family_oracle(family, m_in, m_out, seed=10 * m_in + m_out)
+                if family == "gaussian":
+                    yield GaussianLayerModel(orc.h)
+                    yield GaussianLayerModel(orc.h * 30.0)
+                elif family == "discrete":
+                    yield orc.model
+                    yield _with_zero_inputs(orc).model
+                else:
+                    yield DeterministicLayerModel(orc)
+
+
+def test_received_column_matches_mi_received():
+    kinds = set()
+    for model in _received_cases():
+        m_in, m_out = model.dims
+        column = model.mi_received_column()
+        everyone = _indices((1 << m_out) - 1)
+        want = [model.mi_received(_indices(u), everyone) for u in range(1 << m_in)]
+        assert column.shape == (1 << m_in,) and column.dtype == np.float64
+        assert np.array_equal(column.view(np.int64), _bits(want)), (type(model), model.dims)
+        # cached on the model (a deterministic model reads its oracle's table)
+        assert np.shares_memory(model.mi_received_column(), column)
+        kinds.add(type(model).__name__)
+    assert kinds == {"DeterministicLayerModel", "GaussianLayerModel", "DiscreteLayerModel"}
 
 
 def test_gaussian_scalar_leak_from_covariances():

@@ -255,6 +255,30 @@ def _reference_layered(net, models, plan, tol=1e-9):
     return worst, binding, n, violations
 
 
+def _drawn_models(seed, shape, family):
+    """Gaussian or discrete layer models of ``shape`` drawn from
+    ``SplitMix64(seed)``, past ``random_instance``'s 4-node cap; discrete
+    pairs are binary, and the last quantizes the destination with the
+    identity."""
+    rng = SplitMix64(seed)
+    models = []
+    for a, b in zip(shape, shape[1:]):
+        if family == "gaussian":
+            h = np.array([[rng.complex_normal() for _ in range(a)] for _ in range(b)])
+            models.append(GaussianLayerModel(h))
+            continue
+
+        def rows(n, low, span):
+            return np.array([(1.0 - p, p) for p in (low + span * rng.random() for _ in range(n))])
+
+        pmfs = list(rows(a, 0.2, 0.6))
+        channels = [rows(2**a, 0.1, 0.8).reshape((2,) * a + (2,)) for _ in range(b)]
+        last = len(models) == len(shape) - 2
+        quantizers = [np.eye(2) if last else rows(2, 0.1, 0.8) for _ in range(b)]
+        models.append(DiscreteLayerModel(pmfs, channels, quantizers))
+    return models
+
+
 def _layered_cases():
     shapes = [(1, 1), (1, 2, 1), (1, 2, 2, 1), (1, 3, 2, 1), (1, 2, 1, 2, 1)]
     for family in ("additive", "rank_gf2", "gaussian", "discrete"):
@@ -264,12 +288,19 @@ def _layered_cases():
             if family == "gaussian":
                 loud = [GaussianLayerModel(m.h * 1000.0) for m in inst.models]
                 yield network_from_models(loud), loud
+    # the violation-heavy flow-ladder shapes at gain 1, whose plans are
+    # clamped: four draws each
+    for family in ("gaussian", "discrete"):
+        for shape in ((1, 3, 3, 1), (1, 2, 5, 2, 1)):
+            for seed in range(len(shapes) + 1, len(shapes) + 5):
+                models = _drawn_models(seed, shape, family)
+                yield network_from_models(models), models
 
 
 def test_layered_check_matches_cell_by_cell_reference():
     from relayflow import RatePlan
 
-    n_violated = n_tied = 0
+    n_violated = n_tied = n_records = 0
     for net, models in _layered_cases():
         plan = plan_rates(net, models)
         plans = [plan]
@@ -285,9 +316,10 @@ def test_layered_check_matches_cell_by_cell_reference():
             assert repr(got) == repr(want)
             assert all(type(report.binding[k]) is float for k in ("lhs", "rhs"))
             n_violated += bool(report.violations)
+            n_records += len(report.violations)
             margins = [v["margin"] for v in report.violations]
             n_tied += len(margins) != len(set(margins))
-    assert n_violated and n_tied
+    assert n_violated and n_tied and n_records > 3000
 
 
 def test_layered_check_evaluates_each_leak_once_per_undecoded_mask(monkeypatch):
@@ -306,6 +338,29 @@ def test_layered_check_evaluates_each_leak_once_per_undecoded_mask(monkeypatch):
     assert calls
     for model in models:
         assert calls.count(id(model)) <= 1 << model.dims[1]
+
+
+def test_layered_check_reads_cached_model_quantities(monkeypatch, information_calls):
+    from relayflow import CapacityOracle
+
+    value_masks = CapacityOracle.value_masks
+
+    def counting(self, umask, vmask):
+        information_calls.append("value_masks")
+        return value_masks(self, umask, vmask)
+
+    monkeypatch.setattr(CapacityOracle, "value_masks", counting)
+    for family in ("additive", "gaussian", "discrete"):
+        inst = random_instance(InstanceSpec(3, (1, 3, 2, 2, 1), {family: 1.0}))
+        net, models = inst.network, list(inst.models)
+        plan = plan_rates(net, models)
+        first = check_layered_feasible(net, models, plan)
+        if family != "additive":
+            assert information_calls, family
+        information_calls.clear()
+        again = check_layered_feasible(net, models, plan)
+        assert information_calls == [], family
+        assert repr(again) == repr(first)
 
 
 # --- joint feasibility ---------------------------------------------------------------
