@@ -50,6 +50,11 @@ TABLE_GUARD_BITS = 24
 #: (64 KB of float64; larger blocks were no faster and raised peak RSS)
 _BLOCK_CELLS = 1 << 13
 
+#: largest chunk of a Gaussian table build, in bytes of its channel blocks
+#: and Gram matrices.  A 9x9 build peaks 1.5 MB above its 2 MB table (17.75
+#: MB in chunks of _BLOCK_CELLS cells); 256 KB to 4 MB built as fast.
+_BLOCK_BYTES = 1 << 19
+
 
 def _to_mask(subset: Iterable[int], size: int) -> int:
     """Pack 1-based indices into a bitmask; bit ``i-1`` stands for index ``i``."""
@@ -107,11 +112,12 @@ class CapacityOracle:
         """Every cell as a ``2^m_in x 2^m_out`` float64 array indexed by
         ``[umask, vmask]``, built on first use and cached.
 
-        Nonempty cells are computed by :meth:`_cells` in chunks of at most
-        ``_BLOCK_CELLS`` cells that share ``|U|`` and ``|V|`` (discrete
-        oracles go one receiver set at a time).  Each family's batched
-        builder repeats its scalar definition's float operations, so every
-        cell equals the one-cell value bit for bit.
+        Nonempty cells are computed by :meth:`_cells` in chunks that share
+        ``|U|`` and ``|V|``, of at most ``_BLOCK_CELLS`` cells (Gaussian
+        oracles: ``_BLOCK_BYTES`` bytes of channel blocks and Gram
+        matrices; discrete oracles go one receiver set at a time).  Each
+        family's batched builder repeats its scalar definition's float
+        operations, so every cell equals the one-cell value bit for bit.
 
         Raises:
             TooLarge: if ``m_in + m_out`` exceeds ``TABLE_GUARD_BITS``.
@@ -138,8 +144,12 @@ class CapacityOracle:
 
     def _nonempty_cells(self):
         """Yield ``(umasks, vmasks, values)`` covering each nonempty cell once."""
-        for umasks, vmasks in _cell_chunks(*self.dims):
+        for umasks, vmasks in _cell_chunks(*self.dims, self._chunk_cells):
             yield umasks, vmasks, self._cells(umasks, vmasks)
+
+    def _chunk_cells(self, n_u: int, n_v: int) -> int:
+        """Most cells per :meth:`_cells` call when ``|U| = n_u``, ``|V| = n_v``."""
+        return _BLOCK_CELLS
 
     def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
         """Values of nonempty cells sharing ``|U|`` and ``|V|``; the default
@@ -161,16 +171,16 @@ def _popcounts(masks: np.ndarray, width: int) -> np.ndarray:
     return counts
 
 
-def _cell_chunks(m_in: int, m_out: int):
+def _cell_chunks(m_in: int, m_out: int, chunk_cells):
     """The nonempty cells of a ``2^m_in x 2^m_out`` table as ``(umasks,
-    vmasks)`` arrays, grouped by ``(|U|, |V|)``, at most ``_BLOCK_CELLS``
-    cells per chunk."""
+    vmasks)`` arrays, grouped by ``(|U|, |V|)``, at most ``chunk_cells(|U|,
+    |V|)`` cells per chunk."""
     by_u, by_v = _masks_by_popcount(m_in), _masks_by_popcount(m_out)
-    for us in by_u[1:]:
-        for vs in by_v[1:]:
-            n = us.size * vs.size
-            for lo in range(0, n, _BLOCK_CELLS):
-                i = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+    for n_u, us in enumerate(by_u[1:], start=1):
+        for n_v, vs in enumerate(by_v[1:], start=1):
+            n, step = us.size * vs.size, chunk_cells(n_u, n_v)
+            for lo in range(0, n, step):
+                i = np.arange(lo, min(lo + step, n))
                 yield us[i // vs.size], vs[i % vs.size]
 
 
@@ -302,6 +312,10 @@ class GaussianLogDetOracle(CapacityOracle):
 
     def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
         return _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=2.0)
+
+    def _chunk_cells(self, n_u: int, n_v: int) -> int:
+        # a cell's (|V|, |U|) channel block and (|V|, |V|) Gram matrix, complex
+        return max(1, _BLOCK_BYTES // (16 * n_v * (n_u + n_v)))
 
 
 def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:

@@ -474,12 +474,12 @@ def _with_zero_inputs(orc):
     return DiscreteLayerModel(pmfs, model.channels, model.quantizers).oracle()
 
 
-def _table_cases():
+def _table_cases(widths=range(1, 7)):
     yield ExplicitTableOracle(
         (2, 2), {((1,), (1,)): 1.0, ((2,), (2,)): 0.5, ((1, 2), (1, 2)): 1.25}
     )
-    for m_in in range(1, 7):
-        for m_out in range(1, 7):
+    for m_in in widths:
+        for m_out in widths:
             for family in FAMILIES:
                 orc = _family_oracle(family, m_in, m_out, seed=10 * m_in + m_out)
                 yield orc
@@ -489,9 +489,9 @@ def _table_cases():
                     yield _with_zero_inputs(orc)
 
 
-def test_table_matches_value_masks():
+def _assert_tables_match_value_masks(widths=range(1, 7)):
     kinds = set()
-    for orc in _table_cases():
+    for orc in _table_cases(widths):
         tab = orc.table()
         m_in, m_out = orc.dims
         assert tab.shape == (1 << m_in, 1 << m_out)
@@ -506,6 +506,17 @@ def test_table_matches_value_masks():
     assert kinds == {"table", *FAMILIES}
 
 
+def test_table_matches_value_masks():
+    _assert_tables_match_value_masks()
+
+
+def test_table_matches_value_masks_in_tiny_chunks(monkeypatch):
+    # three cells per chunk, and one per Gaussian chunk
+    monkeypatch.setattr("relayflow.capacity._BLOCK_CELLS", 3)
+    monkeypatch.setattr("relayflow.capacity._BLOCK_BYTES", 1)
+    _assert_tables_match_value_masks(widths=range(1, 5))
+
+
 def test_table_memory_is_chunked():
     orc = _family_oracle("additive", 10, 10, seed=1010)
     tracemalloc.start()
@@ -516,6 +527,19 @@ def test_table_memory_is_chunked():
         tracemalloc.stop()
     # the 2^20-cell table itself is 8 MB
     assert peak < 8 * 2**20 + 8 * 2**20
+
+
+def test_gaussian_table_memory_is_bounded_in_bytes():
+    rng = np.random.default_rng(99)
+    orc = GaussianLogDetOracle(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    tracemalloc.start()
+    try:
+        orc.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^18-cell table is 2 MB; chunks of 8,192 cells peaked 17.75 MB above it
+    assert peak < 2 * 2**20 + 4 * 2**20
 
 
 def test_table_guard_refuses_before_any_cell(oracle_calls):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from relayflow import (
     AdditiveOracle,
     BoundaryFunction,
+    GaussianLogDetOracle,
     Infeasible,
     InfeasibleBoundary,
     NodeId,
@@ -302,6 +304,32 @@ def test_simplex_matches_dense_tableau_on_seeded_lps():
     assert all_basic == 100
 
 
+def _pruning(monkeypatch):
+    """``(candidates, survivors, all ratios finite)`` of every ratio test
+    that was pruned."""
+    counts = []
+    survivors = cutflow._ratio_survivors
+
+    def recording(candidates, ratios, eps):
+        kept = survivors(candidates, ratios, eps)
+        counts.append((candidates.size, kept[0].size, bool(np.isfinite(ratios).all())))
+        return kept
+
+    monkeypatch.setattr(cutflow, "_ratio_survivors", recording)
+    return counts
+
+
+def _wide_split_networks(seed):
+    """Additive and Gaussian (1,9,1) and (1,10,1) networks, whose split-layer
+    LPs have 1,022 and 2,046 rows."""
+    rng = np.random.default_rng(seed)
+    for m in (9, 10):
+        c = 4.0 * rng.random((2, m))
+        yield build_network([1, m, 1], [AdditiveOracle(c[:1]), AdditiveOracle(c[1:].T)])
+        h = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+        yield build_network([1, m, 1], [GaussianLogDetOracle(h[:1].T), GaussianLogDetOracle(h[1:])])
+
+
 def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
     lps = []
 
@@ -313,9 +341,76 @@ def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
     for family in ("additive", "rank_gf2", "gaussian", "discrete"):
         for seed, shape in enumerate([(1, 3, 1), (1, 4, 1), (1, 2, 3, 1), (1, 3, 3, 2, 1)]):
             max_flow(random_instance(InstanceSpec(seed, shape, {family: 1.0})).network)
+    for net in _wide_split_networks(910):
+        max_flow(net)
+    pruned = _pruning(monkeypatch)
     assert len(lps) > 16
     for a, b, c in lps:
         assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    assert any(kept < n for n, kept, _ in pruned)
+
+
+def _wide_lps(seed, count):
+    """``(A, b, c)`` with more candidate rows than ``PRUNE_CANDIDATES``.  Most
+    rows are 0/1 with small integer rhs, so ratio ties are exact; a quarter
+    are ``x_j - x_k <= 0`` rows of mixed sign with zero rhs, which tie at
+    ratio 0 and make pivots degenerate without pinning the optimum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(300, 500)), int(rng.integers(3, 7))
+        a = rng.integers(0, 2, (m, n)).astype(float)
+        b = rng.integers(1, 8, m).astype(float)
+        for row in np.flatnonzero(rng.random(m) < 0.25):
+            j, k = rng.choice(n, 2, replace=False)
+            a[row] = 0.0
+            a[row, j], a[row, k], b[row] = 1.0, -1.0, 0.0
+        yield a.tolist(), b.tolist(), rng.integers(1, 3, n).astype(float).tolist()
+
+
+def test_simplex_matches_dense_tableau_on_wide_tied_lps(monkeypatch):
+    pruned = _pruning(monkeypatch)
+    for a, b, c in _wide_lps(5, 12):
+        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    assert any(kept < n for n, kept, _ in pruned)
+
+
+def test_simplex_scans_every_candidate_on_near_tie_chains(monkeypatch):
+    # rhs 0.6 eps apart span 120 eps: no gap between neighbours is wide
+    # enough to prune, though the chain is far wider than 2 eps
+    pruned = _pruning(monkeypatch)
+    rng = np.random.default_rng(8)
+    m = 200
+    for _ in range(6):
+        b = (1.0 + 0.6e-12 * rng.permutation(m)).tolist()
+        a = np.ones((m, 3))
+        a[:, 1:] = rng.integers(0, 2, (m, 2))
+        a, c = a.tolist(), [1.0, 2.0, 1.0]
+        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    assert pruned and all(kept == n for n, kept, _ in pruned)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simplex_matches_dense_tableau_with_non_finite_rhs(monkeypatch, bad):
+    pruned = _pruning(monkeypatch)
+    for k, (a, b, c) in enumerate(_wide_lps(6, 6)):
+        b[k * 7 % len(b)] = bad
+        with np.errstate(invalid="ignore"):
+            assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    if bad > 0 or bad != bad:
+        # a ratio test with the bad rhs among its candidates scans them all
+        assert any(not finite for _, _, finite in pruned)
+        assert all(kept == n for n, kept, finite in pruned if not finite)
+
+
+def test_simplex_matches_dense_tableau_with_large_rhs(monkeypatch):
+    # near 1e5 one ulp is 1.5e-11, above eps: ratios a few ulps apart
+    pruned = _pruning(monkeypatch)
+    rng = np.random.default_rng(9)
+    ulp = math.ulp(1e5)
+    for a, b, c in _wide_lps(7, 8):
+        b = (1e5 + ulp * rng.integers(0, 40, len(b)) * (rng.random(len(b)) > 0.5)).tolist()
+        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    assert any(kept < n for n, kept, _ in pruned)
 
 
 def test_simplex_error_paths():
@@ -411,6 +506,23 @@ def test_max_flow_infeasible_boundary_rejected():
 def test_max_flow_bad_split_rejected():
     with pytest.raises(BadRange):
         max_flow(line_net(), split_layer=1)
+
+
+@pytest.mark.parametrize("split", [1, 4, 0])
+def test_max_flow_bad_split_rejected_before_any_cell(oracle_calls, split):
+    net = build_network(
+        [1, 2, 2, 1],
+        [
+            AdditiveOracle([[1.0, 2.0]]),
+            AdditiveOracle([[1.0, 0.5], [0.25, 1.5]]),
+            AdditiveOracle([[2.0], [1.0]]),
+        ],
+    )
+    with pytest.raises(BadRange):
+        max_flow(net, split_layer=split)
+    with pytest.raises(BadRange):
+        max_flow(net, {NodeId(1, 1): 1.0, NodeId(4, 1): 1.0}, split_layer=split)
+    assert oracle_calls == []
 
 
 def test_max_flow_multi_destination_boundary():
