@@ -56,6 +56,13 @@ _BLOCK_CELLS = 1 << 13
 _BLOCK_BYTES = 1 << 19
 
 
+def _require_finite(values, what: str) -> None:
+    """Refuse NaN and +-infinity (either part of a complex number): every
+    number relayflow takes must be finite."""
+    if not np.isfinite(np.asarray(values)).all():
+        raise InputError(f"{what} must be finite numbers, not NaN or infinity")
+
+
 def _to_mask(subset: Iterable[int], size: int) -> int:
     """Pack 1-based indices into a bitmask; bit ``i-1`` stands for index ``i``."""
     mask = 0
@@ -221,6 +228,7 @@ class AdditiveOracle(CapacityOracle):
         c = np.asarray(matrix, dtype=float)
         if c.ndim != 2:
             raise InputError("additive capacity matrix must be 2-D")
+        _require_finite(c, "additive capacity entries")
         if (c < 0).any():
             raise InputError("additive capacity entries must be nonnegative")
         super().__init__((c.shape[0], c.shape[1]))
@@ -246,11 +254,13 @@ class RankGF2Oracle(CapacityOracle):
     kind = "rank_gf2"
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
-        g = np.asarray(matrix, dtype=int)
+        g = np.asarray(matrix, dtype=float)
         if g.ndim != 2:
             raise InputError("GF(2) transfer matrix must be 2-D")
+        # NaN and +-inf are not in (0, 1) either
         if not np.isin(g, (0, 1)).all():
             raise InputError("GF(2) transfer matrix entries must be 0 or 1")
+        g = g.astype(int)
         super().__init__((g.shape[1], g.shape[0]))
         self.matrix = g
         # each row packed as an int over transmitter columns
@@ -304,6 +314,7 @@ class GaussianLogDetOracle(CapacityOracle):
         hm = np.asarray(h, dtype=complex)
         if hm.ndim != 2:
             raise InputError("channel matrix must be 2-D")
+        _require_finite(hm, "channel matrix entries")
         super().__init__((hm.shape[1], hm.shape[0]))
         self.h = hm
 
@@ -353,9 +364,11 @@ class ExplicitTableOracle(CapacityOracle):
         for (u, v), val in values.items():
             umask = _to_mask(u, self.dims[0])
             vmask = _to_mask(v, self.dims[1])
+            val = float(val)
+            _require_finite(val, "table values")
             if (umask == 0 or vmask == 0) and val != 0.0:
                 raise InputError("table entries with an empty side must be 0")
-            self._table[(umask, vmask)] = float(val)
+            self._table[(umask, vmask)] = val
 
     def _value(self, umask: int, vmask: int) -> float:
         return self._table.get((umask, vmask), 0.0)
@@ -585,6 +598,7 @@ class GaussianLayerModel:
         hm = np.asarray(self.h, dtype=complex)
         if hm.ndim != 2:
             raise InputError("channel matrix must be 2-D")
+        _require_finite(hm, "channel matrix entries")
         object.__setattr__(self, "h", hm)
 
     @property
@@ -888,10 +902,12 @@ def oracle_from_spec(
         if kind == "rank_gf2":
             return RankGF2Oracle(spec["matrix"]), None
         if kind == "gaussian":
-            h = np.asarray(spec["h_re"], dtype=float) + 1j * np.asarray(
-                spec["h_im"], dtype=float
-            )
-            model = GaussianLayerModel(h)
+            h_re = np.asarray(spec["h_re"], dtype=float)
+            h_im = np.asarray(spec["h_im"], dtype=float)
+            # before 1j * inf makes a NaN real part, with a warning
+            _require_finite(h_re, "channel matrix entries")
+            _require_finite(h_im, "channel matrix entries")
+            model = GaussianLayerModel(h_re + 1j * h_im)
             return model.oracle(), model
         if kind == "table":
             if "dims" in spec:
@@ -912,7 +928,7 @@ def oracle_from_spec(
                 [np.asarray(q, dtype=float) for q in spec["quantizer"]],
             )
             return model.oracle(), model
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {kind!r} oracle spec: {exc}") from exc
     raise InputError(f"unknown oracle kind {kind!r}")
 

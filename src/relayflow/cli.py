@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -246,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(args.tol):
+            raise InputError("--tol must be a finite number")
         return args.func(args)
     except TooLarge as exc:
         _emit({"error": "too_large", "detail": str(exc)})

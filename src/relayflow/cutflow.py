@@ -13,13 +13,18 @@ subsets; ``max_flow`` constructs a flow attaining it by recursive
 bisection: the split layer's flow is a point in the intersection of two
 polymatroids whose rank functions are computed by the same subset DP.
 That point comes from a Bland's-rule simplex over the 2·(2^m - 1) rank
-constraints.  It stores the tableau by columns and touches only the
-columns a pivot changes, so it makes the pivots of a dense tableau, with
-its floats, in memory proportional to the rows times the structural and
-pivoted columns.  Its Bland ratio test is a scalar scan in row order; when
-more than ``PRUNE_CANDIDATES`` rows qualify, a numpy sort first drops the
-rows whose ratio lies above a gap too wide for any chain of near-ties to
-cross, and the scan over the rest picks the same row.
+constraints.  Their 0/1 membership block is built once per width and kept
+as ``int8`` (2 MB at the widest split); each LP turns it into its float
+structural columns in one conversion.  The tableau is stored by columns.
+A pivot updates each column that is nonzero in the pivot row over its
+whole length, and the rhs only on the rows where the entering column is
+nonzero.  So it makes the pivots of a dense tableau, with its floats, in
+memory proportional to the rows times the structural and pivoted columns.
+Its Bland ratio test is a scalar scan in row order.  When more than
+``PRUNE_CANDIDATES`` rows qualify, a numpy sort of the ratios in a window
+above the smallest first drops the rows whose ratio lies above a gap too
+wide for any chain of near-ties to cross, and the scan over the rest picks
+the same row.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
 one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
@@ -50,6 +55,7 @@ from .capacity import (
     _leq,
     _leq_cells,
     _mask_indices,
+    _require_finite,
 )
 from .errors import (
     DimensionMismatch,
@@ -130,6 +136,7 @@ def _boundary_lists(
         if node not in boundary:
             raise RateCountMismatch(f"boundary flow missing for {node.key()}")
         last.append(float(boundary[node]))
+    _require_finite(first + last, "boundary flows")
     if any(v < 0 for v in first + last):
         raise NegativeRate("boundary flows must be nonnegative")
     return first, last
@@ -195,6 +202,10 @@ def min_cut(
     costs = [np.array([init_costs])] + [_cost(o) for o in net.oracles]
     tables = _backward_tables(costs, final_costs)
     value = float(tables[0][0])
+    if not math.isfinite(value):
+        # NaN cells, or finite capacities whose sums overflow; either would
+        # leave the reconstruction below without an exact match
+        raise NumericalFailure(f"cut value is {value}, not a finite number")
 
     # forward reconstruction: scan masks in tie-break order, match exactly
     members: set[NodeId] = set()
@@ -295,21 +306,27 @@ def boundary_function(
 # ---------------------------------------------------------------------------
 
 #: candidate rows above which the ratio test prunes them in numpy first.
-#: Measured on the pivots of recorded max-flow LPs (a third of flow-ladder's
-#: candidates survive, 1% of wide-split's): at 97-128 candidates the scan
-#: alone took 19 us against 24 us pruned, at 129-192 21 us against 20 us,
-#: above 256 candidates 80-190 us against 21-27 us.
-PRUNE_CANDIDATES = 128
+#: Measured per pivot on the recorded max-flow LPs of flow-ladder seeds 7
+#: and 11 and wide-split seed 7 (scan alone against prune and scan): 15 vs
+#: 25 us at 97-128 candidates, 15-20 vs 21-28 us at 129-192, 23-26 vs
+#: 31-38 us at 193-256 (a quarter to 44% of flow-ladder's candidates
+#: survive), 51 vs 17 us at 385-512 and 133-138 vs 18 us above 512 (1% of
+#: wide-split's survive).
+PRUNE_CANDIDATES = 256
+
+#: share of the ratio range the prune's first window spans above the
+#: minimum; on wide-split 99% of first wide gaps lie inside it
+_WINDOW_SHARE = 1.0 / 8.0
 
 
 def _ratio_survivors(
     candidates: np.ndarray, ratios: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate rows, with their ratios, that the Bland ratio scan of
-    ``_simplex_max`` needs to see: scanned in row order, they give the row
+    ``_pivot_max`` needs to see: scanned in row order, they give the row
     that the scan over every candidate gives.
 
-    Sort the ratios and find the first gap between neighbours wider than
+    In sorted order, find the first gap between neighbours wider than
     ``w = 2 * eps + 4 * ulp(max |ratio|)``; call the ratio below it ``c``
     and the computed gap ``g > w``.  Rows with ratio ``<= c`` (low) survive,
     the rest (high) are dropped.  The scan keeps ``best``, the ratio of the
@@ -331,18 +348,54 @@ def _ratio_survivors(
     floats.  Without such a gap (chained near-ties) every candidate
     survives, as it does with a NaN or infinite ratio, where the minimum
     and ``ulp`` bound nothing.
+
+    Only a window of the ratios is sorted: those at most ``edge`` above the
+    minimum, with ``edge`` a ``_WINDOW_SHARE`` of the ratio range at first,
+    quadrupled until the window holds a gap wider than ``w`` or every
+    candidate.  Every ratio below the window's edge is inside it, so the
+    sorted window is the start of the whole sorted order: its gaps are the
+    whole order's first gaps, and its first wide gap is the whole order's.
     """
-    ordered = np.sort(ratios)
-    low, high = ordered[0].item(), ordered[-1].item()
-    # NaN sorts last, -inf first
+    low, high = float(ratios.min()), float(ratios.max())
+    # min and max propagate NaN
     if not (math.isfinite(low) and math.isfinite(high)):
         return candidates, ratios
-    wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
-    first = int(wide.argmax())
-    if not wide[first]:
-        return candidates, ratios
-    keep = ratios <= ordered[first]
-    return candidates[keep], ratios[keep]
+    width = 2.0 * eps + 4.0 * math.ulp(max(-low, high))
+    # a subnormal range's share may round to 0; the range itself does not
+    step = (high - low) * _WINDOW_SHARE or high - low
+    while True:
+        edge = low + step
+        inside = ratios <= edge if edge < high else slice(None)
+        window = ratios[inside]
+        ordered = np.sort(window)
+        wide = np.flatnonzero(ordered[1:] - ordered[:-1] > width)
+        if wide.size:
+            keep = window <= ordered[wide[0]]
+            return candidates[inside][keep], window[keep]
+        if window.size == ratios.size:
+            return candidates, ratios
+        step *= 4.0
+
+
+@cache
+def _membership_block(m: int) -> np.ndarray:
+    """The split-layer LP's structural columns for a ground set of ``m``
+    nodes, one row per node, built once per width and kept: entries ``2k``
+    and ``2k + 1`` (the source and the sink rank row of mask ``k + 1``) are
+    the node's 0/1 membership in that mask, and the last entry is the
+    objective's ``-1``.
+
+    Read-only ``int8``, ``m * 2^(m + 1) - m`` bytes: 2,097,136 (2 MB) at
+    the widest split ``LAYER_GUARD = 16``, 45 KB at 11.
+    """
+    masks = np.arange(1, 1 << m, dtype=np.int32)
+    bits = (masks >> np.arange(m, dtype=np.int32)[:, None]) & 1
+    block = np.empty((m, 2 * bits.shape[1] + 1), dtype=np.int8)
+    block[:, 0:-1:2] = bits
+    block[:, 1:-1:2] = bits
+    block[:, -1] = -1
+    block.flags.writeable = False
+    return block
 
 
 def _simplex_max(
@@ -350,42 +403,71 @@ def _simplex_max(
 ) -> tuple[float, list[float]]:
     """Maximize ``c @ x`` subject to ``A x <= b`` and ``x >= 0``.
 
+    Requires ``b >= 0`` so the slack basis starts feasible.  Builds the
+    structural columns and runs ``_pivot_max``.
+    """
+    a = np.asarray(a_rows, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = a.shape
+    structural = np.empty((n, m + 1))
+    structural[:, :m] = a.T
+    structural[:, m] = -c
+    return _pivot_max(structural, np.asarray(b, dtype=float))
+
+
+def _pivot_max(structural: np.ndarray, b: np.ndarray) -> tuple[float, list[float]]:
+    """Maximize ``c @ x`` subject to ``A x <= b`` and ``x >= 0``, given the
+    tableau's structural columns ``structural[j] = (A[:, j], -c[j])``, which
+    it updates in place.
+
     Requires ``b >= 0`` so the slack basis starts feasible.  Pivoting uses
     Bland's rule (smallest eligible index for both the entering column and
     ratio ties), which cannot cycle.
 
     The tableau is held by columns, each an array of length ``m + 1`` with
-    the objective (``-c``) entry last.  The structural columns and the rhs
-    are built up front; slack column ``n + i`` stays the implicit unit
-    vector ``e_i`` until a pivot on row ``i`` makes it nonzero in the pivot
-    row, and only then is it stored.  Implicit slacks have objective 0, so
-    they never enter.  A pivot divides the pivot row and updates, on the
-    rows where the entering column is nonzero, only the stored columns
-    that are nonzero in the pivot row, and the rhs.  Every other cell of
-    the dense update would get ``T[i, j] - T[i, e] * 0``: the same value,
-    at most a zero changing sign, which no comparison sees.  Each updated
-    cell gets ``T[i, j] - T[i, e] * T'[r, j]``, the dense update's own
-    expression.  With finite coefficients the pivots are therefore the
-    dense tableau's, one for one, and the rhs, hence ``x`` and the optimum,
-    match it bit for bit.  Memory is one column per structural variable
-    and per slack a pivot reached.
+    the objective (``-c``) entry last.  Slack column ``n + i`` stays the
+    implicit unit vector ``e_i`` until a pivot on row ``i`` makes it
+    nonzero in the pivot row, and only then is it stored.  Implicit slacks
+    have objective 0, so they never enter.  Memory is one column per
+    structural variable and per slack a pivot reached.
+
+    A pivot on row ``r`` divides the pivot row, then updates only the
+    stored columns that are nonzero in it.  The dense update gives every
+    other column ``T[i, j] - T[i, e] * 0``: its own value, at most a zero
+    changing sign, which no comparison sees.  With ``f`` the entering
+    column with its pivot entry zeroed, each updated column gets
+    ``col -= f * col[r]`` over its whole length:
+
+    - where ``f`` is nonzero a cell gets ``T[i, j] - T[i, e] * T'[r, j]``,
+      the dense update's own expression;
+    - where ``f`` is ``±0`` (row ``r`` among them) a cell gets
+      ``T - (±0) * c``, which for finite ``c`` is ``T`` up to the sign of
+      a zero.  No comparison (``> eps``, ``< -eps``, ``!= 0.0``) sees that
+      sign, and a zero that differs in sign changes other cells only in
+      the signs of zeros: as ``f[i]`` it gives the case above, as
+      ``col[r]`` it leaves the column out either way.
+
+    So with finite coefficients every column is the dense tableau's up to
+    the signs of zeros, and the pivots are its pivots, one for one.  The
+    rhs is updated row-sparsely: only the rows where the entering column
+    is nonzero change, each to the dense update's expression, and the
+    other rows keep their cell (a select, not a subtraction of zero).  So
+    it, hence ``x`` and the optimum, match the dense tableau bit for bit,
+    zero signs included.  A structural variable can be basic only on a
+    row that has been a pivot row, which is a row whose slack column is
+    stored, so ``x`` is read from those rows alone.
 
     The ratio test is a scalar scan in row order.  Over more than
     ``PRUNE_CANDIDATES`` candidate rows it scans only the rows
     ``_ratio_survivors`` keeps, which leads it to the same row.
     """
-    a = np.asarray(a_rows, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
+    n, size = structural.shape
+    m = size - 1
     if (b < 0).any():
         raise NumericalFailure("simplex requires nonnegative right-hand sides")
     eps = 1e-12
-    structural = np.empty((n, m + 1))
-    structural[:, :m] = a.T
-    structural[:, m] = -c
     columns = dict(enumerate(structural))
-    rhs = np.zeros(m + 1)
+    rhs = np.zeros(size)
     rhs[:m] = b
     basis = list(range(n, n + m))
 
@@ -410,25 +492,25 @@ def _simplex_max(
         if leave < 0:
             raise NumericalFailure("linear program is unbounded")
         if n + leave not in columns:
-            slack = np.zeros(m + 1)
+            slack = np.zeros(size)
             slack[leave] = 1.0
             columns[n + leave] = slack
         pivot = entering[leave]
-        rows = np.flatnonzero(entering)
-        rows = rows[rows != leave]
-        factors = entering[rows]
-        touched = [col for col in columns.values() if col[leave] != 0.0]
-        for col in [rhs, *touched]:
+        f = entering.copy()
+        f[leave] = 0.0
+        rhs[leave] /= pivot
+        rhs = np.where(f != 0.0, rhs - f * rhs[leave], rhs)
+        for col in [col for col in columns.values() if col[leave] != 0.0]:
             col[leave] /= pivot
-            col[rows] -= factors * col[leave]
+            col -= f * col[leave]
         basis[leave] = enter
     else:
         raise NumericalFailure("simplex did not converge")
 
     x = [0.0] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = float(rhs[i])
+    for j in columns:
+        if j >= n and basis[j - n] < n:
+            x[basis[j - n]] = float(rhs[j - n])
     return float(rhs[m]), x
 
 
@@ -454,7 +536,6 @@ def polymatroid_intersect(
     m = r_source.ground_size
     if r_sink.ground_size != m:
         raise DimensionMismatch("boundary functions have different ground sets")
-    full = (1 << m) - 1
     src = np.array(r_source.values, dtype=float)
     snk = np.array(r_sink.values, dtype=float)
     # src[::-1][t] is r_source at the complement of t
@@ -464,11 +545,9 @@ def polymatroid_intersect(
             f"target total {target_total} exceeds intersection bound {bound}"
         )
 
-    # per nonempty mask, two rows of its 0/1 membership: source rank, sink rank
-    bits = (np.arange(1, full + 1)[:, None] >> np.arange(m)) & 1
-    rows = np.repeat(bits, 2, axis=0)
+    # per nonempty mask, two rows: source rank, sink rank
     rhs = np.stack([src[1:], snk[1:]], axis=1).ravel()
-    value, x = _simplex_max(rows, rhs, [1.0] * m)
+    value, x = _pivot_max(_membership_block(m).astype(float), rhs)
     if value < target_total - max(tol, 1e-9) * max(1.0, abs(target_total)):
         raise NumericalFailure(
             f"simplex reached {value}, short of target {target_total}"

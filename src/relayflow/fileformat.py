@@ -38,7 +38,7 @@ def network_from_dict(
     try:
         layers = [int(m) for m in data["layers"]]
         capacity_specs = list(data["capacities"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"network file needs 'layers' and 'capacities': {exc}") from exc
 
     if len(capacity_specs) != len(layers) - 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .capacity import AdditiveOracle, CapacityOracle, oracle_from_spec
+from .capacity import AdditiveOracle, CapacityOracle, _require_finite, oracle_from_spec
 from .errors import (
     DimensionMismatch,
     EmptyLayer,
@@ -88,6 +88,7 @@ class Flow:
     values: Mapping[NodeId, float]
 
     def __post_init__(self):
+        _require_finite(list(self.values.values()), "flow values")
         for node, val in self.values.items():
             if val < 0:
                 raise NegativeRate(f"flow at {node.key()} is negative ({val})")

@@ -39,6 +39,7 @@ from .capacity import (
     _entropy,
     _logdet_mi_stack,
     _mask_indices,
+    _require_finite,
     _size_chunks,
     quantizer_leak,
 )
@@ -68,6 +69,9 @@ class RatePlan:
     penalties: tuple[float, ...]
     flags: tuple[str, ...]
     flow: Flow
+
+    def __post_init__(self):
+        _require_finite([self.rate, *self.compression.values()], "rates")
 
 
 @dataclass
@@ -324,6 +328,7 @@ def check_joint_feasible(
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
+    _require_finite([rate, *compression.values()], "rates")
     relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
     if len(relays) > 12:
         raise TooLarge("joint region enumeration limited to 12 relays")
@@ -510,6 +515,7 @@ def check_multi_source(
         raise InputError("multi-source region is defined for a single destination")
     _check_models(net, models)
     rates = [float(r) for r in source_rates]
+    _require_finite(rates, "source rates")
     if len(rates) != net.layer_sizes[0]:
         raise DimensionMismatch(
             f"{net.layer_sizes[0]} sources need {net.layer_sizes[0]} rates"

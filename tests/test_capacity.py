@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from relayflow import (
     AdditiveOracle,
     DiscreteLayerModel,
+    InputError,
+    RankGF2Oracle,
     DiscreteMIOracle,
     ExplicitTableOracle,
     GaussianLayerModel,
@@ -688,3 +690,18 @@ def test_half_noise_gap_can_exceed_half_bit_per_dimension():
     full = GaussianLayerModel(h).mi_received([1], [1])
     halved = GaussianLogDetOracle(h).value([1], [1])
     assert full - halved > 0.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_non_finite_numbers(bad):
+    with pytest.raises(InputError, match="finite"):
+        AdditiveOracle([[1.0, bad]])
+    with pytest.raises(InputError, match="0 or 1"):
+        RankGF2Oracle([[1, bad]])
+    for h in ([[1.0, bad]], [[1.0, complex(0.0, bad)]]):
+        with pytest.raises(InputError, match="finite"):
+            GaussianLogDetOracle(h)
+        with pytest.raises(InputError, match="finite"):
+            GaussianLayerModel(np.array(h, dtype=complex))
+    with pytest.raises(InputError, match="finite"):
+        ExplicitTableOracle((1, 1), {((1,), (1,)): bad})

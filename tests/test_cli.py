@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -261,3 +262,106 @@ def test_plan_without_models_is_input_error(tmp_path):
     netfile.write_text(json.dumps(net))
     proc = run_cli("plan", str(netfile))
     assert proc.returncode == 2
+
+
+# --- non-finite numbers -------------------------------------------------------
+
+_DETERMINISTIC = [{"kind": "deterministic"}, {"kind": "deterministic"}]
+
+#: network files whose JSON carries a NaN or an infinity where a number goes
+NON_FINITE_FILES = {
+    "additive": (
+        '{"layers": [1, 2, 1], "capacities": [{"kind": "additive", "matrix": '
+        '[[1.0, NaN]]}, {"kind": "additive", "matrix": [[1.0], [2.0]]}], '
+        f'"models": {json.dumps(_DETERMINISTIC)}}}'
+    ),
+    "gaussian": (
+        '{"layers": [1, 1, 1], "capacities": [{"kind": "gaussian", "h_re": [[1.0]], '
+        '"h_im": [[Infinity]]}, {"kind": "gaussian", "h_re": [[1.0]], "h_im": [[0.0]]}], '
+        '"models": [{"kind": "gaussian"}, {"kind": "gaussian"}]}'
+    ),
+    "table": (
+        '{"layers": [1, 1, 1], "capacities": [{"kind": "table", "values": '
+        '{"1;1": -Infinity}}, {"kind": "additive", "matrix": [[2.0]]}], '
+        f'"models": {json.dumps(_DETERMINISTIC)}}}'
+    ),
+}
+
+ENTRY_POINTS = [
+    ["validate"],
+    ["mincut"],
+    ["maxflow"],
+    ["plan"],
+    ["check", "--mode", "layered"],
+    ["check", "--mode", "joint"],
+    ["check", "--mode", "multi"],
+    ["complexity"],
+]
+
+
+def _run_main(capsys, argv):
+    code = cli.main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("family", sorted(NON_FINITE_FILES))
+@pytest.mark.parametrize("command", ENTRY_POINTS, ids=" ".join)
+def test_non_finite_capacity_exits_two(tmp_path, capsys, command, family):
+    netfile = tmp_path / "bad.json"
+    netfile.write_text(NON_FINITE_FILES[family])
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    assert code == 2
+    assert out["error"] == "input" and "finite" in out["detail"]
+
+
+@pytest.mark.parametrize("command", ["mincut", "maxflow"])
+@pytest.mark.parametrize("side", ["source_flows", "destination_flows"])
+def test_non_finite_boundary_flow_exits_two(tmp_path, capsys, command, side):
+    boundary = {"source_flows": [1.0, 1.0], "destination_flows": [2.0]}
+    boundary[side][0] = math.nan if side == "source_flows" else math.inf
+    data = {
+        "layers": [2, 1, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[2.0], [2.0]]},
+            {"kind": "additive", "matrix": [[4.0]]},
+        ],
+        "boundary": boundary,
+    }
+    netfile = tmp_path / "boundary.json"
+    netfile.write_text(json.dumps(data))
+    code, out = _run_main(capsys, [command, str(netfile)])
+    assert code == 2
+    assert out == {"detail": "boundary flows must be finite numbers, not NaN or infinity",
+                   "error": "input"}
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_non_finite_source_rate_exits_two(tmp_path, capsys, rate):
+    data = json.loads((DATA / "line.json").read_text())
+    data["boundary"] = {"source_rates": [rate]}
+    netfile = tmp_path / "rates.json"
+    netfile.write_text(json.dumps(data))
+    code, out = _run_main(capsys, ["check", str(netfile), "--mode", "multi"])
+    assert code == 2
+    assert out["error"] == "input" and "source rates" in out["detail"]
+
+
+def test_non_finite_tolerance_exits_two(capsys):
+    code, out = _run_main(capsys, ["--tol", "nan", "validate", str(DATA / "line.json")])
+    assert code == 2 and out["error"] == "input"
+
+
+def test_infinite_layer_size_exits_two(tmp_path, capsys):
+    netfile = tmp_path / "layers.json"
+    netfile.write_text('{"layers": [1, Infinity], "capacities": [{"kind": "additive", "matrix": [[1.0]]}]}')
+    code, out = _run_main(capsys, ["mincut", str(netfile)])
+    assert code == 2 and out["error"] == "input"
+
+
+def test_nan_file_exits_two_without_traceback(tmp_path):
+    netfile = tmp_path / "nan.json"
+    netfile.write_text(NON_FINITE_FILES["additive"])
+    proc = run_cli("mincut", str(netfile))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "input"
+    assert "Traceback" not in proc.stderr

@@ -1,16 +1,20 @@
 import math
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relayflow import (
     AdditiveOracle,
     BoundaryFunction,
+    CapacityOracle,
+    DiscreteLayerModel,
     GaussianLogDetOracle,
     Infeasible,
     InfeasibleBoundary,
+    InputError,
     NodeId,
     NumericalFailure,
     BadRange,
@@ -22,6 +26,7 @@ from relayflow import (
     min_cut,
     oracle_to_spec,
     polymatroid_intersect,
+    RankGF2Oracle,
     subnetwork,
     verify_flow,
 )
@@ -123,6 +128,38 @@ def test_max_flow_and_verify_evaluate_each_cell_once(oracle_calls):
     assert verify_flow(net, max_flow(net)).passed
     cells = sum(1 << (a + b) for a, b in zip(net.layer_sizes, net.layer_sizes[1:]))
     assert len(oracle_calls) == len(set(oracle_calls)) == cells
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boundary_flows_must_be_finite(bad):
+    net = build_network([2, 1, 1], [AdditiveOracle([[2.0], [2.0]]), AdditiveOracle([[4.0]])])
+    bound = {NodeId(1, 1): 1.0, NodeId(1, 2): bad, NodeId(3, 1): 3.0}
+    with pytest.raises(InputError, match="boundary flows must be finite"):
+        min_cut(net, bound)
+    with pytest.raises(InputError, match="boundary flows must be finite"):
+        max_flow(net, bound)
+
+
+def test_non_finite_cut_value_is_a_numerical_failure():
+    # a custom oracle can still answer NaN, and finite capacities can sum
+    # past the float range; neither may reach the cut reconstruction, whose
+    # exact match would find no state and raise StopIteration
+    class NaNOracle(CapacityOracle):
+        kind = "nan"
+
+        def _value(self, umask, vmask):
+            return math.nan
+
+    nan_net = build_network([1, 1, 1], [NaNOracle((1, 1)), AdditiveOracle([[1.0]])])
+    huge_net = build_network(
+        [1, 2, 1], [AdditiveOracle([[1e308, 1e308]]), AdditiveOracle([[1e308], [1e308]])]
+    )
+    for net, value in ((nan_net, "nan"), (huge_net, "inf")):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
+                min_cut(net)
+            with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
+                max_flow(net)
 
 
 def test_min_cut_with_boundary_flows():
@@ -319,6 +356,39 @@ def _pruning(monkeypatch):
     return counts
 
 
+def _seeded_network(seed, shape, family):
+    """A network of one capacity family with the recipe of
+    ``random_instance`` (additive entries uniform on [0, 4], uniform GF(2)
+    bits, standard complex normal channels, binary discrete pairs with
+    probabilities in [0.1, 0.9]), drawn from numpy and past its 4-node cap.
+    Discrete layer pairs stay within 12 nodes."""
+    rng = np.random.default_rng(seed)
+    oracles = []
+    for l, (m_in, m_out) in enumerate(zip(shape, shape[1:])):
+        if family == "additive":
+            oracles.append(AdditiveOracle(4.0 * rng.random((m_in, m_out))))
+        elif family == "rank_gf2":
+            oracles.append(RankGF2Oracle(rng.integers(0, 2, (m_out, m_in))))
+        elif family == "gaussian":
+            h = rng.normal(size=(m_out, m_in)) + 1j * rng.normal(size=(m_out, m_in))
+            oracles.append(GaussianLogDetOracle(h))
+        else:
+            p1 = 0.2 + 0.6 * rng.random(m_in)
+            pmfs = np.stack([1.0 - p1, p1], axis=1)
+            c1 = 0.1 + 0.8 * rng.random((m_out, 2**m_in))
+            channels = [
+                np.stack([1.0 - c, c], axis=1).reshape((2,) * m_in + (2,)) for c in c1
+            ]
+            if l == len(shape) - 2:
+                quantizers = [np.eye(2)] * m_out
+            else:
+                q1 = 0.1 + 0.8 * rng.random((m_out, 2))
+                quantizers = [np.stack([1.0 - q, q], axis=1) for q in q1]
+            model = DiscreteLayerModel(list(pmfs), channels, quantizers)
+            oracles.append(model.oracle())
+    return build_network(list(shape), oracles)
+
+
 def _wide_split_networks(seed):
     """Additive and Gaussian (1,9,1) and (1,10,1) networks, whose split-layer
     LPs have 1,022 and 2,046 rows."""
@@ -330,23 +400,41 @@ def _wide_split_networks(seed):
         yield build_network([1, m, 1], [GaussianLogDetOracle(h[:1].T), GaussianLogDetOracle(h[1:])])
 
 
-def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
+def _recording_lps(monkeypatch):
+    """``(A, b, c, repr of the result)`` of every LP solved by ``_pivot_max``,
+    the pivot loop that ``polymatroid_intersect`` and ``_simplex_max``
+    share, rebuilt from the structural columns it was handed."""
     lps = []
+    pivot_max = cutflow._pivot_max
 
-    def recording(a, b, c):
-        lps.append((a, b, c))
-        return _simplex_max(a, b, c)
+    def recording(structural, b):
+        m = structural.shape[1] - 1
+        lp = (structural[:, :m].T.tolist(), b.tolist(), (-structural[:, m]).tolist())
+        result = pivot_max(structural, b)
+        lps.append((*lp, repr(result)))
+        return result
 
-    monkeypatch.setattr(cutflow, "_simplex_max", recording)
+    monkeypatch.setattr(cutflow, "_pivot_max", recording)
+    return lps
+
+
+def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
+    lps = _recording_lps(monkeypatch)
     for family in ("additive", "rank_gf2", "gaussian", "discrete"):
         for seed, shape in enumerate([(1, 3, 1), (1, 4, 1), (1, 2, 3, 1), (1, 3, 3, 2, 1)]):
             max_flow(random_instance(InstanceSpec(seed, shape, {family: 1.0})).network)
+        for seed, shape in enumerate([(1, 11, 1), (1, 2, 7, 3, 2, 1)], start=20):
+            max_flow(_seeded_network(seed, shape, family))
     for net in _wide_split_networks(910):
         max_flow(net)
+    monkeypatch.undo()
     pruned = _pruning(monkeypatch)
     assert len(lps) > 16
-    for a, b, c in lps:
-        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+    assert max(len(b) for _, b, _, _ in lps) == 2 * (2**11 - 1)
+    for a, b, c, got in lps:
+        dense = _solve(_dense_simplex_max, a, b, c)
+        assert got == dense
+        assert _solve(_simplex_max, a, b, c) == dense
     assert any(kept < n for n, kept, _ in pruned)
 
 
@@ -357,7 +445,7 @@ def _wide_lps(seed, count):
     ratio 0 and make pivots degenerate without pinning the optimum."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        m, n = int(rng.integers(300, 500)), int(rng.integers(3, 7))
+        m, n = int(rng.integers(800, 1100)), int(rng.integers(3, 7))
         a = rng.integers(0, 2, (m, n)).astype(float)
         b = rng.integers(1, 8, m).astype(float)
         for row in np.flatnonzero(rng.random(m) < 0.25):
@@ -375,11 +463,11 @@ def test_simplex_matches_dense_tableau_on_wide_tied_lps(monkeypatch):
 
 
 def test_simplex_scans_every_candidate_on_near_tie_chains(monkeypatch):
-    # rhs 0.6 eps apart span 120 eps: no gap between neighbours is wide
+    # rhs 0.6 eps apart span 240 eps: no gap between neighbours is wide
     # enough to prune, though the chain is far wider than 2 eps
     pruned = _pruning(monkeypatch)
     rng = np.random.default_rng(8)
-    m = 200
+    m = 400
     for _ in range(6):
         b = (1.0 + 0.6e-12 * rng.permutation(m)).tolist()
         a = np.ones((m, 3))
@@ -411,6 +499,108 @@ def test_simplex_matches_dense_tableau_with_large_rhs(monkeypatch):
         b = (1e5 + ulp * rng.integers(0, 40, len(b)) * (rng.random(len(b)) > 0.5)).tolist()
         assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     assert any(kept < n for n, kept, _ in pruned)
+
+
+def _sorted_ratio_survivors(candidates, ratios, eps):
+    """The sort-based ``_ratio_survivors`` the windowed one replaced, kept
+    verbatim as the reference its rows must reproduce."""
+    ordered = np.sort(ratios)
+    low, high = ordered[0].item(), ordered[-1].item()
+    # NaN sorts last, -inf first
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return candidates, ratios
+    wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
+    first = int(wide.argmax())
+    if not wide[first]:
+        return candidates, ratios
+    keep = ratios <= ordered[first]
+    return candidates[keep], ratios[keep]
+
+
+@st.composite
+def _ratio_arrays(draw):
+    """Candidate ratios as the prune sees them, at a scale up to 1e5: exact
+    ties on a few levels, or a chain down from the largest ratio; plus
+    chains whose gaps sit just under, at and just over the prune's
+    threshold ``w``, some starting at the minimum or at an edge of the
+    windows; plus, sometimes, NaN, +-inf, -0.0 or arbitrary floats."""
+    eps = 1e-12
+    top = draw(st.sampled_from([1.0, 3.0, 37.5, 1e3, 1e5, 1.3e5]))
+    width = 2.0 * eps + 4.0 * math.ulp(top)
+    factors = st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
+    values = [top]
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(0.0, top), min_size=1, max_size=6))
+        values += draw(st.lists(st.sampled_from(levels), min_size=1, max_size=300))
+    else:
+        for factor in draw(st.lists(factors, min_size=1, max_size=300)):
+            values.append(values[-1] - factor * width)
+    for _ in range(draw(st.integers(0, 3))):
+        low = min(values)
+        edge = low + (top - low) * cutflow._WINDOW_SHARE * draw(st.sampled_from([1, 4, 16]))
+        start = draw(st.one_of(st.sampled_from([low, edge]), st.floats(0.0, top)))
+        for factor in draw(st.lists(factors, min_size=1, max_size=40)):
+            start += factor * width
+            values.append(min(start, top))
+    values += draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=draw(st.sampled_from([0, 0, 3])),
+        )
+    )
+    ratios = np.array(draw(st.permutations(values)), dtype=float)
+    candidates = np.sort(
+        np.random.default_rng(len(values)).choice(4 * len(values), len(values), replace=False)
+    )
+    return candidates, ratios
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_arrays())
+def test_windowed_ratio_prune_keeps_the_sorted_prunes_rows(arrays):
+    candidates, ratios = arrays
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = cutflow._ratio_survivors(candidates, ratios, 1e-12)
+        want = _sorted_ratio_survivors(candidates, ratios, 1e-12)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_membership_block_is_built_once_per_width_and_left_unchanged():
+    block = cutflow._membership_block(6)
+    before = block.copy()
+    assert not block.flags.writeable
+    for seed in (1, 2):
+        net = _seeded_network(seed, (1, 6, 1), "additive")
+        value, _ = min_cut(net)
+        upper, _ = subnetwork(net, 1, 2)
+        lower, _ = subnetwork(net, 2, 3)
+        r_src = boundary_function(upper, "source", [value])
+        r_snk = boundary_function(lower, "sink", [value])
+        assert sum(polymatroid_intersect(r_src, r_snk, value)) == pytest.approx(value)
+        assert cutflow._membership_block(6) is block
+        assert block.tobytes() == before.tobytes()
+    assert block.dtype == np.int8
+    # column j of mask k + 1 sits in rows 2k and 2k + 1; the objective is -1
+    assert block[:, -1].tolist() == [-1] * 6
+    assert block[2, 2 * (0b100 - 1)] == block[2, 2 * (0b100 - 1) + 1] == 1
+    assert block[2, 2 * (0b011 - 1)] == 0
+
+
+def test_widest_membership_block_holds_the_stated_bytes():
+    # m * 2^(m + 1) - m bytes: 2,097,136 at the widest split of 16 nodes
+    m = cutflow.LAYER_GUARD
+    tracemalloc.start()
+    try:
+        block = cutflow._membership_block.__wrapped__(m)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == m * 2 ** (m + 1) - m == 2_097_136
+    assert retained < 2_097_136 + 4096
 
 
 def test_simplex_error_paths():
@@ -594,6 +784,56 @@ def test_duality_on_random_diamonds(first, second):
     assert flow.at(S) == pytest.approx(value, rel=1e-9, abs=1e-9)
     assert brute_max_flow(net) == pytest.approx(value, rel=1e-6, abs=1e-6)
     assert verify_flow(net, flow).worst_excess <= 1e-6
+
+
+# --- references past the brute-force cap -----------------------------------------
+
+
+def _edge_graph(net):
+    """The layered edge graph of an additive network: one arc per link,
+    with the link's capacity."""
+    graph = nx.DiGraph()
+    for l, oracle in enumerate(net.oracles, start=1):
+        for i, row in enumerate(oracle.matrix.tolist(), start=1):
+            for j, cap in enumerate(row, start=1):
+                graph.add_edge(NodeId(l, i), NodeId(l + 1, j), capacity=cap)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "seed,shape",
+    enumerate([(1, 10, 1), (1, 13, 1), (1, 16, 1), (1, 12, 3, 1), (1, 2, 14, 1), (1, 11, 2, 10, 1)]),
+)
+def test_min_cut_matches_networkx_on_wide_additive_networks(seed, shape):
+    net = _seeded_network(40 + seed, shape, "additive")
+    value, cut = min_cut(net)
+    nx_value, (source_side, _) = nx.minimum_cut(_edge_graph(net), net.source, net.destination)
+    assert value == pytest.approx(nx_value, rel=1e-12)
+    # networkx's cut is a minimum too, and relayflow prices it the same
+    assert cut_value(net, source_side) == pytest.approx(value, rel=1e-12)
+    assert cut.value == value
+
+
+_FLOW_SHAPES = [(1, 2, 1), (1, 5, 1), (1, 9, 1), (1, 10, 1), (1, 3, 4, 1), (1, 2, 9, 2, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["additive", "rank_gf2", "gaussian", "discrete"]),
+    st.sampled_from(_FLOW_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+@example("additive", (1, 10, 1), 1).via("split layer above PRUNE_CANDIDATES")
+@example("rank_gf2", (1, 2, 9, 2, 1), 2).via("split layer above PRUNE_CANDIDATES")
+@example("gaussian", (1, 10, 1), 3).via("split layer above PRUNE_CANDIDATES")
+@example("discrete", (1, 2, 9, 2, 1), 4).via("split layer above PRUNE_CANDIDATES")
+def test_max_flow_verifies_and_meets_min_cut_on_seeded_networks(family, shape, seed):
+    net = _seeded_network(seed, shape, family)
+    value, _ = min_cut(net)
+    flow = max_flow(net)
+    assert verify_flow(net, flow).passed
+    assert flow.total(net.layer_nodes(1)) == value
+    assert flow.total(net.layer_nodes(net.num_layers)) == value
 
 
 # --- flow verification ----------------------------------------------------------

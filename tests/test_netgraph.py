@@ -3,6 +3,8 @@ import pytest
 from relayflow import (
     AdditiveOracle,
     DimensionMismatch,
+    Flow,
+    InputError,
     EmptyLayer,
     NegativeRate,
     NodeId,
@@ -168,3 +170,9 @@ def test_supernode_cuts_restrict_to_original():
         assert cut_value(ext, [NodeId(1, 1), *shifted]) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_flow_refuses_non_finite_values(bad):
+    with pytest.raises(InputError, match="finite"):
+        Flow({NodeId(1, 1): 1.0, NodeId(2, 1): bad})

@@ -6,6 +6,7 @@ import pytest
 from relayflow import (
     AdditiveOracle,
     DeterministicLayerModel,
+    InputError,
     DiscreteLayerModel,
     ExplicitTableOracle,
     GaussianLayerModel,
@@ -22,6 +23,7 @@ from relayflow import (
     network_from_models,
     penalty_recursion,
     plan_rates,
+    RatePlan,
     unit_leak_penalties,
 )
 from relayflow.capacity import MAX_JOINT_CELLS
@@ -855,3 +857,20 @@ def test_gaussian_gap_examples():
         ],
     )
     assert gaussian_gap(five) == (15.0, 13.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_region_checks_refuse_non_finite_rates(bad):
+    net, models = two_source_net()
+    with pytest.raises(InputError, match="source rates must be finite"):
+        check_multi_source(net, models, [0.0, bad])
+    net, models = deterministic_discrete_line()
+    with pytest.raises(InputError, match="rates must be finite"):
+        check_joint_feasible(net, models, bad, {NodeId(2, 1): 1.0})
+    with pytest.raises(InputError, match="rates must be finite"):
+        check_joint_feasible(net, models, 0.5, {NodeId(2, 1): bad})
+    plan = plan_rates(net, models)
+    with pytest.raises(InputError, match="rates must be finite"):
+        RatePlan(bad, plan.compression, plan.penalties, plan.flags, plan.flow)
+    with pytest.raises(InputError, match="rates must be finite"):
+        RatePlan(plan.rate, {NodeId(2, 1): bad}, plan.penalties, plan.flags, plan.flow)
