@@ -75,7 +75,6 @@ from .rateplan import (
     network_from_models,
     penalty_recursion,
     plan_rates,
-    unit_leak_penalties,
 )
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     InputError,
     NonNormalizedPMF,
+    NumericalFailure,
     OutOfRange,
     TooLarge,
     UnsupportedModel,
@@ -457,6 +458,8 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
     Raises:
         TooLarge: if the layer pair exceeds the enumeration guard
             (``m_in + m_out`` above 16).
+        NumericalFailure: a table cell is NaN or infinite (an overflowing
+            sum, say); it names the first such cell in row-major order.
     """
     m_in, m_out = oracle.dims
     if m_in + m_out > AXIOM_GUARD_BITS:
@@ -465,6 +468,13 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
         )
     nu, nv = 1 << m_in, 1 << m_out
     tab = oracle.table()
+    non_finite = np.argwhere(~np.isfinite(tab))
+    if non_finite.size:
+        u, v = non_finite[0].tolist()
+        raise NumericalFailure(
+            f"capacity at U={list(_mask_indices(u))}, V={list(_mask_indices(v))} "
+            f"is {tab[u, v]}, not a finite number"
+        )
     counterexample = None
 
     n_checks = 0

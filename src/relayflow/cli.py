@@ -20,6 +20,7 @@ from .capacity import check_capacity_axioms
 from .errors import (
     DomainError,
     InputError,
+    NumericalFailure,
     RelayFlowError,
     TooLarge,
     UnsupportedModel,
@@ -89,7 +90,10 @@ def cmd_validate(args) -> int:
     net, _, _ = _load(args.file)
     reports = []
     for l, orc in enumerate(net.oracles, start=1):
-        report = check_capacity_axioms(orc, tol=args.tol)
+        try:
+            report = check_capacity_axioms(orc, tol=args.tol)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"layer pair {l}: {exc}") from exc
         entry: dict[str, Any] = {"layer_pair": l, "ok": report.passed}
         if not report.passed:
             entry["counterexample"] = report.counterexample

@@ -13,18 +13,11 @@ subsets; ``max_flow`` constructs a flow attaining it by recursive
 bisection: the split layer's flow is a point in the intersection of two
 polymatroids whose rank functions are computed by the same subset DP.
 That point comes from a Bland's-rule simplex over the 2·(2^m - 1) rank
-constraints.  Their 0/1 membership block is built once per width and kept
-as ``int8`` (2 MB at the widest split); each LP turns it into its float
-structural columns in one conversion.  The tableau is stored by columns.
-A pivot updates each column that is nonzero in the pivot row over its
-whole length, and the rhs only on the rows where the entering column is
-nonzero.  So it makes the pivots of a dense tableau, with its floats, in
-memory proportional to the rows times the structural and pivoted columns.
-Its Bland ratio test is a scalar scan in row order.  When more than
-``PRUNE_CANDIDATES`` rows qualify, a numpy sort of the ratios in a window
-above the smallest first drops the rows whose ratio lies above a gap too
-wide for any chain of near-ties to cross, and the scan over the rest picks
-the same row.
+constraints, whose 0/1 membership block is built once per width.  The
+tableau is stored by columns and makes the pivots of a dense tableau,
+with its floats, in memory proportional to the rows times the structural
+and pivoted columns.  Over more than ``PRUNE_CANDIDATES`` rows, the Bland
+ratio scan skips those a numpy sort of the ratios shows it cannot pick.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
 one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
@@ -306,17 +299,13 @@ def boundary_function(
 # ---------------------------------------------------------------------------
 
 #: candidate rows above which the ratio test prunes them in numpy first.
-#: Measured per pivot on the recorded max-flow LPs of flow-ladder seeds 7
-#: and 11 and wide-split seed 7 (scan alone against prune and scan): 15 vs
-#: 25 us at 97-128 candidates, 15-20 vs 21-28 us at 129-192, 23-26 vs
-#: 31-38 us at 193-256 (a quarter to 44% of flow-ladder's candidates
-#: survive), 51 vs 17 us at 385-512 and 133-138 vs 18 us above 512 (1% of
-#: wide-split's survive).
+#: Measured per pivot (medians of three runs) on the recorded max-flow LPs
+#: of flow-ladder seeds 7 and 11 and wide-split seed 7, scan alone against
+#: sort prune and scan: 13-20 vs 17-25 us at 97-128 candidates, 17-23 vs
+#: 17-22 us at 129-192, 23-34 vs 23-34 us at 193-256 (18-42% of
+#: flow-ladder's candidates survive), 51-75 vs 13-19 us at 385-512 and
+#: 119-146 vs 22-24 us above 512 (under 1% of wide-split's survive).
 PRUNE_CANDIDATES = 256
-
-#: share of the ratio range the prune's first window spans above the
-#: minimum; on wide-split 99% of first wide gaps lie inside it
-_WINDOW_SHARE = 1.0 / 8.0
 
 
 def _ratio_survivors(
@@ -326,55 +315,36 @@ def _ratio_survivors(
     ``_pivot_max`` needs to see: scanned in row order, they give the row
     that the scan over every candidate gives.
 
-    In sorted order, find the first gap between neighbours wider than
+    Sort the ratios and find the first gap between neighbours wider than
     ``w = 2 * eps + 4 * ulp(max |ratio|)``; call the ratio below it ``c``
     and the computed gap ``g > w``.  Rows with ratio ``<= c`` (low) survive,
     the rest (high) are dropped.  The scan keeps ``best``, the ratio of the
     row it took last, and takes a row when ``ratio < best - eps`` or when
     ``|ratio - best| <= eps`` and the basis tie-break favours it:
 
-    - a high ``h`` never displaces a low ``best = r``.  ``h > r``, so the
-      first test fails; rounding is monotone and ``h - r`` is at least the
-      exact gap, so ``fl(h - r) >= g > eps`` and the tie test fails too;
-    - the first low row ``r`` always displaces a high ``best = h``.
-      ``r < fl(h - eps)`` holds once ``h - r`` exceeds ``eps`` by the
-      rounding error of ``h - eps`` plus that of ``g``.  Both operands are
-      at most twice ``max |ratio|`` (or ``2 * eps``), so each error is at
-      most ``ulp(max |ratio|)`` (or far below ``eps``), and ``w`` leaves
-      ``eps + 4 * ulp`` for them.  The initial ``+inf`` is displaced too.
+    - a high ``h`` never displaces a low ``best = r``: ``h > r``, and
+      ``fl(h - r) >= g > eps`` since rounding is monotone;
+    - the first low row ``r`` always displaces a high ``best = h`` (or the
+      initial ``+inf``): ``r < fl(h - eps)``, since ``w`` leaves
+      ``eps + 4 * ulp`` for the rounding errors of ``h - eps`` and ``g``,
+      each at most ``ulp(max |ratio|)`` (or far below ``eps``).
 
-    So from the first low row on, the scan's state is that of a scan over
-    the low rows alone, which then makes the same comparisons on the same
-    floats.  Without such a gap (chained near-ties) every candidate
-    survives, as it does with a NaN or infinite ratio, where the minimum
-    and ``ulp`` bound nothing.
-
-    Only a window of the ratios is sorted: those at most ``edge`` above the
-    minimum, with ``edge`` a ``_WINDOW_SHARE`` of the ratio range at first,
-    quadrupled until the window holds a gap wider than ``w`` or every
-    candidate.  Every ratio below the window's edge is inside it, so the
-    sorted window is the start of the whole sorted order: its gaps are the
-    whole order's first gaps, and its first wide gap is the whole order's.
+    So from the first low row on, the scan makes the comparisons of a scan
+    over the low rows alone.  Without such a gap (chained near-ties) every
+    candidate survives, as it does with a NaN or infinite ratio, where the
+    minimum and ``ulp`` bound nothing.
     """
-    low, high = float(ratios.min()), float(ratios.max())
-    # min and max propagate NaN
+    ordered = np.sort(ratios)
+    low, high = ordered[0].item(), ordered[-1].item()
+    # NaN sorts last, -inf first
     if not (math.isfinite(low) and math.isfinite(high)):
         return candidates, ratios
-    width = 2.0 * eps + 4.0 * math.ulp(max(-low, high))
-    # a subnormal range's share may round to 0; the range itself does not
-    step = (high - low) * _WINDOW_SHARE or high - low
-    while True:
-        edge = low + step
-        inside = ratios <= edge if edge < high else slice(None)
-        window = ratios[inside]
-        ordered = np.sort(window)
-        wide = np.flatnonzero(ordered[1:] - ordered[:-1] > width)
-        if wide.size:
-            keep = window <= ordered[wide[0]]
-            return candidates[inside][keep], window[keep]
-        if window.size == ratios.size:
-            return candidates, ratios
-        step *= 4.0
+    wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
+    first = int(wide.argmax())
+    if not wide[first]:
+        return candidates, ratios
+    keep = ratios <= ordered[first]
+    return candidates[keep], ratios[keep]
 
 
 @cache
@@ -396,23 +366,6 @@ def _membership_block(m: int) -> np.ndarray:
     block[:, -1] = -1
     block.flags.writeable = False
     return block
-
-
-def _simplex_max(
-    a_rows: Sequence[Sequence[float]], b: Sequence[float], c: Sequence[float]
-) -> tuple[float, list[float]]:
-    """Maximize ``c @ x`` subject to ``A x <= b`` and ``x >= 0``.
-
-    Requires ``b >= 0`` so the slack basis starts feasible.  Builds the
-    structural columns and runs ``_pivot_max``.
-    """
-    a = np.asarray(a_rows, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    structural = np.empty((n, m + 1))
-    structural[:, :m] = a.T
-    structural[:, m] = -c
-    return _pivot_max(structural, np.asarray(b, dtype=float))
 
 
 def _pivot_max(structural: np.ndarray, b: np.ndarray) -> tuple[float, list[float]]:
@@ -530,6 +483,8 @@ def polymatroid_intersect(
     order, which stays feasible because both polymatroids are down-closed.
 
     Raises:
+        InputError: a non-finite target or boundary-function value.
+        NegativeRate: a negative target.
         Infeasible: target exceeds the intersection bound.
         NumericalFailure: the solver fell measurably short of the target.
     """
@@ -538,6 +493,10 @@ def polymatroid_intersect(
         raise DimensionMismatch("boundary functions have different ground sets")
     src = np.array(r_source.values, dtype=float)
     snk = np.array(r_sink.values, dtype=float)
+    _require_finite([target_total], "target total")
+    _require_finite(np.concatenate([src, snk]), "boundary function values")
+    if target_total < 0:
+        raise NegativeRate(f"target total {target_total} is negative")
     # src[::-1][t] is r_source at the complement of t
     bound = float((src[::-1] + snk).min())
     if target_total > bound + tol * max(1.0, abs(bound)):

@@ -642,19 +642,10 @@ def decoding_complexity(
     return log2_joint, log2_layered
 
 
-def unit_leak_penalties(layer_sizes: Sequence[int]) -> list[float]:
-    """Penalty recursion specialized to a leak of one bit per layer pair."""
-    L = len(layer_sizes)
-    penalties = [0.0] * (L - 1)
-    for l in range(L - 2, 0, -1):
-        penalties[l - 1] = 1.0 + penalties[l] * layer_sizes[l]
-    return penalties
-
-
 def gaussian_gap(net: LayeredNetwork) -> tuple[float, float]:
     """Worst-case gaps (bits/symbol) to the cut bound for Gaussian networks:
     ``3n`` under joint decoding and ``2n`` plus the unit-leak first-layer
     penalty under layered decoding, where ``n`` is the node count."""
     n = net.node_count
-    layered_penalty = unit_leak_penalties(net.layer_sizes)[0] if net.num_layers >= 2 else 0.0
+    layered_penalty = penalty_recursion(net, leaks=[1.0] * (net.num_layers - 1))[0]
     return 3.0 * n, 2.0 * n + layered_penalty

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The shared 200-instance batch is computed once per session.
 """
 
+import math
 import subprocess
 import sys
 import time
@@ -209,7 +210,9 @@ def test_criterion_6_gaussian_constants():
                 for i in range(L - 1)
             ],
         )
-        assert rf.penalty_recursion(net, leaks=[1.0] * (L - 1)) == rf.unit_leak_penalties(sizes)
+        # layer l pays one bit, plus n(l+1) times the next layer's penalty
+        want = [float(sum(math.prod(sizes[l:k]) for k in range(l, L - 1))) for l in range(1, L)]
+        assert rf.penalty_recursion(net, leaks=[1.0] * (L - 1)) == want
     _report(
         "criterion 6",
         "unit leaks, gap constants (9, 7), and penalty recursions all exact",

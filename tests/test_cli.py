@@ -125,6 +125,28 @@ def test_validate_accepts_well_behaved_table(tmp_path):
     assert run_cli("validate", str(netfile)).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "first,layer_pair,cell",
+    [(1e308, 1, "U=[1], V=[1, 2]"), (1.0, 2, "U=[1, 2], V=[1]")],
+)
+def test_validate_refuses_overflowing_tables(tmp_path, first, layer_pair, cell):
+    # finite additive entries whose sums overflow to inf in the table
+    net = {
+        "layers": [1, 2, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[first, first]]},
+            {"kind": "additive", "matrix": [[1e308], [1e308]]},
+        ],
+    }
+    netfile = tmp_path / "overflow.json"
+    netfile.write_text(json.dumps(net))
+    proc = run_cli("validate", str(netfile))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["detail"] == (
+        f"layer pair {layer_pair}: capacity at {cell} is inf, not a finite number"
+    )
+
+
 def test_parse_error_exits_two(tmp_path):
     netfile = tmp_path / "broken.json"
     netfile.write_text("{not json")

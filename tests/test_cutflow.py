@@ -15,6 +15,7 @@ from relayflow import (
     Infeasible,
     InfeasibleBoundary,
     InputError,
+    NegativeRate,
     NodeId,
     NumericalFailure,
     BadRange,
@@ -31,7 +32,6 @@ from relayflow import (
     verify_flow,
 )
 from relayflow import cutflow
-from relayflow.cutflow import _simplex_max
 from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
 
 
@@ -236,8 +236,33 @@ def test_intersect_reduction_is_deterministic():
     assert polymatroid_intersect(r, r, 1.0) == pytest.approx([0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "sink_values,target,error,message",
+    [
+        ((0.0, 2.0, 2.0, 4.0), math.nan, InputError, "target total must be finite"),
+        ((0.0, 2.0, 2.0, 4.0), -1.0, NegativeRate, "target total -1.0 is negative"),
+        ((0.0, 2.0, math.nan, 4.0), 1.0, InputError, "boundary function values must be finite"),
+    ],
+)
+def test_intersect_refuses_bad_input(sink_values, target, error, message):
+    r_src = BoundaryFunction("source", 2, (0.0, 2.0, 2.0, 4.0))
+    r_snk = BoundaryFunction("sink", 2, sink_values)
+    with pytest.raises(error, match=message):
+        polymatroid_intersect(r_src, r_snk, target)
+
+
+def _pivot_max_lp(a_rows, b, c):
+    """``cutflow._pivot_max`` on ``max c @ x`` subject to ``A x <= b`` and
+    ``x >= 0``, handed the structural columns ``(A[:, j], -c[j])``."""
+    a = np.asarray(a_rows, dtype=float)
+    structural = np.empty((a.shape[1], a.shape[0] + 1))
+    structural[:, :-1] = a.T
+    structural[:, -1] = np.negative(np.asarray(c, dtype=float))
+    return cutflow._pivot_max(structural, np.asarray(b, dtype=float))
+
+
 def _dense_simplex_max(a_rows, b, c):
-    """The dense Bland's-rule tableau ``_simplex_max`` replaced, kept verbatim
+    """The dense Bland's-rule tableau ``_pivot_max`` replaced, kept verbatim
     as the reference its pivots must reproduce."""
     INF = float("inf")
     a = np.asarray(a_rows, dtype=float)
@@ -332,11 +357,11 @@ def _seeded_lps(seed, count):
 def test_simplex_matches_dense_tableau_on_seeded_lps():
     unbounded = all_basic = 0
     for kind, a, b, c in _seeded_lps(4, 400):
-        got = _solve(_simplex_max, a, b, c)
+        got = _solve(_pivot_max_lp, a, b, c)
         assert got == _solve(_dense_simplex_max, a, b, c), (kind, a, b, c)
         unbounded += got == "NumericalFailure: linear program is unbounded"
         if kind == 3:
-            all_basic += all(v > 0 for v in _simplex_max(a, b, c)[1])
+            all_basic += all(v > 0 for v in _pivot_max_lp(a, b, c)[1])
     assert unbounded
     assert all_basic == 100
 
@@ -402,8 +427,7 @@ def _wide_split_networks(seed):
 
 def _recording_lps(monkeypatch):
     """``(A, b, c, repr of the result)`` of every LP solved by ``_pivot_max``,
-    the pivot loop that ``polymatroid_intersect`` and ``_simplex_max``
-    share, rebuilt from the structural columns it was handed."""
+    rebuilt from the structural columns it was handed."""
     lps = []
     pivot_max = cutflow._pivot_max
 
@@ -434,7 +458,7 @@ def test_simplex_matches_dense_tableau_on_max_flow_lps(monkeypatch):
     for a, b, c, got in lps:
         dense = _solve(_dense_simplex_max, a, b, c)
         assert got == dense
-        assert _solve(_simplex_max, a, b, c) == dense
+        assert _solve(_pivot_max_lp, a, b, c) == dense
     assert any(kept < n for n, kept, _ in pruned)
 
 
@@ -458,7 +482,7 @@ def _wide_lps(seed, count):
 def test_simplex_matches_dense_tableau_on_wide_tied_lps(monkeypatch):
     pruned = _pruning(monkeypatch)
     for a, b, c in _wide_lps(5, 12):
-        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+        assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     assert any(kept < n for n, kept, _ in pruned)
 
 
@@ -473,7 +497,7 @@ def test_simplex_scans_every_candidate_on_near_tie_chains(monkeypatch):
         a = np.ones((m, 3))
         a[:, 1:] = rng.integers(0, 2, (m, 2))
         a, c = a.tolist(), [1.0, 2.0, 1.0]
-        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+        assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     assert pruned and all(kept == n for n, kept, _ in pruned)
 
 
@@ -483,7 +507,7 @@ def test_simplex_matches_dense_tableau_with_non_finite_rhs(monkeypatch, bad):
     for k, (a, b, c) in enumerate(_wide_lps(6, 6)):
         b[k * 7 % len(b)] = bad
         with np.errstate(invalid="ignore"):
-            assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+            assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     if bad > 0 or bad != bad:
         # a ratio test with the bad rhs among its candidates scans them all
         assert any(not finite for _, _, finite in pruned)
@@ -497,51 +521,48 @@ def test_simplex_matches_dense_tableau_with_large_rhs(monkeypatch):
     ulp = math.ulp(1e5)
     for a, b, c in _wide_lps(7, 8):
         b = (1e5 + ulp * rng.integers(0, 40, len(b)) * (rng.random(len(b)) > 0.5)).tolist()
-        assert _solve(_simplex_max, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+        assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     assert any(kept < n for n, kept, _ in pruned)
 
 
-def _sorted_ratio_survivors(candidates, ratios, eps):
-    """The sort-based ``_ratio_survivors`` the windowed one replaced, kept
-    verbatim as the reference its rows must reproduce."""
-    ordered = np.sort(ratios)
-    low, high = ordered[0].item(), ordered[-1].item()
-    # NaN sorts last, -inf first
-    if not (math.isfinite(low) and math.isfinite(high)):
-        return candidates, ratios
-    wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
-    first = int(wide.argmax())
-    if not wide[first]:
-        return candidates, ratios
-    keep = ratios <= ordered[first]
-    return candidates[keep], ratios[keep]
+def _bland_scan(candidates, ratios, basis, eps):
+    """The row ``_pivot_max``'s Bland ratio scan takes, its loop kept
+    verbatim."""
+    leave = -1
+    best_ratio = math.inf
+    for i, ratio in zip(candidates.tolist(), ratios.tolist()):
+        if ratio < best_ratio - eps or (
+            abs(ratio - best_ratio) <= eps
+            and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best_ratio = ratio
+            leave = i
+    return leave
 
 
 @st.composite
-def _ratio_arrays(draw):
-    """Candidate ratios as the prune sees them, at a scale up to 1e5: exact
-    ties on a few levels, or a chain down from the largest ratio; plus
-    chains whose gaps sit just under, at and just over the prune's
-    threshold ``w``, some starting at the minimum or at an edge of the
-    windows; plus, sometimes, NaN, +-inf, -0.0 or arbitrary floats."""
+def _ratio_tests(draw):
+    """A ratio test as the prune sees it, at a scale up to 1e5: exact ties on
+    a few levels, or a chain down from the largest ratio whose gaps sit just
+    under, at and just over the prune's threshold ``w``, or a fraction of an
+    ulp above ``eps``, where ``fl(h - eps)`` may round down to ``h``'s lower
+    neighbour; plus, sometimes, NaN, +-inf, -0.0 or arbitrary floats.  The
+    candidate rows are ascending, and the basis gives each row a distinct
+    variable, in row order or shuffled."""
     eps = 1e-12
     top = draw(st.sampled_from([1.0, 3.0, 37.5, 1e3, 1e5, 1.3e5]))
     width = 2.0 * eps + 4.0 * math.ulp(top)
-    factors = st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
     values = [top]
     if draw(st.booleans()):
         levels = draw(st.lists(st.floats(0.0, top), min_size=1, max_size=6))
         values += draw(st.lists(st.sampled_from(levels), min_size=1, max_size=300))
     else:
-        for factor in draw(st.lists(factors, min_size=1, max_size=300)):
-            values.append(values[-1] - factor * width)
-    for _ in range(draw(st.integers(0, 3))):
-        low = min(values)
-        edge = low + (top - low) * cutflow._WINDOW_SHARE * draw(st.sampled_from([1, 4, 16]))
-        start = draw(st.one_of(st.sampled_from([low, edge]), st.floats(0.0, top)))
-        for factor in draw(st.lists(factors, min_size=1, max_size=40)):
-            start += factor * width
-            values.append(min(start, top))
+        gaps = st.one_of(
+            st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0]).map(lambda f: f * width),
+            st.sampled_from([0.4, 1.0, 2.0]).map(lambda k: eps + k * math.ulp(top)),
+        )
+        for gap in draw(st.lists(gaps, min_size=1, max_size=300)):
+            values.append(values[-1] - gap)
     values += draw(
         st.lists(
             st.one_of(
@@ -552,21 +573,20 @@ def _ratio_arrays(draw):
         )
     )
     ratios = np.array(draw(st.permutations(values)), dtype=float)
-    candidates = np.sort(
-        np.random.default_rng(len(values)).choice(4 * len(values), len(values), replace=False)
-    )
-    return candidates, ratios
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 4 * len(values)
+    candidates = np.sort(rng.choice(rows, len(values), replace=False))
+    basis = rng.permutation(rows) if draw(st.booleans()) else np.arange(rows)
+    return candidates, ratios, basis.tolist()
 
 
 @settings(max_examples=400, deadline=None)
-@given(_ratio_arrays())
-def test_windowed_ratio_prune_keeps_the_sorted_prunes_rows(arrays):
-    candidates, ratios = arrays
+@given(_ratio_tests())
+def test_ratio_prune_keeps_the_row_the_bland_scan_picks(ratio_test):
+    candidates, ratios, basis = ratio_test
     with np.errstate(invalid="ignore", over="ignore"):
-        got = cutflow._ratio_survivors(candidates, ratios, 1e-12)
-        want = _sorted_ratio_survivors(candidates, ratios, 1e-12)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+        pruned = cutflow._ratio_survivors(candidates, ratios, 1e-12)
+    assert _bland_scan(*pruned, basis, 1e-12) == _bland_scan(candidates, ratios, basis, 1e-12)
 
 
 def test_membership_block_is_built_once_per_width_and_left_unchanged():
@@ -605,9 +625,9 @@ def test_widest_membership_block_holds_the_stated_bytes():
 
 def test_simplex_error_paths():
     with pytest.raises(NumericalFailure, match="simplex requires nonnegative right-hand sides"):
-        _simplex_max([[1.0]], [-1.0], [1.0])
+        _pivot_max_lp([[1.0]], [-1.0], [1.0])
     with pytest.raises(NumericalFailure, match="linear program is unbounded"):
-        _simplex_max([[-1.0, 1.0]], [1.0], [1.0, 0.0])
+        _pivot_max_lp([[-1.0, 1.0]], [1.0], [1.0, 0.0])
 
 
 def test_intersect_stores_no_dense_tableau():

@@ -24,7 +24,6 @@ from relayflow import (
     penalty_recursion,
     plan_rates,
     RatePlan,
-    unit_leak_penalties,
 )
 from relayflow.capacity import MAX_JOINT_CELLS
 from relayflow.oracle import InstanceSpec, SplitMix64, random_instance
@@ -55,6 +54,11 @@ def test_gaussian_single_relay_penalties():
 
 
 def test_gaussian_penalties_match_unit_leak_recursion():
+    # one bit per pair: layer l pays 1 + n(l+1) + n(l+1) n(l+2) + ..., a
+    # term per later relay layer, so (1, 2, 3, 1) gives 1 + 2 and 1
+    sizes = (1, 2, 3, 1)
+    net = build_network(sizes, [AdditiveOracle(np.ones(pair)) for pair in zip(sizes, sizes[1:])])
+    assert penalty_recursion(net, leaks=[1.0, 1.0, 1.0]) == [3.0, 1.0, 0.0]
     rng = SplitMix64(99)
     for _ in range(20):
         L = 2 + rng.next_u64() % 3
@@ -66,7 +70,8 @@ def test_gaussian_penalties_match_unit_leak_recursion():
                 for i in range(L - 1)
             ],
         )
-        assert penalty_recursion(net, leaks=[1.0] * (L - 1)) == unit_leak_penalties(sizes)
+        want = [float(sum(math.prod(sizes[l:k]) for k in range(l, L - 1))) for l in range(1, L)]
+        assert penalty_recursion(net, leaks=[1.0] * (L - 1)) == want
 
 
 def test_deterministic_penalties_all_zero():
