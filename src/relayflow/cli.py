@@ -62,9 +62,20 @@ def _load(path: str):
     return network_from_dict(data)
 
 
+def _numbers(boundary: dict, key: str) -> list | None:
+    """``boundary[key]``, which must be missing or an array of numbers."""
+    values = boundary.get(key)
+    # JSON numbers parse to int or float (true and false to bool)
+    if values is not None and not (
+        isinstance(values, list) and all(type(v) in (int, float) for v in values)
+    ):
+        raise InputError(f"boundary.{key} must be an array of numbers")
+    return values
+
+
 def _boundary_flows(net, boundary: dict) -> dict[NodeId, float] | None:
-    src = boundary.get("source_flows")
-    dst = boundary.get("destination_flows")
+    src = _numbers(boundary, "source_flows")
+    dst = _numbers(boundary, "destination_flows")
     if src is None and dst is None:
         return None
     if src is None or dst is None:
@@ -145,7 +156,7 @@ def cmd_check(args) -> int:
     net, models, boundary = _load(args.file)
     models = _require_models(models)
     if args.mode == "multi":
-        rates = boundary.get("source_rates")
+        rates = _numbers(boundary, "source_rates")
         if rates is None:
             raise InputError("multi-source check needs boundary.source_rates")
         report = rateplan.check_multi_source(net, models, rates, tol=args.tol)

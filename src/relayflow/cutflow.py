@@ -20,10 +20,12 @@ and pivoted columns.  Over more than ``PRUNE_CANDIDATES`` rows, the Bland
 ratio scan skips those a numpy sort of the ratios shows it cannot pick.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
-one kernel, the min-plus step ``_sweep``: the backward pass of ``min_cut``
-and of the sink-side boundary function, the forward pass of the
-source-side boundary function (on the transposed cost) and the cut
-reconstruction all run it.  ``verify_flow`` and the layered-region check
+one kernel, the min-plus step ``_sweep``: the backward passes of
+``min_cut``, of the sink-side boundary function and of the multi-source
+region (``rateplan.check_multi_source``) and the forward pass of the
+source-side boundary function (on the transposed cost) all run it, and
+``_first_minimizer`` reconstructs the cuts of the first and the last.
+``verify_flow`` and the layered-region check
 scan the same tables whole, one layer pair at a time, through
 ``_scan_constraints``, so every consumer sees the same floats.
 
@@ -199,16 +201,39 @@ def min_cut(
         # NaN cells, or finite capacities whose sums overflow; either would
         # leave the reconstruction below without an exact match
         raise NumericalFailure(f"cut value is {value}, not a finite number")
+    path, _ = _first_minimizer(costs, tables, [0, *net.layer_sizes])
+    members = frozenset(
+        NodeId(l + 1, i) for l, mask in enumerate(path[1:]) for i in _mask_indices(mask)
+    )
+    return value, Cut(members, value)
 
-    # forward reconstruction: scan masks in tie-break order, match exactly
-    members: set[NodeId] = set()
-    chosen = 0
-    for l, cost in enumerate(costs):
-        row = cost[chosen] + tables[l + 1]
-        target = tables[l][chosen]
-        chosen = next(s for s in _lex_masks(net.layer_sizes[l]) if row[s] == target)
-        members.update(NodeId(l + 1, i) for i in _mask_indices(chosen))
-    return value, Cut(frozenset(members), value)
+
+def _first_minimizer(
+    costs: Sequence[np.ndarray],
+    tables: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    score=lambda first, values: values,
+) -> tuple[list[int], float]:
+    """The states, one per layer, of the first sequence in ``product`` order
+    of the ``_lex_masks(sizes[l])`` orders with the smallest
+    ``score(s0, value)``, and that value: the right fold ``costs[0][s0, s1]
+    + (... + tables[-1][sn])``, with ``tables`` from ``_backward_tables``
+    and ``score`` monotone in it.  Addition is monotone too, so a prefix
+    extends to a minimizer exactly when its cheapest completion does.  Each
+    layer takes the first such state, scoring the whole fold, so that ties
+    which rounding makes only in the outer additions keep ``product`` order.
+    """
+    values = tables[0]
+    scores = score(np.arange(values.size), values)
+    target = np.fmin.reduce(scores)
+    path = [next(s for s in _lex_masks(sizes[0]) if scores[s] == target)]
+    for l in range(1, len(tables)):
+        values = costs[l - 1][path[-1]] + tables[l]
+        for k in range(l - 2, -1, -1):
+            values = costs[k][path[k], path[k + 1]] + values
+        scores = score(path[0], values)
+        path.append(next(s for s in _lex_masks(sizes[l]) if scores[s] == target))
+    return path, float(values[path[-1]])
 
 
 # ---------------------------------------------------------------------------

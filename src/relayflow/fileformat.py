@@ -35,6 +35,9 @@ def network_from_dict(
     (``None`` where no model applies), and the raw boundary section."""
     if not isinstance(data, dict):
         raise InputError("network file must be a JSON object")
+    for key in ("layers", "models"):
+        if not isinstance(data.get(key, []), list):
+            raise InputError(f"'{key}' must be an array")
     try:
         layers = [int(m) for m in data["layers"]]
         capacity_specs = list(data["capacities"])

@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .capacity import (
-    _BLOCK_CELLS,
     MAX_JOINT_CELLS,
     TABLE_GUARD_BITS,
     DiscreteLayerModel,
@@ -43,7 +42,15 @@ from .capacity import (
     _size_chunks,
     quantizer_leak,
 )
-from .cutflow import _lex_masks, _scan_constraints, _subset_sums, max_flow, min_cut
+from .cutflow import (
+    _backward_tables,
+    _cost,
+    _first_minimizer,
+    _scan_constraints,
+    _subset_sums,
+    max_flow,
+    min_cut,
+)
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -187,6 +194,24 @@ def _undecoded_terms(
     return np.negative(sums[::-1]), np.negative(leaks[::-1])
 
 
+def _region_report(checks) -> FeasibilityReport:
+    """The report of ``(scan, describe)`` pairs, each a ``_scan_constraints``
+    result and a function naming a cell's constraint from its ``(u, v)``: the
+    binding constraint is the first with the smallest margin ``rhs - lhs``,
+    and the violations keep their order."""
+    margin, binding, n_constraints, violations = math.inf, {}, 0, []
+    for (n, first, failed), describe in checks:
+        n_constraints += n
+        if first is not None and first[3] - first[2] < margin:
+            u, v, lhs, rhs = first
+            margin, binding = rhs - lhs, dict(describe(u, v), lhs=lhs, rhs=rhs)
+        violations += [
+            dict(describe(u, v), lhs=lhs, rhs=rhs, margin=rhs - lhs)
+            for u, v, lhs, rhs in failed
+        ]
+    return FeasibilityReport(not violations, margin, binding, n_constraints, violations)
+
+
 def check_layered_feasible(
     net: LayeredNetwork,
     models: Sequence[LayerModel],
@@ -217,38 +242,21 @@ def check_layered_feasible(
         raise InputError("layered feasibility is defined for unicast networks")
     _check_models(net, models)
     L = net.num_layers
-    worst = math.inf
-    binding: dict = {}
-    n_constraints = 0
-    violations: list[dict] = []
-
-    def consider(scan, describe) -> None:
-        nonlocal worst, binding, n_constraints
-        n, first, failed = scan
-        n_constraints += n
-        if first is not None:
-            umask, vmask, lhs, rhs = first
-            if rhs - lhs < worst:
-                worst = rhs - lhs
-                binding = dict(describe(umask, vmask), lhs=lhs, rhs=rhs)
-        for umask, vmask, lhs, rhs in failed:
-            violations.append(
-                dict(describe(umask, vmask), lhs=lhs, rhs=rhs, margin=rhs - lhs)
-            )
+    checks = []
 
     # family 1: last layer pair, against the raw received signal; row
     # ``umask - 1`` holds transmit set ``umask`` (adding -0.0 changes no float)
     received = models[L - 2].mi_received_column()[1:, None]
     sent = [plan.rate] * len(received) if L == 2 else _compression_sums(plan, net, L - 1)[1:]
-    consider(
+    checks.append((
         _scan_constraints(received, sent, [-0.0], tol),
         lambda u, v: {"family": "last_layer", "layer": L - 1, "U": _mask_indices(u + 1)},
-    )
+    ))
 
     # family 2: interior layer pairs
     for l in range(2, L - 1):
         undecoded, leaks = _undecoded_terms(plan, net, models[l - 1], l)
-        consider(
+        checks.append((
             _scan_constraints(
                 net.oracles[l - 1].table(),
                 _compression_sums(plan, net, l),
@@ -263,25 +271,18 @@ def check_layered_feasible(
                 "U": _mask_indices(u),
                 "V": _mask_indices(v),
             },
-        )
+        ))
 
     # family 3: the source against the first layer pair (row 1: the source sends)
     if L >= 3:
         undecoded, leaks = _undecoded_terms(plan, net, models[0], 1)
-        consider(
+        checks.append((
             _scan_constraints(
                 net.oracles[0].table()[1:2], [plan.rate], undecoded, tol, rhs_col=leaks
             ),
             lambda u, v: {"family": "source", "layer": 1, "V": _mask_indices(v)},
-        )
-
-    return FeasibilityReport(
-        passed=not violations,
-        margin=worst,
-        binding=binding,
-        n_constraints=n_constraints,
-        violations=violations,
-    )
+        ))
+    return _region_report(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +376,16 @@ def check_joint_feasible(
         compression_sums[full & ~s & ~d] + mi - leak_sums[full & ~d]
         for (s, d), mi in zip(pairs, info)
     ]
-    n_constraints, first, failed = _scan_constraints(
-        np.array(rhs_row)[None], [rate], [-0.0] * len(rhs_row), tol
-    )
+    scan = _scan_constraints(np.array(rhs_row)[None], [rate], [-0.0] * len(rhs_row), tol)
 
     def keys(end: NodeId, mask: int) -> list[str]:
         return sorted([end.key()] + [v.key() for i, v in enumerate(relays) if mask >> i & 1])
 
-    def describe(c: int) -> dict:
+    def describe(_, c: int) -> dict:
         s, d = pairs[c]
         return {"omega": keys(net.source, s), "phi": keys(net.destination, d)}
 
-    worst, binding = math.inf, {}
-    if first is not None:
-        _, c, lhs, rhs = first
-        worst, binding = rhs - lhs, dict(describe(c), lhs=lhs, rhs=rhs)
-    violations = [
-        dict(describe(c), lhs=lhs, rhs=rhs, margin=rhs - lhs) for _, c, lhs, rhs in failed
-    ]
-    return FeasibilityReport(
-        passed=not violations,
-        margin=worst,
-        binding=binding,
-        n_constraints=n_constraints,
-        violations=violations,
-    )
+    return _region_report([(scan, describe)])
 
 
 def _discrete_joint_mi(
@@ -493,19 +479,23 @@ def check_multi_source(
 ) -> MultiSourceReport:
     """Check a multi-source rate vector under layered decoding.
 
-    Direct enumeration: for every node set excluding the destination, the
+    Direct evaluation: for every node set excluding the destination, the
     rates of its sources (each penalized by the first-layer penalty) must
     fit the cut value.  The same region is evaluated a second way, by
     attaching a source-side supernode with the penalized rates and taking
     the unicast min-cut of the extended network; the two margins must
     agree.
 
-    The node sets are taken in ``product`` order of the per-layer
-    ``_lex_masks`` orders; the binding cut is the first with the smallest
-    margin.  Each cut value is the right fold ``t_1 + (t_2 + (... + 0.0))``
-    of its layer pairs' capacities, computed by broadcast adds over blocks
-    of whole trailing layers, up to ``_BLOCK_CELLS`` node sets each unless
-    the last layer alone has more.
+    A node set's margin is ``value - rate_sums[s] - penalties[s]`` for its
+    first-layer set ``s``: ``value`` is the right fold ``t_1 + (t_2 + (... +
+    0.0))`` of its layer pairs' capacities, ``rate_sums[s]`` adds the rates
+    of ``s`` in ascending order and ``penalties[s]`` is ``|s|`` times the
+    penalty.  The min-plus kernel gives each ``s`` its cheapest fold over the
+    later layers; both ``fl(c + x)`` and ``fl(x - c)`` are monotone in ``x``,
+    so taking that minimum before the final subtractions gives the
+    enumeration's margins exactly.  The binding cut is the first node set in
+    ``product`` order of the per-layer ``_lex_masks`` orders with the
+    smallest margin, which ``min_cut``'s reconstruction finds.
 
     Raises:
         TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
@@ -527,61 +517,21 @@ def check_multi_source(
             f"the destination; this network has {bits}, {1 << bits} node sets"
         )
     penalty = penalty_recursion(net, models)[0]
+    rate_sums = np.array(_subset_sums(rates), dtype=float)
+    penalties = np.array([s.bit_count() * penalty for s in range(rate_sums.size)])
 
-    # terms[l][a, b]: capacity from the a-th set of layer l+1 to the nodes of
-    # layer l+2 outside its b-th set, sets in ``_lex_masks`` order; the
-    # destination is never in the set
-    orders = [np.array(_lex_masks(m)) for m in net.layer_sizes[:-1]]
-    orders.append(np.zeros(1, dtype=int))
-    terms = [
-        oracle.table()[np.ix_(orders[l], (1 << net.layer_sizes[l + 1]) - 1 & ~orders[l + 1])]
-        for l, oracle in enumerate(net.oracles)
-    ]
-    rate_sums, penalties = [], []
-    for mask in orders[0]:
-        first = _mask_indices(int(mask))
-        rate_sums.append(sum(rates[i - 1] for i in first))
-        penalties.append(len(first) * penalty)
+    def margin(first, values):
+        return values - rate_sums[first] - penalties[first]
 
-    # value = t_1 + (t_2 + (... + (t_n + 0.0))), folded right to left.  The
-    # layers from k on form one block: as many trailing layers as fit in
-    # _BLOCK_CELLS node sets, and at least the last.  The sets of the layers
-    # before k are walked in product order, one block each.
-    n = len(terms)
-    k = n - 1
-    while k > 0 and math.prod(len(o) for o in orders[k - 1 : n]) <= _BLOCK_CELLS:
-        k -= 1
-    tail = terms[n - 1][:, 0] + 0.0
-    for l in range(n - 2, k - 1, -1):
-        tail = terms[l].reshape(terms[l].shape + (1,) * (n - 2 - l)) + tail
-    column = (-1,) + (1,) * (n - 1 - k)
-
-    worst = math.inf
-    binding_sets: tuple[int, ...] = ()
-    binding_value = math.inf
-    for prefix in product(*(range(len(o)) for o in orders[:k])):
-        if prefix:
-            value = terms[k - 1][prefix[-1]].reshape(column) + tail
-            for l in range(k - 2, -1, -1):
-                value = terms[l][prefix[l], prefix[l + 1]] + value
-            margins = value - rate_sums[prefix[0]] - penalties[prefix[0]]
-        else:
-            value = tail
-            margins = (
-                value - np.reshape(rate_sums, column) - np.reshape(penalties, column)
-            )
-        low = np.fmin.reduce(margins.ravel())
-        if low < worst:
-            c = int(np.argmax(margins.ravel() == low))
-            worst = float(low)
-            binding_sets = prefix + np.unravel_index(c, margins.shape)
-            binding_value = float(value.ravel()[c])
+    costs = [_cost(oracle) for oracle in net.oracles]
+    # the destination is never in the set
+    tables = _backward_tables(costs, [0.0, math.inf])
+    path, value = _first_minimizer(costs, tables, net.layer_sizes, margin)
+    worst = float(margin(path[0], value))
     members = frozenset(
-        NodeId(l + 1, i)
-        for l, at in enumerate(binding_sets)
-        for i in _mask_indices(int(orders[l][at]))
+        NodeId(l + 1, i) for l, mask in enumerate(path) for i in _mask_indices(mask)
     )
-    binding_cut = Cut(members, binding_value)
+    binding_cut = Cut(members, value)
 
     extended = attach_supernode(net, "before_sources", [r + penalty for r in rates])
     super_value, _ = min_cut(extended)
@@ -591,8 +541,7 @@ def check_multi_source(
             f"direct and supernode margins disagree: {worst} vs {super_margin}"
         )
     passed = worst >= -tol * max(1.0, abs(worst))
-    n_constraints = math.prod(len(o) for o in orders)
-    return MultiSourceReport(passed, worst, binding_cut, super_margin, n_constraints)
+    return MultiSourceReport(passed, worst, binding_cut, super_margin, 1 << bits)
 
 
 # ---------------------------------------------------------------------------

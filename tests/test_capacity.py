@@ -534,6 +534,61 @@ def test_table_matches_value_masks_in_tiny_chunks(monkeypatch):
     _assert_tables_match_value_masks(widths=range(1, 5))
 
 
+#: link capacities and channel gains: zeros, subnormals, ties and large entries
+_ENTRIES = st.sampled_from([0.0, 5e-324, 2.5e-308, 0.5, 1.0, 1e150, 1e308]) | st.floats(
+    0.0, 1e308
+)
+
+
+@st.composite
+def _drawn_oracles(draw):
+    family = draw(st.sampled_from(["table", *FAMILIES]))
+    m_in, m_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix(rows, cols, entries):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    if family == "additive":
+        return AdditiveOracle(matrix(m_in, m_out, _ENTRIES))
+    if family == "rank_gf2":
+        return RankGF2Oracle(matrix(m_out, m_in, st.integers(0, 1)))
+    if family == "gaussian":
+        # up to 1e6: at 1e8 Cholesky fails on I + H H^* / 2 of tied rows
+        gains = st.sampled_from([0.0, 5e-324, 2.5e-308, 0.5, 1.0, -1.0, 1e6]) | st.floats(
+            -1e6, 1e6
+        )
+        re, im = (np.array(matrix(m_out, m_in, gains)) for _ in range(2))
+        return GaussianLogDetOracle(re + 1j * im)
+    if family == "table":
+        cells = st.tuples(
+            st.lists(st.integers(1, m_in), min_size=1, unique=True),
+            st.lists(st.integers(1, m_out), min_size=1, unique=True),
+        ).map(lambda uv: (tuple(sorted(uv[0])), tuple(sorted(uv[1]))))
+        values = draw(st.dictionaries(cells, _ENTRIES, max_size=8))
+        return ExplicitTableOracle((m_in, m_out), values)
+    # discrete: binary alphabets, rows with zeros and ties
+    rows = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 5e-324)]) | st.floats(
+        0.0, 1.0
+    ).map(lambda p: (1.0 - p, p))
+    pmfs = [np.array(draw(rows)) for _ in range(m_in)]
+    channels = [
+        np.array([draw(rows) for _ in range(2**m_in)]).reshape((2,) * m_in + (2,))
+        for _ in range(m_out)
+    ]
+    quantizers = [np.array([draw(rows), draw(rows)]) for _ in range(m_out)]
+    return DiscreteLayerModel(pmfs, channels, quantizers).oracle()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_oracles())
+def test_every_table_matches_value_masks_cell_by_cell(orc):
+    tab = orc.table()
+    m_in, m_out = orc.dims
+    value = orc.model.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
+    want = np.array([[value(u, v) for v in range(1 << m_out)] for u in range(1 << m_in)])
+    assert np.array_equal(tab.view(np.int64), want.view(np.int64))
+
+
 def test_table_memory_is_chunked():
     orc = _family_oracle("additive", 10, 10, seed=1010)
     tracemalloc.start()

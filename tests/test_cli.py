@@ -387,3 +387,46 @@ def test_nan_file_exits_two_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "input"
     assert "Traceback" not in proc.stderr
+
+
+# --- malformed fields -----------------------------------------------------------
+
+_SMALL = {
+    "layers": [2, 1],
+    "capacities": [{"kind": "additive", "matrix": [[1.0], [1.0]]}],
+    "models": [{"kind": "deterministic"}],
+}
+
+#: a field of the wrong JSON type, and a command that reads it
+MALFORMED = {
+    "source_rates_number": (["check", "--mode", "multi"], {"boundary": {"source_rates": 5}}),
+    "source_rates_null": (
+        ["check", "--mode", "multi"],
+        {"boundary": {"source_rates": [None, 1]}},
+    ),
+    "source_flows_number": (
+        ["mincut"],
+        {"boundary": {"source_flows": 3, "destination_flows": [1.0]}},
+    ),
+    "models_number": (["validate"], {"models": 5}),
+    "layers_string": (["mincut"], {"layers": "21"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_two(tmp_path, capsys, case):
+    command, fields = MALFORMED[case]
+    netfile = tmp_path / "bad.json"
+    netfile.write_text(json.dumps({**_SMALL, **fields}))
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    assert code == 2 and out["error"] == "input"
+
+
+def test_malformed_boundary_field_is_left_to_the_commands_that_read_it(tmp_path, capsys):
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(_SMALL))
+    want = {command: _run_main(capsys, [command, str(netfile)]) for command in ("mincut", "plan")}
+    netfile.write_text(json.dumps({**_SMALL, "boundary": {"source_rates": 5}}))
+    assert _run_main(capsys, ["mincut", str(netfile)]) == want["mincut"]
+    netfile.write_text(json.dumps({**_SMALL, "boundary": {"source_flows": 3}}))
+    assert _run_main(capsys, ["plan", str(netfile)]) == want["plan"]

@@ -97,7 +97,7 @@ def test_zero_layer_gives_zero_cut():
 
 def test_min_cut_matches_brute_on_ties():
     # equal-capacity paths force ties; both paths must pick the same cut
-    net = build_network(
+    tied = build_network(
         [1, 2, 2, 1],
         [
             AdditiveOracle([[1.0, 1.0]]),
@@ -105,10 +105,22 @@ def test_min_cut_matches_brute_on_ties():
             AdditiveOracle([[1.0], [1.0]]),
         ],
     )
-    value, cut = min_cut(net)
-    bvalue, bcut = brute_min_cut(net)
-    assert value == bvalue
-    assert cut.members == bcut.members
+    # cuts {1.1, 2.1} and {1.1, 2.1, 3.2} fold to 1.0 + 2e-17 and 1.0 + 1e-17,
+    # both 1.0 once rounded: the first in indicator order is the smaller set,
+    # though its inner sum is the larger
+    rounded = build_network(
+        [1, 2, 2, 1],
+        [
+            AdditiveOracle([[5.0, 1.0]]),
+            AdditiveOracle([[0.0, 2e-17], [5.0, 5.0]]),
+            AdditiveOracle([[5.0], [1e-17]]),
+        ],
+    )
+    for net in (tied, rounded):
+        value, cut = min_cut(net)
+        bvalue, bcut = brute_min_cut(net)
+        assert value == bvalue
+        assert cut.members == bcut.members
 
 
 def test_min_cut_layer_guard():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relayflow import (
     AdditiveOracle,
@@ -11,6 +12,7 @@ from relayflow import (
     ExplicitTableOracle,
     GaussianLayerModel,
     NodeId,
+    RankGF2Oracle,
     TooLarge,
     UnsupportedModel,
     build_network,
@@ -769,17 +771,20 @@ def _multi_source_cases():
     )
     models = [DeterministicLayerModel(table)]
     yield 0, network_from_models(models), models
+    # sets {1.1} and {1.1, 2.2} have values 0.30000000000000004 and 0.3, and
+    # under a rate of 100 their margins round to one float
+    models = [
+        DeterministicLayerModel(AdditiveOracle([[0.1, 0.2]])),
+        DeterministicLayerModel(AdditiveOracle([[5.0], [math.nextafter(0.2, 0.0)]])),
+    ]
+    yield 0, network_from_models(models), models
 
 
-@pytest.mark.parametrize("block_cells", [None, 2, 40])
-def test_multi_source_matches_product_reference(monkeypatch, block_cells):
-    # small blocks walk the leading layers' sets one block at a time
-    if block_cells is not None:
-        monkeypatch.setattr("relayflow.rateplan._BLOCK_CELLS", block_cells)
+def test_multi_source_matches_product_reference():
     for seed, net, models in _multi_source_cases():
         rng = SplitMix64(2000 + seed)
         n_sources = net.layer_sizes[0]
-        draws = [[1.0] * n_sources, [0.0] * n_sources] + [
+        draws = [[1.0] * n_sources, [0.0] * n_sources, [100.0] * n_sources] + [
             [scale * rng.random() for _ in range(n_sources)] for scale in (0.5, 3.0)
         ]
         for rates in draws:
@@ -787,6 +792,50 @@ def test_multi_source_matches_product_reference(monkeypatch, block_cells):
             assert repr(_multi_source_summary(report)) == repr(
                 _reference_multi_source(net, models, rates)
             ), (seed, net.layer_sizes, rates)
+
+
+def _tie_heavy_model(kind, m_in, m_out, entries):
+    """A layer model whose table has many equal cells: all zeros, small
+    integer link capacities, a GF(2) rank, or a Gaussian channel of 0/1
+    gains (which also leaks, so the first layer pays a penalty)."""
+    rows = [entries[i * m_out : (i + 1) * m_out] for i in range(m_in)]
+    if kind == "zero":
+        return DeterministicLayerModel(AdditiveOracle(np.zeros((m_in, m_out))))
+    if kind == "small_int":
+        return DeterministicLayerModel(AdditiveOracle(rows))
+    if kind == "rank_gf2":
+        return DeterministicLayerModel(RankGF2Oracle(np.array(rows).T % 2))
+    return GaussianLayerModel((np.array(rows).T % 2).astype(complex))
+
+
+@st.composite
+def _tie_heavy_multi_source(draw):
+    middle = draw(st.lists(st.integers(1, 3), max_size=2))
+    sizes = [draw(st.integers(1, 3)), *middle, 1]
+    models = [
+        _tie_heavy_model(
+            draw(st.sampled_from(["zero", "small_int", "rank_gf2", "gaussian"])),
+            m_in,
+            m_out,
+            draw(st.lists(st.integers(0, 2), min_size=m_in * m_out, max_size=m_in * m_out)),
+        )
+        for m_in, m_out in zip(sizes, sizes[1:])
+    ]
+    # rates far above the cut values round some margins of unequal cuts together
+    rate = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1e3) | st.floats(1e15, 1e18)
+    rates = draw(st.lists(rate, min_size=sizes[0], max_size=sizes[0]))
+    return models, rates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_multi_source())
+def test_multi_source_matches_product_reference_on_tied_tables(case):
+    models, rates = case
+    net = network_from_models(models)
+    report = check_multi_source(net, models, rates)
+    assert repr(_multi_source_summary(report)) == repr(
+        _reference_multi_source(net, models, rates)
+    )
 
 
 def test_multi_source_tie_binds_first_cut_in_product_order():
