@@ -8,14 +8,11 @@ from .capacity import (
     CapacityOracle,
     DeterministicLayerModel,
     DiscreteLayerModel,
-    DiscreteMIOracle,
     ExplicitTableOracle,
     GaussianLayerModel,
     GaussianLogDetOracle,
     RankGF2Oracle,
     check_capacity_axioms,
-    oracle_from_spec,
-    oracle_to_spec,
     quantizer_leak,
 )
 from .cutflow import (

@@ -1,5 +1,5 @@
 """Capacity oracles over adjacent-layer subset pairs, and the layer models
-they derive from.
+that are their own oracles.
 
 An oracle maps a pair ``(U, V)`` -- ``U`` a subset of the transmit layer,
 ``V`` a subset of the receive layer -- to a nonnegative value in bits per
@@ -13,6 +13,13 @@ discrete layer model.  Every family satisfies three axioms, which
 2. non-decreasing under set inclusion,
 3. zero whenever either argument is empty.
 
+A Gaussian or discrete layer pair is one object: its channel gives both
+the capacity oracle and the layer model (quantizer leak, information at
+the raw received signals) that rate planning reads, and ``oracle()``
+returns the object itself.  ``DeterministicLayerModel`` wraps any other
+oracle as a noiseless model.  The JSON form of an oracle lives in
+:mod:`relayflow.fileformat`.
+
 All logarithms are base 2.  Subsets are given as iterables of 1-based
 node indices within the layer.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -302,14 +309,17 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 class GaussianLogDetOracle(CapacityOracle):
-    """``log2 det(I + H[V,U] H[V,U]^* / 2)`` for a complex channel matrix.
+    """Complex linear Gaussian layer, capacity oracle and layer model in one
+    (``GaussianLayerModel`` is another name for it).
 
-    Receiver noise variance and quantization noise variance are both fixed
-    at 1, which puts the factor 1/2 in the log-det; signal strength is
-    carried entirely in ``h``.
+    ``h`` has one row per receiver and one column per transmitter; inputs
+    are independent unit circular Gaussians.  Receiver noise and the
+    quantization noise added to the received signal both have variance 1,
+    so the capacity ``log2 det(I + H[V,U] H[V,U]^* / 2)`` carries a 1/2.
     """
 
     kind = "gaussian"
+    _received: np.ndarray | None = None
 
     def __init__(self, h: Sequence[Sequence[complex]]):
         hm = np.asarray(h, dtype=complex)
@@ -329,6 +339,49 @@ class GaussianLogDetOracle(CapacityOracle):
         # a cell's (|V|, |U|) channel block and (|V|, |V|) Gram matrix, complex
         return max(1, _BLOCK_BYTES // (16 * n_v * (n_u + n_v)))
 
+    def oracle(self) -> "GaussianLogDetOracle":
+        return self
+
+    def leak(self, receivers: Iterable[int] | None = None) -> float:
+        """Rate spent describing quantization noise: exactly 1 bit per receiver."""
+        if receivers is None:
+            return float(self.dims[1])
+        return float(_to_mask(receivers, self.dims[1]).bit_count())
+
+    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
+        """Mutual information against the raw (unquantized) received signals."""
+        umask = _to_mask(transmitters, self.dims[0])
+        vmask = _to_mask(receivers, self.dims[1])
+        if umask == 0 or vmask == 0:
+            return 0.0
+        return _logdet_mi(self.h, umask, vmask, noise=1.0)
+
+    def mi_received_column(self) -> np.ndarray:
+        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
+        indexed by ``U``, built on first use and cached: one batched log-det
+        per ``|U|``, with ``_logdet_mi``'s float operations."""
+        if self._received is None:
+            m_in, m_out = self.dims
+            column = np.zeros(1 << m_in)
+            for umasks in _masks_by_popcount(m_in)[1:]:
+                vmasks = np.full(umasks.size, (1 << m_out) - 1)
+                column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
+            column.flags.writeable = False
+            self._received = column
+        return self._received
+
+
+GaussianLayerModel = GaussianLogDetOracle
+
+
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky``, whose breakdown (tied gains near ``1e8`` swamp
+    the identity in float64) is a numerical failure, not an input error."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Gaussian log-det: Cholesky failed ({exc})") from exc
+
 
 def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     """``log2 det(I + H_sub H_sub^* / noise)`` via Cholesky in the log domain."""
@@ -337,7 +390,7 @@ def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     sub = h[np.ix_(rows, cols)]
     gram = np.eye(len(rows), dtype=complex) + sub @ sub.conj().T / noise
     gram = (gram + gram.conj().T) / 2.0
-    chol = np.linalg.cholesky(gram)
+    chol = _cholesky(gram)
     return float(2.0 * np.log2(np.real(np.diag(chol))).sum())
 
 
@@ -346,7 +399,7 @@ def _logdet_mi_stack(sub: np.ndarray, noise: float) -> np.ndarray:
     channel submatrices, with the same float operations per matrix."""
     gram = np.eye(sub.shape[1], dtype=complex) + sub @ sub.conj().swapaxes(1, 2) / noise
     gram = (gram + gram.conj().swapaxes(1, 2)) / 2.0
-    chol = np.linalg.cholesky(gram)
+    chol = _cholesky(gram)
     return 2.0 * np.log2(np.real(np.diagonal(chol, axis1=1, axis2=2))).sum(axis=-1)
 
 
@@ -373,30 +426,6 @@ class ExplicitTableOracle(CapacityOracle):
 
     def _value(self, umask: int, vmask: int) -> float:
         return self._table.get((umask, vmask), 0.0)
-
-
-class DiscreteMIOracle(CapacityOracle):
-    """Exact mutual information between ``X_U`` and quantized outputs of ``V``,
-    conditioned on the remaining transmitters of the layer."""
-
-    kind = "discrete"
-
-    def __init__(self, model: "DiscreteLayerModel"):
-        super().__init__(model.dims)
-        m_in, m_out = model.dims
-        if m_in + m_out > 12:
-            raise TooLarge("discrete capacity oracle limited to 12 nodes per layer pair")
-        self.model = model
-        # full value table built up front so evaluation stays read-only
-        self.table()
-
-    def _value(self, umask: int, vmask: int) -> float:
-        return float(self._dense[umask, vmask])
-
-    def _nonempty_cells(self):
-        umasks = np.arange(1, 1 << self.dims[0])
-        for vmask, values in self.model._information_columns():
-            yield umasks, vmask, values
 
 
 @dataclass
@@ -587,69 +616,22 @@ def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Layer models: the channel/quantizer descriptions oracles derive from.
+# Layer models: what rate planning reads beside the capacities.  The
+# Gaussian one is ``GaussianLogDetOracle`` above.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, eq=False)
-class GaussianLayerModel:
-    """Complex linear channel with unit receiver noise and unit quantization
-    noise (the quantized output adds an independent unit-variance circular
-    Gaussian to the received signal).
-
-    ``h`` has one row per receiver and one column per transmitter; inputs
-    are independent unit circular Gaussians.
-    """
-
-    h: np.ndarray
-    _received: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        hm = np.asarray(self.h, dtype=complex)
-        if hm.ndim != 2:
-            raise InputError("channel matrix must be 2-D")
-        _require_finite(hm, "channel matrix entries")
-        object.__setattr__(self, "h", hm)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.h.shape[1], self.h.shape[0])
-
-    def oracle(self) -> GaussianLogDetOracle:
-        return GaussianLogDetOracle(self.h)
-
-    def leak(self, receivers: Iterable[int] | None = None) -> float:
-        """Rate spent describing quantization noise: exactly 1 bit per receiver."""
-        if receivers is None:
-            return float(self.dims[1])
-        return float(_to_mask(receivers, self.dims[1]).bit_count())
-
-    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
-        """Mutual information against the raw (unquantized) received signals."""
-        umask = _to_mask(transmitters, self.dims[0])
-        vmask = _to_mask(receivers, self.dims[1])
-        if umask == 0 or vmask == 0:
-            return 0.0
-        return _logdet_mi(self.h, umask, vmask, noise=1.0)
-
-    def mi_received_column(self) -> np.ndarray:
-        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
-        indexed by ``U``, built on first use and cached: one batched log-det
-        per ``|U|``, with ``_logdet_mi``'s float operations."""
-        if self._received is None:
-            m_in, m_out = self.dims
-            column = np.zeros(1 << m_in)
-            for umasks in _masks_by_popcount(m_in)[1:]:
-                vmasks = np.full(umasks.size, (1 << m_out) - 1)
-                column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
-            column.flags.writeable = False
-            object.__setattr__(self, "_received", column)
-        return self._received
+#: largest layer pair (m_in + m_out) of a discrete oracle, whose every
+#: table cell sums over a joint pmf
+DISCRETE_GUARD_BITS = 12
 
 
-class DiscreteLayerModel:
+class DiscreteLayerModel(CapacityOracle):
     """Finite-alphabet layer: independent per-transmitter input pmfs, one
     channel conditional per receiver, one quantizer conditional per receiver.
+
+    As a capacity oracle its value is the exact mutual information
+    ``I(X_U ; Yq_V | X_rest)`` between ``X_U`` and the quantized outputs of
+    ``V``, conditioned on the remaining transmitters of the layer.
 
     Shapes:
         ``input_pmfs[u]``: 1-D over the alphabet of transmitter ``u``.
@@ -658,6 +640,8 @@ class DiscreteLayerModel:
         ``quantizers[w]``: rows over the receive alphabet, columns over the
             quantized alphabet, i.e. ``p(yq_w | y_w)``.
     """
+
+    kind = "discrete"
 
     def __init__(
         self,
@@ -673,6 +657,7 @@ class DiscreteLayerModel:
         m_in, m_out = len(self.input_pmfs), len(self.channels)
         if m_in < 1 or m_out < 1:
             raise InputError("layer model needs at least one node per side")
+        super().__init__((m_in, m_out))
         self._m_in, self._m_out = m_in, m_out
 
         x_shape = tuple(p.size for p in self.input_pmfs)
@@ -707,12 +692,21 @@ class DiscreteLayerModel:
         self._leak_terms: list[float] | None = None
         self._received: np.ndarray | None = None
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self._m_in, self._m_out)
+    def oracle(self) -> "DiscreteLayerModel":
+        """The model itself; ``TooLarge`` above ``DISCRETE_GUARD_BITS`` nodes."""
+        if sum(self.dims) > DISCRETE_GUARD_BITS:
+            raise TooLarge(
+                f"discrete capacity oracle limited to {DISCRETE_GUARD_BITS} nodes per layer pair"
+            )
+        return self
 
-    def oracle(self) -> DiscreteMIOracle:
-        return DiscreteMIOracle(self)
+    def table(self) -> np.ndarray:
+        # the size guard before any cell, also for a model used as it is
+        self.oracle()
+        return super().table()
+
+    def _value(self, umask: int, vmask: int) -> float:
+        return float(self.table()[umask, vmask])
 
     def quantized_conditional(self, receiver: int) -> np.ndarray:
         """``p(yq_w | x)`` for receiver ``w`` (1-based), input axes first."""
@@ -770,13 +764,14 @@ class DiscreteLayerModel:
             for axes, h_rest in rests
         ]
 
-    def _information_columns(self):
+    def _nonempty_cells(self):
         """``mutual_information_masks(umask, vmask)`` of every nonempty cell
-        with the same float operations, yielded per receiver mask as
-        ``(vmask, values over umask = 1 .. 2^m_in - 1)``, with the joint pmf
-        and its entropy once per receiver mask."""
+        with the same float operations, yielded per receiver mask for
+        ``umask = 1 .. 2^m_in - 1``, with the joint pmf and its entropy once
+        per receiver mask."""
+        umasks = np.arange(1, 1 << self._m_in)
         for vmask in range(1, 1 << self._m_out):
-            yield vmask, self._information_row(self._joint(self._quantized, vmask))
+            yield umasks, vmask, self._information_row(self._joint(self._quantized, vmask))
 
     def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
         """Mutual information against raw received symbols (quantizer bypassed)."""
@@ -871,104 +866,19 @@ class DeterministicLayerModel:
         return self.wrapped.table()[:, -1]
 
 
-LayerModel = GaussianLayerModel | DiscreteLayerModel | DeterministicLayerModel
+LayerModel = GaussianLogDetOracle | DiscreteLayerModel | DeterministicLayerModel
 
 
 def quantizer_leak(model: LayerModel, receivers: Iterable[int] | None = None) -> float:
     """Rate spent describing quantization noise at the given receivers.
 
     Raises:
-        UnsupportedModel: for inputs that are not layer models (pure
-            capacity oracles carry no quantizer information).
+        UnsupportedModel: for inputs that are not layer models (additive,
+            GF(2) and table oracles carry no quantizer information).
     """
-    if isinstance(model, (GaussianLayerModel, DiscreteLayerModel, DeterministicLayerModel)):
+    if isinstance(model, (GaussianLogDetOracle, DiscreteLayerModel, DeterministicLayerModel)):
         return model.leak(receivers)
     raise UnsupportedModel(
         "quantizer leak needs a layer model; wrap plain oracles in "
         "DeterministicLayerModel to declare a zero leak"
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON oracle specs (the wire format used in network files).
-# ---------------------------------------------------------------------------
-
-
-def oracle_from_spec(
-    spec: dict, dims: tuple[int, int] | None = None
-) -> tuple[CapacityOracle, LayerModel | None]:
-    """Build an oracle (and its layer model, when the family defines one)
-    from a JSON spec fragment.
-
-    ``dims`` supplies the layer-pair sizes for table specs that omit their
-    own ``dims`` field (network files infer them from the layer list).
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InputError("oracle spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "additive":
-            return AdditiveOracle(spec["matrix"]), None
-        if kind == "rank_gf2":
-            return RankGF2Oracle(spec["matrix"]), None
-        if kind == "gaussian":
-            h_re = np.asarray(spec["h_re"], dtype=float)
-            h_im = np.asarray(spec["h_im"], dtype=float)
-            # before 1j * inf makes a NaN real part, with a warning
-            _require_finite(h_re, "channel matrix entries")
-            _require_finite(h_im, "channel matrix entries")
-            model = GaussianLayerModel(h_re + 1j * h_im)
-            return model.oracle(), model
-        if kind == "table":
-            if "dims" in spec:
-                dims = (int(spec["dims"][0]), int(spec["dims"][1]))
-            if dims is None:
-                raise InputError("table spec needs 'dims' outside a network file")
-            values = {}
-            for key, val in spec["values"].items():
-                u_part, _, v_part = key.partition(";")
-                u = tuple(int(t) for t in u_part.split(",") if t)
-                v = tuple(int(t) for t in v_part.split(",") if t)
-                values[(u, v)] = float(val)
-            return ExplicitTableOracle(dims, values), None
-        if kind == "discrete":
-            model = DiscreteLayerModel(
-                [np.asarray(p, dtype=float) for p in spec["pmfs"]],
-                [np.asarray(c, dtype=float) for c in spec["channel"]],
-                [np.asarray(q, dtype=float) for q in spec["quantizer"]],
-            )
-            return model.oracle(), model
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed {kind!r} oracle spec: {exc}") from exc
-    raise InputError(f"unknown oracle kind {kind!r}")
-
-
-def oracle_to_spec(oracle: CapacityOracle) -> dict:
-    """Serialize an oracle back to its JSON spec fragment."""
-    if isinstance(oracle, AdditiveOracle):
-        return {"kind": "additive", "matrix": oracle.matrix.tolist()}
-    if isinstance(oracle, RankGF2Oracle):
-        return {"kind": "rank_gf2", "matrix": oracle.matrix.tolist()}
-    if isinstance(oracle, GaussianLogDetOracle):
-        return {
-            "kind": "gaussian",
-            "h_re": np.real(oracle.h).tolist(),
-            "h_im": np.imag(oracle.h).tolist(),
-        }
-    if isinstance(oracle, ExplicitTableOracle):
-        values = {
-            ",".join(map(str, _mask_indices(u)))
-            + ";"
-            + ",".join(map(str, _mask_indices(v))): val
-            for (u, v), val in sorted(oracle._table.items())
-        }
-        return {"kind": "table", "dims": list(oracle.dims), "values": values}
-    if isinstance(oracle, DiscreteMIOracle):
-        m = oracle.model
-        return {
-            "kind": "discrete",
-            "pmfs": [p.tolist() for p in m.input_pmfs],
-            "channel": [c.tolist() for c in m.channels],
-            "quantizer": [q.tolist() for q in m.quantizers],
-        }
-    raise InputError(f"cannot serialize oracle kind {oracle.kind!r}")

@@ -20,11 +20,11 @@ and pivoted columns.  Over more than ``PRUNE_CANDIDATES`` rows, the Bland
 ratio scan skips those a numpy sort of the ratios shows it cannot pick.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
-one kernel, the min-plus step ``_sweep``: the backward passes of
-``min_cut``, of the sink-side boundary function and of the multi-source
-region (``rateplan.check_multi_source``) and the forward pass of the
-source-side boundary function (on the transposed cost) all run it, and
-``_first_minimizer`` reconstructs the cuts of the first and the last.
+one kernel, the min-plus step ``_sweep``, run by ``_backward_tables`` for
+``min_cut``, both boundary functions (the source side on the reversed,
+transposed costs) and the multi-source region; ``_first_minimizer``
+reconstructs the cuts of the first and the last, and callers of the value
+alone skip it (``_cut_dp``).
 ``verify_flow`` and the layered-region check
 scan the same tables whole, one layer pair at a time, through
 ``_scan_constraints``, so every consumer sees the same floats.
@@ -182,6 +182,17 @@ def min_cut(
 
     Ties resolve to the lexicographically smallest indicator vector.
     """
+    costs, tables, value = _cut_dp(net, boundary)
+    path, _ = _first_minimizer(costs, tables, [0, *net.layer_sizes])
+    members = frozenset(
+        NodeId(l + 1, i) for l, mask in enumerate(path[1:]) for i in _mask_indices(mask)
+    )
+    return value, Cut(members, value)
+
+
+def _cut_dp(net: LayeredNetwork, boundary: Mapping[NodeId, float] | None = None):
+    """``min_cut`` without the cut: the costs (a one-state layer 0 first),
+    their ``_backward_tables`` and the minimum value, which must be finite."""
     _guard_layers(net)
     m_first, m_last = net.layer_sizes[0], net.layer_sizes[-1]
     if boundary is None:
@@ -199,13 +210,9 @@ def min_cut(
     value = float(tables[0][0])
     if not math.isfinite(value):
         # NaN cells, or finite capacities whose sums overflow; either would
-        # leave the reconstruction below without an exact match
+        # leave a cut reconstruction without an exact match
         raise NumericalFailure(f"cut value is {value}, not a finite number")
-    path, _ = _first_minimizer(costs, tables, [0, *net.layer_sizes])
-    members = frozenset(
-        NodeId(l + 1, i) for l, mask in enumerate(path[1:]) for i in _mask_indices(mask)
-    )
-    return value, Cut(members, value)
+    return costs, tables, value
 
 
 def _first_minimizer(
@@ -307,14 +314,13 @@ def boundary_function(
         m_far, m_ground = m_ground, m_far
     if len(far_flows) != m_far:
         raise RateCountMismatch(f"need {m_far} far-boundary flows")
-    costs = [_cost(o) for o in half.oracles]
-    if side == "sink":
-        values = _backward_tables(costs, _subset_sums(far_flows))[0]
-    else:
-        # forward sweep: cheapest way to reach each ground-layer state
-        values = np.asarray(_subset_sums(far_flows)[::-1], dtype=float)
-        for cost in costs:
-            values = _sweep(cost.T, values)
+    costs, far = [_cost(o) for o in half.oracles], _subset_sums(far_flows)
+    if side == "source":
+        # the cheapest way to reach each ground-layer state: a backward pass
+        # over the transposed costs from the far layer's complemented states
+        costs, far = [cost.T for cost in reversed(costs)], far[::-1]
+    values = _backward_tables(costs, far)[0]
+    if side == "source":
         values = values[::-1]
     return BoundaryFunction(side, m_ground, tuple(values.tolist()))
 
@@ -578,7 +584,7 @@ def max_flow(
             raise InfeasibleBoundary(
                 "multi-node boundary layers need explicit boundary flows"
             )
-        value, _ = min_cut(net)
+        value = _cut_dp(net)[2]
         first, last = [value], [value]
     else:
         first, last = _boundary_lists(net, boundary)
@@ -587,7 +593,7 @@ def max_flow(
             raise InfeasibleBoundary(
                 f"boundary totals differ: {total_in} vs {total_out}"
             )
-        bound, _ = min_cut(net, boundary)
+        bound = _cut_dp(net, boundary)[2]
         if total_in > bound + 1e-9 * max(1.0, abs(bound)):
             raise InfeasibleBoundary(
                 f"boundary total {total_in} exceeds the cut bound {bound}"

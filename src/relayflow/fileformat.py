@@ -1,13 +1,14 @@
-"""The network file format: a JSON object with layer sizes, one capacity
-spec per layer pair, optional per-pair model markers, and optional boundary
-data.
+"""The network file format, which no other module reads or writes: a JSON
+object with layer sizes, one capacity spec per layer pair (see
+:func:`oracle_from_spec`), optional per-pair model markers, and optional
+boundary data.
 
 Model markers say how each layer pair behaves beyond its capacity values:
-``{"kind": "gaussian"}`` and ``{"kind": "discrete"}`` reuse the channel
-data already present in the capacity spec, ``{"kind": "deterministic"}``
-declares a zero quantizer leak, and ``{"kind": "none"}`` (or a missing
-marker on a table/additive/rank capacity) leaves the pair without a model,
-so rate planning on it is rejected.  A JSON schema for the format ships in
+``{"kind": "gaussian"}`` and ``{"kind": "discrete"}`` confirm that the
+capacity is its own model, ``{"kind": "deterministic"}`` declares a zero
+quantizer leak, and ``{"kind": "none"}`` (or a missing marker on a
+table/additive/rank capacity) leaves the pair without a model, so rate
+planning on it is rejected.  A JSON schema for the format ships in
 ``schema/network.schema.json``.
 """
 
@@ -15,17 +16,100 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from .capacity import (
+    AdditiveOracle,
     CapacityOracle,
     DeterministicLayerModel,
     DiscreteLayerModel,
-    GaussianLayerModel,
+    ExplicitTableOracle,
+    GaussianLogDetOracle,
     LayerModel,
-    oracle_from_spec,
-    oracle_to_spec,
+    RankGF2Oracle,
+    _mask_indices,
+    _require_finite,
 )
 from .errors import InputError
 from .netgraph import LayeredNetwork, build_network
+
+#: capacity kinds whose oracle is also the layer pair's model
+_MODEL_KINDS = ("gaussian", "discrete")
+
+
+def oracle_from_spec(spec: dict, dims: tuple[int, int] | None = None) -> CapacityOracle:
+    """Build an oracle from a JSON spec fragment.
+
+    ``dims`` supplies the layer-pair sizes for table specs that omit their
+    own ``dims`` field (network files infer them from the layer list).
+    A discrete spec above the discrete node limit raises ``TooLarge``.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise InputError("oracle spec must be an object with a 'kind' field")
+    kind = spec["kind"]
+    try:
+        if kind == "additive":
+            return AdditiveOracle(spec["matrix"])
+        if kind == "rank_gf2":
+            return RankGF2Oracle(spec["matrix"])
+        if kind == "gaussian":
+            h_re = np.asarray(spec["h_re"], dtype=float)
+            h_im = np.asarray(spec["h_im"], dtype=float)
+            # before 1j * inf makes a NaN real part, with a warning
+            _require_finite(h_re, "channel matrix entries")
+            _require_finite(h_im, "channel matrix entries")
+            return GaussianLogDetOracle(h_re + 1j * h_im)
+        if kind == "table":
+            if "dims" in spec:
+                dims = (int(spec["dims"][0]), int(spec["dims"][1]))
+            if dims is None:
+                raise InputError("table spec needs 'dims' outside a network file")
+            values = {}
+            for key, val in spec["values"].items():
+                u_part, _, v_part = key.partition(";")
+                u = tuple(int(t) for t in u_part.split(",") if t)
+                v = tuple(int(t) for t in v_part.split(",") if t)
+                values[(u, v)] = float(val)
+            return ExplicitTableOracle(dims, values)
+        if kind == "discrete":
+            return DiscreteLayerModel(
+                [np.asarray(p, dtype=float) for p in spec["pmfs"]],
+                [np.asarray(c, dtype=float) for c in spec["channel"]],
+                [np.asarray(q, dtype=float) for q in spec["quantizer"]],
+            ).oracle()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {kind!r} oracle spec: {exc}") from exc
+    raise InputError(f"unknown oracle kind {kind!r}")
+
+
+def oracle_to_spec(oracle: CapacityOracle) -> dict:
+    """Serialize an oracle back to its JSON spec fragment."""
+    if isinstance(oracle, AdditiveOracle):
+        return {"kind": "additive", "matrix": oracle.matrix.tolist()}
+    if isinstance(oracle, RankGF2Oracle):
+        return {"kind": "rank_gf2", "matrix": oracle.matrix.tolist()}
+    if isinstance(oracle, GaussianLogDetOracle):
+        return {
+            "kind": "gaussian",
+            "h_re": np.real(oracle.h).tolist(),
+            "h_im": np.imag(oracle.h).tolist(),
+        }
+    if isinstance(oracle, ExplicitTableOracle):
+        values = {
+            ",".join(map(str, _mask_indices(u)))
+            + ";"
+            + ",".join(map(str, _mask_indices(v))): val
+            for (u, v), val in sorted(oracle._table.items())
+        }
+        return {"kind": "table", "dims": list(oracle.dims), "values": values}
+    if isinstance(oracle, DiscreteLayerModel):
+        return {
+            "kind": "discrete",
+            "pmfs": [p.tolist() for p in oracle.input_pmfs],
+            "channel": [c.tolist() for c in oracle.channels],
+            "quantizer": [q.tolist() for q in oracle.quantizers],
+        }
+    raise InputError(f"cannot serialize oracle kind {oracle.kind!r}")
 
 
 def network_from_dict(
@@ -46,13 +130,12 @@ def network_from_dict(
 
     if len(capacity_specs) != len(layers) - 1:
         raise InputError(f"{len(layers)} layers need {len(layers) - 1} capacity specs")
-    oracles: list[CapacityOracle] = []
-    derived: list[LayerModel | None] = []
-    for i, spec in enumerate(capacity_specs):
-        oracle, model = oracle_from_spec(spec, dims=(layers[i], layers[i + 1]))
-        oracles.append(oracle)
-        derived.append(model)
+    oracles = [
+        oracle_from_spec(spec, dims=(layers[i], layers[i + 1]))
+        for i, spec in enumerate(capacity_specs)
+    ]
     net = build_network(layers, oracles)
+    models: list[LayerModel | None] = [o if o.kind in _MODEL_KINDS else None for o in oracles]
 
     markers = data.get("models")
     if markers is not None:
@@ -61,28 +144,22 @@ def network_from_dict(
         for i, marker in enumerate(markers):
             kind = marker.get("kind") if isinstance(marker, dict) else None
             if kind == "deterministic":
-                derived[i] = DeterministicLayerModel(oracles[i])
-            elif kind == "gaussian":
-                if not isinstance(derived[i], GaussianLayerModel):
+                models[i] = DeterministicLayerModel(oracles[i])
+            elif kind in _MODEL_KINDS:
+                if oracles[i].kind != kind:
                     raise InputError(
-                        f"layer pair {i + 1}: gaussian marker on a "
-                        f"{oracles[i].kind} capacity"
-                    )
-            elif kind == "discrete":
-                if not isinstance(derived[i], DiscreteLayerModel):
-                    raise InputError(
-                        f"layer pair {i + 1}: discrete marker on a "
+                        f"layer pair {i + 1}: {kind} marker on a "
                         f"{oracles[i].kind} capacity"
                     )
             elif kind == "none":
-                derived[i] = None
+                models[i] = None
             else:
                 raise InputError(f"unknown model marker {marker!r}")
 
     boundary = data.get("boundary", {})
     if not isinstance(boundary, dict):
         raise InputError("'boundary' must be an object")
-    return net, derived, boundary
+    return net, models, boundary
 
 
 def network_to_dict(
@@ -103,10 +180,8 @@ def network_to_dict(
                 markers.append({"kind": "none"})
             elif isinstance(model, DeterministicLayerModel):
                 markers.append({"kind": "deterministic"})
-            elif isinstance(model, GaussianLayerModel):
-                markers.append({"kind": "gaussian"})
-            elif isinstance(model, DiscreteLayerModel):
-                markers.append({"kind": "discrete"})
+            elif isinstance(model, (GaussianLogDetOracle, DiscreteLayerModel)):
+                markers.append({"kind": model.kind})
             else:
                 raise InputError(f"cannot serialize model {model!r}")
         data["models"] = markers

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .capacity import AdditiveOracle, CapacityOracle, _require_finite, oracle_from_spec
+from .capacity import AdditiveOracle, CapacityOracle, _require_finite
 from .errors import (
     DimensionMismatch,
     EmptyLayer,
@@ -111,18 +111,17 @@ class Cut:
 
 def build_network(
     layer_sizes: Sequence[int],
-    oracle_specs: Sequence[CapacityOracle | dict],
+    oracles: Sequence[CapacityOracle],
 ) -> LayeredNetwork:
-    """Validate and assemble a layered network.
-
-    ``oracle_specs`` entries may be oracle instances or JSON spec fragments
-    (see :func:`relayflow.capacity.oracle_from_spec`).
+    """Validate and assemble a layered network from one capacity oracle per
+    layer pair (network files go through :mod:`relayflow.fileformat`).
 
     Raises:
         TooFewLayers: fewer than two layers.
         EmptyLayer: some layer has no nodes.
         DimensionMismatch: oracle count or dimensions inconsistent with the
             layer sizes.
+        InputError: an entry is not a :class:`CapacityOracle`.
     """
     sizes = tuple(int(m) for m in layer_sizes)
     if len(sizes) < 2:
@@ -130,19 +129,18 @@ def build_network(
     for l, m in enumerate(sizes, start=1):
         if m < 1:
             raise EmptyLayer(f"layer {l} is empty")
-    if len(oracle_specs) != len(sizes) - 1:
+    if len(oracles) != len(sizes) - 1:
         raise DimensionMismatch(
-            f"{len(sizes)} layers need {len(sizes) - 1} oracles, got {len(oracle_specs)}"
+            f"{len(sizes)} layers need {len(sizes) - 1} oracles, got {len(oracles)}"
         )
-    oracles: list[CapacityOracle] = []
-    for l, spec in enumerate(oracle_specs, start=1):
-        oracle = oracle_from_spec(spec)[0] if isinstance(spec, dict) else spec
+    for l, oracle in enumerate(oracles, start=1):
+        if not isinstance(oracle, CapacityOracle):
+            raise InputError(f"oracle {l} is a {type(oracle).__name__}, not a CapacityOracle")
         expected = (sizes[l - 1], sizes[l])
         if oracle.dims != expected:
             raise DimensionMismatch(
                 f"oracle {l} has dims {oracle.dims}, expected {expected}"
             )
-        oracles.append(oracle)
     return LayeredNetwork(sizes, tuple(oracles))
 
 

@@ -28,7 +28,7 @@ from .capacity import (
     AdditiveOracle,
     DeterministicLayerModel,
     DiscreteLayerModel,
-    GaussianLayerModel,
+    GaussianLogDetOracle,
     LayerModel,
     RankGF2Oracle,
     check_capacity_axioms,
@@ -152,8 +152,7 @@ def random_instance(spec: InstanceSpec) -> GeneratedInstance:
             h = np.array(
                 [[rng.complex_normal() for _ in range(m_in)] for _ in range(m_out)]
             )
-            model = GaussianLayerModel(h)
-            oracle = model.oracle()
+            oracle = model = GaussianLogDetOracle(h)
         else:
             pmfs = []
             for _ in range(m_in):
@@ -177,8 +176,7 @@ def random_instance(spec: InstanceSpec) -> GeneratedInstance:
                         p1 = 0.1 + 0.8 * rng.random()
                         q[y] = (1.0 - p1, p1)
                     quantizers.append(q)
-            model = DiscreteLayerModel(pmfs, channels, quantizers)
-            oracle = model.oracle()
+            oracle = model = DiscreteLayerModel(pmfs, channels, quantizers)
         report = check_capacity_axioms(oracle)
         assert report.passed, f"generated {family} oracle failed axioms: {report.counterexample}"
         oracles.append(oracle)

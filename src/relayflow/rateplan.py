@@ -32,7 +32,7 @@ from .capacity import (
     MAX_JOINT_CELLS,
     TABLE_GUARD_BITS,
     DiscreteLayerModel,
-    GaussianLayerModel,
+    GaussianLogDetOracle,
     LayerModel,
     _blocks,
     _entropy,
@@ -45,11 +45,11 @@ from .capacity import (
 from .cutflow import (
     _backward_tables,
     _cost,
+    _cut_dp,
     _first_minimizer,
     _scan_constraints,
     _subset_sums,
     max_flow,
-    min_cut,
 )
 from .errors import (
     DimensionMismatch,
@@ -334,7 +334,7 @@ def check_joint_feasible(
     if len(relays) > 12:
         raise TooLarge("joint region enumeration limited to 12 relays")
 
-    gaussian = all(isinstance(m, GaussianLayerModel) for m in models)
+    gaussian = all(isinstance(m, GaussianLogDetOracle) for m in models)
     if not gaussian and not all(isinstance(m, DiscreteLayerModel) for m in models):
         raise UnsupportedModel(
             "joint region checker supports all-Gaussian or all-discrete models"
@@ -534,7 +534,7 @@ def check_multi_source(
     binding_cut = Cut(members, value)
 
     extended = attach_supernode(net, "before_sources", [r + penalty for r in rates])
-    super_value, _ = min_cut(extended)
+    super_value = _cut_dp(extended)[2]
     super_margin = super_value - (sum(rates) + len(rates) * penalty)
     if abs(super_margin - worst) > 1e-9 * max(1.0, abs(worst), abs(super_margin)):
         raise NumericalFailure(

@@ -11,7 +11,6 @@ from relayflow import (
     DiscreteLayerModel,
     InputError,
     RankGF2Oracle,
-    DiscreteMIOracle,
     ExplicitTableOracle,
     GaussianLayerModel,
     GaussianLogDetOracle,
@@ -21,7 +20,10 @@ from relayflow import (
     RankGF2Oracle,
     TooLarge,
     UnsupportedModel,
+    build_network,
     check_capacity_axioms,
+    min_cut,
+    network_from_models,
     quantizer_leak,
 )
 from relayflow.capacity import PMF_TOL
@@ -108,8 +110,7 @@ def test_out_of_range_indices():
 
 def test_discrete_identity_channel_one_bit():
     model = uniform_binary_model()
-    orc = DiscreteMIOracle(model)
-    assert orc.value([1], [1]) == pytest.approx(1.0, abs=1e-12)
+    assert model.value([1], [1]) == pytest.approx(1.0, abs=1e-12)
     assert discrete_mi_reference(model, [1], [1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -483,10 +484,9 @@ def test_axiom_check_memory_is_blocked():
 # --- dense tables -------------------------------------------------------------
 
 
-def _with_zero_inputs(orc):
-    """``orc``'s discrete model with every other transmitter's input fixed to
+def _with_zero_inputs(model):
+    """The discrete ``model`` with every other transmitter's input fixed to
     one symbol, so the joint pmf has zero-probability cells."""
-    model = orc.model
     pmfs = [p if u % 2 else np.array([0.0, 1.0]) for u, p in enumerate(model.input_pmfs)]
     return DiscreteLayerModel(pmfs, model.channels, model.quantizers).oracle()
 
@@ -515,7 +515,7 @@ def _assert_tables_match_value_masks(widths=range(1, 7)):
         assert tab.dtype == np.float64
         # a discrete oracle's value_masks reads its table; its scalar
         # definition is the model's
-        value = orc.model.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
+        value = orc.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
         want = np.array([[value(u, v) for v in range(1 << m_out)] for u in range(1 << m_in)])
         assert np.array_equal(tab.view(np.int64), want.view(np.int64)), (orc.kind, orc.dims)
         assert orc.table() is tab
@@ -584,7 +584,7 @@ def _drawn_oracles(draw):
 def test_every_table_matches_value_masks_cell_by_cell(orc):
     tab = orc.table()
     m_in, m_out = orc.dims
-    value = orc.model.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
+    value = orc.mutual_information_masks if orc.kind == "discrete" else orc.value_masks
     want = np.array([[value(u, v) for v in range(1 << m_out)] for u in range(1 << m_in)])
     assert np.array_equal(tab.view(np.int64), want.view(np.int64))
 
@@ -683,7 +683,7 @@ def test_cached_leak_matches_per_call_leak():
     for m_in in (1, 2, 3):
         for m_out in range(1, 6):
             orc = _family_oracle("discrete", m_in, m_out, seed=100 * m_in + m_out)
-            for model in (orc.model, _with_zero_inputs(orc).model):
+            for model in (orc, _with_zero_inputs(orc)):
                 # the full set first, so later masks read terms cached by it
                 want = [_leak_per_call(model)] + [
                     _leak_per_call(model, _indices(v)) for v in range(1 << m_out)
@@ -708,8 +708,8 @@ def _received_cases():
                     yield GaussianLayerModel(orc.h)
                     yield GaussianLayerModel(orc.h * 30.0)
                 elif family == "discrete":
-                    yield orc.model
-                    yield _with_zero_inputs(orc).model
+                    yield orc
+                    yield _with_zero_inputs(orc)
                 else:
                     yield DeterministicLayerModel(orc)
 
@@ -726,7 +726,7 @@ def test_received_column_matches_mi_received():
         # cached on the model (a deterministic model reads its oracle's table)
         assert np.shares_memory(model.mi_received_column(), column)
         kinds.add(type(model).__name__)
-    assert kinds == {"DeterministicLayerModel", "GaussianLayerModel", "DiscreteLayerModel"}
+    assert kinds == {"DeterministicLayerModel", "GaussianLogDetOracle", "DiscreteLayerModel"}
 
 
 def test_gaussian_scalar_leak_from_covariances():
@@ -775,3 +775,41 @@ def test_constructors_refuse_non_finite_numbers(bad):
             GaussianLayerModel(np.array(h, dtype=complex))
     with pytest.raises(InputError, match="finite"):
         ExplicitTableOracle((1, 1), {((1,), (1,)): bad})
+
+
+def test_tied_large_gaussian_gains_are_a_numerical_failure():
+    # the Cholesky of I + H H^* / 2 breaks down on tied gains near 1e8,
+    # although the capacity (about 53 bits) is well defined
+    orc = GaussianLogDetOracle([[1e8], [1e8]])
+    with pytest.raises(NumericalFailure, match="Cholesky failed"):
+        orc.value_masks(1, 3)
+    with pytest.raises(NumericalFailure, match="Cholesky failed"):
+        orc.table()
+    with pytest.raises(NumericalFailure, match="Cholesky failed"):
+        orc.mi_received([1], [1, 2])
+    # one order of magnitude lower still factors, scalar and batched alike
+    tab = GaussianLogDetOracle([[1e7], [1e7]]).table()
+    assert tab[1, 3] == GaussianLogDetOracle([[1e7], [1e7]]).value_masks(1, 3)
+    assert 46 < tab[1, 3] < 47
+
+
+def test_discrete_node_limit_fires_at_oracle_and_table_not_at_build(oracle_calls):
+    def uniform(m_in, m_out):
+        return DiscreteLayerModel(
+            [np.full(2, 0.5)] * m_in,
+            [np.full((2,) * m_in + (2,), 0.5)] * m_out,
+            [np.eye(2)] * m_out,
+        )
+
+    wide = uniform(1, 13)
+    assert wide.dims == (1, 13)
+    with pytest.raises(TooLarge, match="discrete capacity oracle limited to 12 nodes"):
+        wide.oracle()
+    with pytest.raises(TooLarge, match="discrete capacity oracle limited to 12 nodes"):
+        network_from_models([wide, uniform(13, 1)])
+    # a model handed to build_network as it is trips the guard at its table
+    net = build_network([1, 13, 1], [wide, AdditiveOracle(np.ones((13, 1)))])
+    with pytest.raises(TooLarge, match="discrete capacity oracle limited to 12 nodes"):
+        min_cut(net)
+    assert oracle_calls == []
+    assert uniform(6, 6).oracle().table().shape == (64, 64)

@@ -368,6 +368,57 @@ def test_non_finite_source_rate_exits_two(tmp_path, capsys, rate):
     assert out["error"] == "input" and "source rates" in out["detail"]
 
 
+_TIED_LARGE_GAINS = {
+    "layers": [1, 2, 1],
+    "capacities": [
+        {"kind": "gaussian", "h_re": [[1e9], [1e9]], "h_im": [[0.0], [0.0]]},
+        {"kind": "gaussian", "h_re": [[1.0, 1.0]], "h_im": [[0.0, 0.0]]},
+    ],
+    "boundary": {"source_rates": [1.0]},
+}
+
+
+@pytest.mark.parametrize("command", ENTRY_POINTS, ids=" ".join)
+def test_tied_large_gaussian_gains_exit_one(tmp_path, capsys, command):
+    # a schema-valid file whose Cholesky of I + H H^* / 2 breaks down: a
+    # numerical failure (exit 1), not an input error
+    netfile = tmp_path / "gains.json"
+    netfile.write_text(json.dumps(_TIED_LARGE_GAINS))
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    detail = "Gaussian log-det: Cholesky failed (Matrix is not positive definite)"
+    if command == ["validate"]:
+        detail = "layer pair 1: " + detail
+    assert (code, out) == (1, {"detail": detail, "error": "infeasible"})
+
+
+@pytest.mark.parametrize("command", ENTRY_POINTS, ids=" ".join)
+def test_discrete_node_limit_exits_three_at_parse(tmp_path, capsys, oracle_calls, command):
+    # a (1, 12) discrete pair: 13 nodes, one more than the discrete limit
+    wide = {
+        "layers": [1, 12, 1],
+        "capacities": [
+            {
+                "kind": "discrete",
+                "pmfs": [[0.5, 0.5]],
+                "channel": [[[0.5, 0.5], [0.5, 0.5]]] * 12,
+                "quantizer": [[[1.0, 0.0], [0.0, 1.0]]] * 12,
+            },
+            {"kind": "additive", "matrix": [[1.0]] * 12},
+        ],
+        "models": [{"kind": "discrete"}, {"kind": "deterministic"}],
+        "boundary": {"source_rates": [1.0]},
+    }
+    netfile = tmp_path / "wide.json"
+    netfile.write_text(json.dumps(wide))
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    assert (code, out) == (
+        3,
+        {"detail": "discrete capacity oracle limited to 12 nodes per layer pair",
+         "error": "too_large"},
+    )
+    assert oracle_calls == []
+
+
 def test_non_finite_tolerance_exits_two(capsys):
     code, out = _run_main(capsys, ["--tol", "nan", "validate", str(DATA / "line.json")])
     assert code == 2 and out["error"] == "input"

@@ -25,13 +25,13 @@ from relayflow import (
     cut_value,
     max_flow,
     min_cut,
-    oracle_to_spec,
     polymatroid_intersect,
     RankGF2Oracle,
     subnetwork,
     verify_flow,
 )
 from relayflow import cutflow
+from relayflow.fileformat import network_from_dict, network_to_dict
 from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
 
 
@@ -132,10 +132,8 @@ def test_min_cut_layer_guard():
 def test_max_flow_and_verify_evaluate_each_cell_once(oracle_calls):
     mix = {"additive": 1.0, "rank_gf2": 1.0, "gaussian": 1.0}
     generated = random_instance(InstanceSpec(11, (1, 3, 3, 2, 1), mix)).network
-    # rebuild from specs so no oracle has a cached table yet
-    net = build_network(
-        generated.layer_sizes, [oracle_to_spec(o) for o in generated.oracles]
-    )
+    # rebuild through the file format so no oracle has a cached table yet
+    net = network_from_dict(network_to_dict(generated))[0]
     oracle_calls.clear()
     assert verify_flow(net, max_flow(net)).passed
     cells = sum(1 << (a + b) for a, b in zip(net.layer_sizes, net.layer_sizes[1:]))
@@ -182,6 +180,54 @@ def test_min_cut_with_boundary_flows():
     # excluding the source entirely costs its flow of 1, cheaper than the cap 3
     assert value == 1.0
     assert cut.members == frozenset()
+
+
+def test_value_only_callers_skip_the_cut_reconstruction(monkeypatch):
+    from relayflow import DeterministicLayerModel, check_multi_source, network_from_models, rateplan
+
+    calls = []
+    original = cutflow._first_minimizer
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cutflow, "_first_minimizer", counting)
+    monkeypatch.setattr(rateplan, "_first_minimizer", counting)
+    mix = {"additive": 1.0, "rank_gf2": 1.0, "gaussian": 1.0}
+    net = random_instance(InstanceSpec(5, (1, 3, 2, 1), mix)).network
+    flow = max_flow(net)
+    assert calls == []
+    ends = {NodeId(1, 1): flow.at(NodeId(1, 1)), NodeId(4, 1): flow.at(NodeId(4, 1))}
+    max_flow(net, ends)
+    assert calls == []
+    assert min_cut(net)[0] == flow.at(NodeId(1, 1))
+    assert len(calls) == 1
+    models = [
+        DeterministicLayerModel(AdditiveOracle([[1.0, 0.5], [0.25, 2.0]])),
+        DeterministicLayerModel(AdditiveOracle([[1.5], [0.75]])),
+    ]
+    # the direct region's binding cut only; the supernode cross-check takes
+    # the value alone
+    check_multi_source(network_from_models(models), models, [0.5, 0.5])
+    assert len(calls) == 2
+
+
+def test_source_side_boundary_function_matches_a_forward_sweep():
+    # the source side's values as the forward loop over the transposed costs
+    # computed them before the source side ran on `_backward_tables`
+    mix = {"additive": 1.0, "rank_gf2": 1.0, "gaussian": 1.0, "discrete": 1.0}
+    for seed in range(1, 21):
+        for sizes in [(1, 3, 3, 2, 1), (2, 3, 2, 1), (3, 2, 4, 1)]:
+            net = random_instance(InstanceSpec(seed, sizes, mix)).network
+            far = [0.25 * (i + seed) for i in range(sizes[0])]
+            for l in range(2, len(sizes)):
+                half, _ = subnetwork(net, 1, l)
+                values = np.asarray(cutflow._subset_sums(far)[::-1], dtype=float)
+                for oracle in half.oracles:
+                    values = cutflow._sweep(cutflow._cost(oracle).T, values)
+                got = boundary_function(half, "source", far).values
+                assert got == tuple(values[::-1].tolist()), (seed, sizes, l)
 
 
 # --- boundary functions --------------------------------------------------------

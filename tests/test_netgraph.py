@@ -17,6 +17,7 @@ from relayflow import (
     cut_value,
     subnetwork,
 )
+from relayflow.fileformat import oracle_from_spec
 
 
 def line_net(caps=(3.0, 2.0)):
@@ -62,9 +63,12 @@ def test_oracle_dimension_mismatch_rejected():
         build_network([1, 1], [AdditiveOracle([[1.0]]), AdditiveOracle([[1.0]])])
 
 
-def test_network_accepts_spec_dicts():
-    net = build_network([1, 1], [{"kind": "additive", "matrix": [[3.0]]}])
+def test_spec_dicts_build_through_fileformat_only():
+    spec = {"kind": "additive", "matrix": [[3.0]]}
+    net = build_network([1, 1], [oracle_from_spec(spec)])
     assert net.oracles[0].value([1], [1]) == 3.0
+    with pytest.raises(InputError, match="oracle 1 is a dict, not a CapacityOracle"):
+        build_network([1, 1], [spec])
 
 
 def test_subnetwork_slices():

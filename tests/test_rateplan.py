@@ -610,6 +610,41 @@ def information_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("family", ["gaussian", "discrete"])
+def test_joint_information_is_the_sum_of_layer_pair_tables(family):
+    # NNC's cut-set information splits over layer pairs: inputs are
+    # independent and each layer's outputs depend only on the layer before.
+    # Pair l contributes table()[omega_l, phi_{l+1}] (quantized outputs),
+    # the last pair mi_received_column()[omega_{L-1}] (the destination's
+    # raw signal).  Rate 1e3 at tol 0 puts every constraint in the
+    # violations, and with zero compression rhs = information - leak of
+    # the undecoded relays.
+    n_constraints = 0
+    for seed in range(1, 9):
+        for sizes in [(1, 2, 1), (1, 2, 2, 1), (1, 2, 1, 2, 1), (1, 3, 2, 1)]:
+            inst = random_instance(InstanceSpec(seed, sizes, {family: 1.0}))
+            net, models = inst.network, list(inst.models)
+            relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
+            report = check_joint_feasible(net, models, 1e3, {v: 0.0 for v in relays}, tol=0.0)
+            assert report.n_constraints == len(report.violations) == 3 ** len(relays)
+            for entry in report.violations:
+                omega = [NodeId.from_key(k) for k in entry["omega"]]
+                phi = [NodeId.from_key(k) for k in entry["phi"]]
+                undecoded = [v for v in relays if v not in phi]
+                info = entry["rhs"] + sum(models[v.layer - 2].leak([v.index]) for v in undecoded)
+                masks = [[0] * (len(sizes) + 1) for _ in range(2)]
+                for side, nodes in zip(masks, (omega, phi)):
+                    for n in nodes:
+                        side[n.layer] |= 1 << (n.index - 1)
+                want = sum(
+                    models[l - 1].table()[masks[0][l], masks[1][l + 1]]
+                    for l in range(1, len(sizes) - 1)
+                ) + models[-1].mi_received_column()[masks[0][len(sizes) - 1]]
+                assert abs(info - want) <= 1e-12 * max(1.0, abs(want)), (seed, sizes, entry)
+                n_constraints += 1
+    assert n_constraints == 8 * (3**2 + 3**4 + 3**5 + 3**5)
+
+
 def _placeholder_network(sizes):
     """Additive zero oracles of the given layer sizes: building them computes
     no information and trips no per-pair oracle guard."""
