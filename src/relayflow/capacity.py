@@ -13,12 +13,14 @@ discrete layer model.  Every family satisfies three axioms, which
 2. non-decreasing under set inclusion,
 3. zero whenever either argument is empty.
 
-A Gaussian or discrete layer pair is one object: its channel gives both
-the capacity oracle and the layer model (quantizer leak, information at
-the raw received signals) that rate planning reads, and ``oracle()``
-returns the object itself.  ``DeterministicLayerModel`` wraps any other
-oracle as a noiseless model.  The JSON form of an oracle lives in
-:mod:`relayflow.fileformat`.
+Every layer model subclasses :class:`LayerModel`, which gives rate planning
+two columns, each tabulated once per model like a capacity table: the
+quantizer leak of every receiver set and the information every transmitter
+set carries to the raw received signals.  A Gaussian or discrete layer
+pair is one object, capacity oracle and layer model in one, and
+``oracle()`` returns the object itself.  ``DeterministicLayerModel`` wraps
+any other oracle as a noiseless model.  The JSON form of an oracle lives
+in :mod:`relayflow.fileformat`.
 
 All logarithms are base 2.  Subsets are given as iterables of 1-based
 node indices within the layer.
@@ -86,6 +88,16 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     """1-based indices of the set bits of ``mask``, ascending.  Memoized:
     violation records describe the same few masks thousands of times."""
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _subset_sums(values: Sequence[float]) -> list[float]:
+    """``sums[mask]``: total of ``values`` over the 1-based indices in ``mask``,
+    added in ascending index order (``sum`` of them: 0 plus each in turn)."""
+    sums = [0]
+    for value in values:
+        # masks with this index set: their highest index is added last
+        sums += [total + value for total in sums]
+    return sums
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -170,6 +182,56 @@ class CapacityOracle:
         """Values of nonempty cells sharing ``|U|`` and ``|V|``; the default
         evaluates ``_value`` cell by cell."""
         return np.array([self._value(int(u), int(v)) for u, v in zip(umasks, vmasks)])
+
+
+class LayerModel:
+    """What rate planning reads of a layer pair beside its capacities: the
+    quantizer leak and the information at the raw received signals, each
+    tabulated once per model, on first use, read-only.  A family supplies
+    its per-receiver leak terms (``_receiver_leaks``), the raw information
+    of one nonempty cell (``_mi_received_masks``) and of every transmitter
+    mask against all receivers (``_received_column``), and its ``kind``."""
+
+    kind: str
+    dims: tuple[int, int]
+    _leaks: np.ndarray | None = None
+    _received: np.ndarray | None = None
+
+    def oracle(self) -> CapacityOracle:
+        """The capacity oracle of the pair: the model itself."""
+        return self
+
+    def leak(self, receivers: Iterable[int] | None = None) -> float:
+        """``I(Yq_W ; Y_W | X_all)``: rate spent describing quantization noise
+        at the given receivers (all by default)."""
+        mask = -1 if receivers is None else _to_mask(receivers, self.dims[1])
+        return float(self.leak_column()[mask])
+
+    def leak_column(self) -> np.ndarray:
+        """``leak(W)`` of every receiver mask ``W``, indexed by ``W``: the
+        per-receiver terms added in ascending receiver order, floored at 0."""
+        if self._leaks is None:
+            column = np.array([max(0.0, total) for total in _subset_sums(self._receiver_leaks())])
+            column.flags.writeable = False
+            self._leaks = column
+        return self._leaks
+
+    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
+        """Mutual information against the raw (unquantized) received signals."""
+        umask = _to_mask(transmitters, self.dims[0])
+        vmask = _to_mask(receivers, self.dims[1])
+        if umask == 0 or vmask == 0:
+            return 0.0
+        return self._mi_received_masks(umask, vmask)
+
+    def mi_received_column(self) -> np.ndarray:
+        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
+        indexed by ``U``."""
+        if self._received is None:
+            column = self._received_column()
+            column.flags.writeable = False
+            self._received = column
+        return self._received
 
 
 def _masks_by_popcount(width: int) -> list[np.ndarray]:
@@ -308,18 +370,18 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-class GaussianLogDetOracle(CapacityOracle):
+class GaussianLogDetOracle(CapacityOracle, LayerModel):
     """Complex linear Gaussian layer, capacity oracle and layer model in one
     (``GaussianLayerModel`` is another name for it).
 
     ``h`` has one row per receiver and one column per transmitter; inputs
     are independent unit circular Gaussians.  Receiver noise and the
     quantization noise added to the received signal both have variance 1,
-    so the capacity ``log2 det(I + H[V,U] H[V,U]^* / 2)`` carries a 1/2.
+    so the capacity ``log2 det(I + H[V,U] H[V,U]^* / 2)`` carries a 1/2, and
+    the leak is exactly 1 bit per receiver.
     """
 
     kind = "gaussian"
-    _received: np.ndarray | None = None
 
     def __init__(self, h: Sequence[Sequence[complex]]):
         hm = np.asarray(h, dtype=complex)
@@ -339,36 +401,20 @@ class GaussianLogDetOracle(CapacityOracle):
         # a cell's (|V|, |U|) channel block and (|V|, |V|) Gram matrix, complex
         return max(1, _BLOCK_BYTES // (16 * n_v * (n_u + n_v)))
 
-    def oracle(self) -> "GaussianLogDetOracle":
-        return self
+    def _receiver_leaks(self) -> list[float]:
+        return [1.0] * self.dims[1]
 
-    def leak(self, receivers: Iterable[int] | None = None) -> float:
-        """Rate spent describing quantization noise: exactly 1 bit per receiver."""
-        if receivers is None:
-            return float(self.dims[1])
-        return float(_to_mask(receivers, self.dims[1]).bit_count())
-
-    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
-        """Mutual information against the raw (unquantized) received signals."""
-        umask = _to_mask(transmitters, self.dims[0])
-        vmask = _to_mask(receivers, self.dims[1])
-        if umask == 0 or vmask == 0:
-            return 0.0
+    def _mi_received_masks(self, umask: int, vmask: int) -> float:
         return _logdet_mi(self.h, umask, vmask, noise=1.0)
 
-    def mi_received_column(self) -> np.ndarray:
-        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
-        indexed by ``U``, built on first use and cached: one batched log-det
-        per ``|U|``, with ``_logdet_mi``'s float operations."""
-        if self._received is None:
-            m_in, m_out = self.dims
-            column = np.zeros(1 << m_in)
-            for umasks in _masks_by_popcount(m_in)[1:]:
-                vmasks = np.full(umasks.size, (1 << m_out) - 1)
-                column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
-            column.flags.writeable = False
-            self._received = column
-        return self._received
+    def _received_column(self) -> np.ndarray:
+        """One batched log-det per ``|U|``, with ``_logdet_mi``'s float operations."""
+        m_in, m_out = self.dims
+        column = np.zeros(1 << m_in)
+        for umasks in _masks_by_popcount(m_in)[1:]:
+            vmasks = np.full(umasks.size, (1 << m_out) - 1)
+            column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
+        return column
 
 
 GaussianLayerModel = GaussianLogDetOracle
@@ -616,8 +662,8 @@ def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Layer models: what rate planning reads beside the capacities.  The
-# Gaussian one is ``GaussianLogDetOracle`` above.
+# Layer models: the discrete one and the deterministic wrapper.  The base
+# class and the Gaussian model are above.
 # ---------------------------------------------------------------------------
 
 #: largest layer pair (m_in + m_out) of a discrete oracle, whose every
@@ -625,7 +671,7 @@ def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
 DISCRETE_GUARD_BITS = 12
 
 
-class DiscreteLayerModel(CapacityOracle):
+class DiscreteLayerModel(CapacityOracle, LayerModel):
     """Finite-alphabet layer: independent per-transmitter input pmfs, one
     channel conditional per receiver, one quantizer conditional per receiver.
 
@@ -658,7 +704,6 @@ class DiscreteLayerModel(CapacityOracle):
         if m_in < 1 or m_out < 1:
             raise InputError("layer model needs at least one node per side")
         super().__init__((m_in, m_out))
-        self._m_in, self._m_out = m_in, m_out
 
         x_shape = tuple(p.size for p in self.input_pmfs)
         for u, p in enumerate(self.input_pmfs):
@@ -676,7 +721,6 @@ class DiscreteLayerModel(CapacityOracle):
         if cells > MAX_JOINT_CELLS:
             raise TooLarge("discrete layer model joint table exceeds the cell cap")
 
-        self._x_shape = x_shape
         # joint input pmf as an array with one axis per transmitter
         p_x = np.ones(())
         for p in self.input_pmfs:
@@ -687,10 +731,8 @@ class DiscreteLayerModel(CapacityOracle):
             np.tensordot(self.channels[w], self.quantizers[w], axes=([-1], [0]))
             for w in range(m_out)
         ]
-        # model quantities, computed on first use
+        # H(X_all) and each H(X_rest), computed on first use
         self._input_entropies: tuple[float, list] | None = None
-        self._leak_terms: list[float] | None = None
-        self._received: np.ndarray | None = None
 
     def oracle(self) -> "DiscreteLayerModel":
         """The model itself; ``TooLarge`` above ``DISCRETE_GUARD_BITS`` nodes."""
@@ -698,7 +740,7 @@ class DiscreteLayerModel(CapacityOracle):
             raise TooLarge(
                 f"discrete capacity oracle limited to {DISCRETE_GUARD_BITS} nodes per layer pair"
             )
-        return self
+        return super().oracle()
 
     def table(self) -> np.ndarray:
         # the size guard before any cell, also for a model used as it is
@@ -717,7 +759,7 @@ class DiscreteLayerModel(CapacityOracle):
     ) -> float:
         """``I(X_U ; Yq_V | X_rest)`` by exact summation over the joint pmf."""
         return self.mutual_information_masks(
-            _to_mask(transmitters, self._m_in), _to_mask(receivers, self._m_out)
+            _to_mask(transmitters, self.dims[0]), _to_mask(receivers, self.dims[1])
         )
 
     def mutual_information_masks(
@@ -738,12 +780,12 @@ class DiscreteLayerModel(CapacityOracle):
         """Joint pmf of the inputs and the outputs of receivers ``vmask``
         under per-receiver ``conditionals`` (input axes first, then one output
         axis per receiver, ascending)."""
-        joint = self._p_x
+        joint, x_shape = self._p_x, self._p_x.shape
         for w in _mask_indices(vmask):
             arr = conditionals[w - 1]
             # append one output axis; existing axes broadcast
             joint = joint[..., None] * arr.reshape(
-                self._x_shape + (1,) * (joint.ndim - len(self._x_shape)) + (arr.shape[-1],)
+                x_shape + (1,) * (joint.ndim - len(x_shape)) + (arr.shape[-1],)
             )
         return joint
 
@@ -753,7 +795,7 @@ class DiscreteLayerModel(CapacityOracle):
         each ``H(X_rest)`` are computed once per model, on first use."""
         if self._input_entropies is None:
             u_axes = [
-                tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self._m_in)
+                tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self.dims[0])
             ]
             h_x_rest = [_entropy(self._p_x.sum(axis=axes)) for axes in u_axes]
             self._input_entropies = (_entropy(self._p_x), list(zip(u_axes, h_x_rest)))
@@ -769,66 +811,38 @@ class DiscreteLayerModel(CapacityOracle):
         with the same float operations, yielded per receiver mask for
         ``umask = 1 .. 2^m_in - 1``, with the joint pmf and its entropy once
         per receiver mask."""
-        umasks = np.arange(1, 1 << self._m_in)
-        for vmask in range(1, 1 << self._m_out):
+        umasks = np.arange(1, 1 << self.dims[0])
+        for vmask in range(1, 1 << self.dims[1]):
             yield umasks, vmask, self._information_row(self._joint(self._quantized, vmask))
 
-    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
-        """Mutual information against raw received symbols (quantizer bypassed)."""
-        return self.mutual_information_masks(
-            _to_mask(transmitters, self._m_in),
-            _to_mask(receivers, self._m_out),
-            quantized=False,
-        )
+    def _mi_received_masks(self, umask: int, vmask: int) -> float:
+        return self.mutual_information_masks(umask, vmask, quantized=False)
 
-    def mi_received_column(self) -> np.ndarray:
-        """``mi_received(U, all receivers)`` of every transmitter mask ``U``,
-        indexed by ``U``, built on first use and cached: the raw-channel joint
-        pmf and its entropy once, and ``H(out, X_rest)`` per mask."""
-        if self._received is None:
-            joint = self._joint(self.channels, (1 << self._m_out) - 1)
-            column = np.array([0.0] + self._information_row(joint))
-            column.flags.writeable = False
-            self._received = column
-        return self._received
-
-    def leak(self, receivers: Iterable[int] | None = None) -> float:
-        """``I(Yq_W ; Y_W | X_all)`` for the given receivers (all by default).
-
-        Given all inputs, receiver chains are independent, so the leak is the
-        sum over receivers of ``H(Yq_w | X) - H(Yq_w | Y_w)``, added in
-        ascending receiver order from the per-receiver terms.
-        """
-        if receivers is None:
-            wset = range(1, self._m_out + 1)
-        else:
-            wset = _mask_indices(_to_mask(receivers, self._m_out))
-        terms = self._receiver_leaks()
-        total = 0.0
-        for w in wset:
-            total += terms[w - 1]
-        return max(0.0, total)
+    def _received_column(self) -> np.ndarray:
+        """The raw-channel joint pmf and its entropy once, and ``H(out,
+        X_rest)`` per mask."""
+        joint = self._joint(self.channels, (1 << self.dims[1]) - 1)
+        return np.array([0.0] + self._information_row(joint))
 
     def _receiver_leaks(self) -> list[float]:
-        """``H(Yq_w | X) - H(Yq_w | Y_w)`` of each receiver, computed once per
-        model, on first use."""
-        if self._leak_terms is None:
-            p_x_flat = self._p_x.ravel()
-            terms = []
-            for w in range(self._m_out):
-                q_given_x = self._quantized[w].reshape(p_x_flat.size, -1)
-                h_q_given_x = float(
-                    sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
-                )
-                chan = self.channels[w].reshape(p_x_flat.size, -1)
-                p_y = p_x_flat @ chan
-                quant = self.quantizers[w]
-                h_q_given_y = float(
-                    sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
-                )
-                terms.append(h_q_given_x - h_q_given_y)
-            self._leak_terms = terms
-        return self._leak_terms
+        """``H(Yq_w | X) - H(Yq_w | Y_w)`` of each receiver: given all inputs,
+        receiver chains are independent, so the leak of a receiver set is
+        the sum of its terms."""
+        p_x_flat = self._p_x.ravel()
+        terms = []
+        for w in range(self.dims[1]):
+            q_given_x = self._quantized[w].reshape(p_x_flat.size, -1)
+            h_q_given_x = float(
+                sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
+            )
+            chan = self.channels[w].reshape(p_x_flat.size, -1)
+            p_y = p_x_flat @ chan
+            quant = self.quantizers[w]
+            h_q_given_y = float(
+                sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
+            )
+            terms.append(h_q_given_x - h_q_given_y)
+        return terms
 
 
 def _check_pmf(arr: np.ndarray, what: str, axis: int | None = None) -> None:
@@ -840,12 +854,15 @@ def _check_pmf(arr: np.ndarray, what: str, axis: int | None = None) -> None:
         raise NonNormalizedPMF(f"{what} does not sum to 1 within {PMF_TOL}")
 
 
-@dataclass(frozen=True)
-class DeterministicLayerModel:
+class DeterministicLayerModel(LayerModel):
     """Wrapper declaring a layer noiseless: quantized output equals the
-    received symbol, so the quantizer leak is exactly zero."""
+    received symbol, so the quantizer leak is exactly zero and the raw
+    information is the wrapped oracle's capacity."""
 
-    wrapped: CapacityOracle
+    kind = "deterministic"
+
+    def __init__(self, wrapped: CapacityOracle):
+        self.wrapped = wrapped
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -854,19 +871,15 @@ class DeterministicLayerModel:
     def oracle(self) -> CapacityOracle:
         return self.wrapped
 
-    def leak(self, receivers: Iterable[int] | None = None) -> float:
-        return 0.0
+    def _receiver_leaks(self) -> list[float]:
+        return [0.0] * self.dims[1]
 
-    def mi_received(self, transmitters: Iterable[int], receivers: Iterable[int]) -> float:
-        return self.wrapped.value(transmitters, receivers)
+    def _mi_received_masks(self, umask: int, vmask: int) -> float:
+        return self.wrapped.value_masks(umask, vmask)
 
-    def mi_received_column(self) -> np.ndarray:
-        """``mi_received(U, all receivers)`` of every transmitter mask ``U``:
-        the last column of the wrapped oracle's table."""
+    def _received_column(self) -> np.ndarray:
+        """The last column of the wrapped oracle's table."""
         return self.wrapped.table()[:, -1]
-
-
-LayerModel = GaussianLogDetOracle | DiscreteLayerModel | DeterministicLayerModel
 
 
 def quantizer_leak(model: LayerModel, receivers: Iterable[int] | None = None) -> float:
@@ -876,7 +889,7 @@ def quantizer_leak(model: LayerModel, receivers: Iterable[int] | None = None) ->
         UnsupportedModel: for inputs that are not layer models (additive,
             GF(2) and table oracles carry no quantizer information).
     """
-    if isinstance(model, (GaussianLogDetOracle, DiscreteLayerModel, DeterministicLayerModel)):
+    if isinstance(model, LayerModel):
         return model.leak(receivers)
     raise UnsupportedModel(
         "quantizer leak needs a layer model; wrap plain oracles in "

@@ -25,8 +25,7 @@ from .errors import (
     TooLarge,
     UnsupportedModel,
 )
-from .fileformat import network_from_dict, network_to_dict
-from .netgraph import NodeId
+from .fileformat import boundary_flows, network_from_dict, network_to_dict, source_rates
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,32 +61,6 @@ def _load(path: str):
     return network_from_dict(data)
 
 
-def _numbers(boundary: dict, key: str) -> list | None:
-    """``boundary[key]``, which must be missing or an array of numbers."""
-    values = boundary.get(key)
-    # JSON numbers parse to int or float (true and false to bool)
-    if values is not None and not (
-        isinstance(values, list) and all(type(v) in (int, float) for v in values)
-    ):
-        raise InputError(f"boundary.{key} must be an array of numbers")
-    return values
-
-
-def _boundary_flows(net, boundary: dict) -> dict[NodeId, float] | None:
-    src = _numbers(boundary, "source_flows")
-    dst = _numbers(boundary, "destination_flows")
-    if src is None and dst is None:
-        return None
-    if src is None or dst is None:
-        raise InputError("boundary flows need both source_flows and destination_flows")
-    flows: dict[NodeId, float] = {}
-    for node, val in zip(net.layer_nodes(1), src, strict=True):
-        flows[node] = float(val)
-    for node, val in zip(net.layer_nodes(net.num_layers), dst, strict=True):
-        flows[node] = float(val)
-    return flows
-
-
 def _require_models(models) -> list:
     if any(m is None for m in models):
         raise UnsupportedModel(
@@ -118,7 +91,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mincut(args) -> int:
     net, _, boundary = _load(args.file)
-    value, cut = cutflow.min_cut(net, _boundary_flows(net, boundary))
+    value, cut = cutflow.min_cut(net, boundary_flows(net, boundary))
     _emit({"value": value, "cut": sorted(n.key() for n in cut.members)})
     return EXIT_OK
 
@@ -126,7 +99,7 @@ def cmd_mincut(args) -> int:
 def cmd_maxflow(args) -> int:
     net, _, boundary = _load(args.file)
     flow = cutflow.max_flow(
-        net, _boundary_flows(net, boundary), split_layer=args.split_layer
+        net, boundary_flows(net, boundary), split_layer=args.split_layer
     )
     total = flow.total(net.layer_nodes(1))
     _emit(
@@ -156,9 +129,7 @@ def cmd_check(args) -> int:
     net, models, boundary = _load(args.file)
     models = _require_models(models)
     if args.mode == "multi":
-        rates = _numbers(boundary, "source_rates")
-        if rates is None:
-            raise InputError("multi-source check needs boundary.source_rates")
+        rates = source_rates(boundary)
         report = rateplan.check_multi_source(net, models, rates, tol=args.tol)
         payload = {
             "pass": report.passed,

@@ -51,6 +51,7 @@ from .capacity import (
     _leq_cells,
     _mask_indices,
     _require_finite,
+    _subset_sums,
 )
 from .errors import (
     DimensionMismatch,
@@ -135,16 +136,6 @@ def _boundary_lists(
     if any(v < 0 for v in first + last):
         raise NegativeRate("boundary flows must be nonnegative")
     return first, last
-
-
-def _subset_sums(values: Sequence[float]) -> list[float]:
-    """``sums[mask]``: total of ``values`` over the 1-based indices in ``mask``,
-    added in ascending index order (``sum`` of them: 0 plus each in turn)."""
-    sums = [0]
-    for value in values:
-        # masks with this index set: their highest index is added last
-        sums += [total + value for total in sums]
-    return sums
 
 
 def _cost(oracle: CapacityOracle) -> np.ndarray:

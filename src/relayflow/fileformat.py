@@ -1,7 +1,8 @@
 """The network file format, which no other module reads or writes: a JSON
 object with layer sizes, one capacity spec per layer pair (see
 :func:`oracle_from_spec`), optional per-pair model markers, and optional
-boundary data.
+boundary data, whose fields :func:`boundary_flows` and :func:`source_rates`
+read and check for the commands that use them.
 
 Model markers say how each layer pair behaves beyond its capacity values:
 ``{"kind": "gaussian"}`` and ``{"kind": "discrete"}`` confirm that the
@@ -31,7 +32,7 @@ from .capacity import (
     _require_finite,
 )
 from .errors import InputError
-from .netgraph import LayeredNetwork, build_network
+from .netgraph import LayeredNetwork, NodeId, build_network
 
 #: capacity kinds whose oracle is also the layer pair's model
 _MODEL_KINDS = ("gaussian", "discrete")
@@ -162,6 +163,40 @@ def network_from_dict(
     return net, models, boundary
 
 
+def _numbers(boundary: dict, key: str) -> list | None:
+    """``boundary[key]``, which must be missing or an array of numbers."""
+    values = boundary.get(key)
+    # JSON numbers parse to int or float (true and false to bool)
+    if values is not None and not (
+        isinstance(values, list) and all(type(v) in (int, float) for v in values)
+    ):
+        raise InputError(f"boundary.{key} must be an array of numbers")
+    return values
+
+
+def boundary_flows(net: LayeredNetwork, boundary: dict) -> dict[NodeId, float] | None:
+    """The boundary section's fixed flows of the first and last layer
+    (``source_flows`` and ``destination_flows``), or ``None`` if it gives
+    neither."""
+    src = _numbers(boundary, "source_flows")
+    dst = _numbers(boundary, "destination_flows")
+    if src is None and dst is None:
+        return None
+    if src is None or dst is None:
+        raise InputError("boundary flows need both source_flows and destination_flows")
+    flows = dict(zip(net.layer_nodes(1), map(float, src), strict=True))
+    flows.update(zip(net.layer_nodes(net.num_layers), map(float, dst), strict=True))
+    return flows
+
+
+def source_rates(boundary: dict) -> list:
+    """The boundary section's per-source rates (``source_rates``)."""
+    rates = _numbers(boundary, "source_rates")
+    if rates is None:
+        raise InputError("multi-source check needs boundary.source_rates")
+    return rates
+
+
 def network_to_dict(
     net: LayeredNetwork,
     models: list[LayerModel | None] | None = None,
@@ -174,17 +209,10 @@ def network_to_dict(
         "capacities": [oracle_to_spec(o) for o in net.oracles],
     }
     if models is not None:
-        markers = []
         for model in models:
-            if model is None:
-                markers.append({"kind": "none"})
-            elif isinstance(model, DeterministicLayerModel):
-                markers.append({"kind": "deterministic"})
-            elif isinstance(model, (GaussianLogDetOracle, DiscreteLayerModel)):
-                markers.append({"kind": model.kind})
-            else:
+            if not (model is None or isinstance(model, LayerModel)):
                 raise InputError(f"cannot serialize model {model!r}")
-        data["models"] = markers
+        data["models"] = [{"kind": "none" if m is None else m.kind} for m in models]
     if boundary:
         data["boundary"] = boundary
     return data

@@ -40,6 +40,7 @@ from .capacity import (
     _mask_indices,
     _require_finite,
     _size_chunks,
+    _subset_sums,
     quantizer_leak,
 )
 from .cutflow import (
@@ -48,7 +49,6 @@ from .cutflow import (
     _cut_dp,
     _first_minimizer,
     _scan_constraints,
-    _subset_sums,
     max_flow,
 )
 from .errors import (
@@ -187,11 +187,9 @@ def _undecoded_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Negated compression total and leak of the receivers of layer pair ``l``
     left undecoded, indexed by the decoded mask ``V`` (undecoded is the
-    complement of ``V``).  The leak is read once per undecoded mask."""
-    m_out = net.layer_sizes[l]
+    complement of ``V``)."""
     sums = _compression_sums(plan, net, l + 1)
-    leaks = [model.leak(_mask_indices(d)) for d in range(1 << m_out)]
-    return np.negative(sums[::-1]), np.negative(leaks[::-1])
+    return np.negative(sums[::-1]), np.negative(model.leak_column()[::-1])
 
 
 def _region_report(checks) -> FeasibilityReport:
@@ -230,9 +228,8 @@ def check_layered_feasible(
 
     Identically-zero rows (both sides empty) are skipped.  Every family is
     a whole-table pass: family 1 over the last model's cached
-    ``mi_received_column``, families 2 and 3 over the pair's capacity table.
-    Each pair's leak is read once per undecoded mask from terms the model
-    computes once.
+    ``mi_received_column``, families 2 and 3 over the pair's capacity table
+    and the model's cached ``leak_column``.
 
     The binding constraint is the first one with the smallest margin in
     (family, layer, U mask, V mask) order; violations are listed in the
@@ -365,11 +362,10 @@ def check_joint_feasible(
         for i in _size_chunks(senders, receivers, len(relays) + 1, len(relays) + 1):
             mi[i] = _logdet_mi_stack(_blocks(gains, receivers[i], senders[i]), noise=1.0)
         info = mi.tolist()
-        leaks = [1.0] * len(relays)
     else:
         info = _discrete_joint_mi(net, models, pairs)
-        leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
 
+    leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
     compression_sums = _subset_sums([compression[v] for v in relays])
     leak_sums = _subset_sums(leaks)
     rhs_row = [

@@ -448,29 +448,69 @@ _SMALL = {
     "models": [{"kind": "deterministic"}],
 }
 
-#: a field of the wrong JSON type, and a command that reads it
+_NUMBERS = "must be an array of numbers"
+
+#: a field that is malformed, missing or contradicts another, a command
+#: that reads it, and the refusal's detail
 MALFORMED = {
-    "source_rates_number": (["check", "--mode", "multi"], {"boundary": {"source_rates": 5}}),
+    "source_rates_number": (
+        ["check", "--mode", "multi"],
+        {"boundary": {"source_rates": 5}},
+        "boundary.source_rates " + _NUMBERS,
+    ),
     "source_rates_null": (
         ["check", "--mode", "multi"],
         {"boundary": {"source_rates": [None, 1]}},
+        "boundary.source_rates " + _NUMBERS,
+    ),
+    "source_rates_missing": (
+        ["check", "--mode", "multi"],
+        {},
+        "multi-source check needs boundary.source_rates",
     ),
     "source_flows_number": (
         ["mincut"],
         {"boundary": {"source_flows": 3, "destination_flows": [1.0]}},
+        "boundary.source_flows " + _NUMBERS,
     ),
-    "models_number": (["validate"], {"models": 5}),
-    "layers_string": (["mincut"], {"layers": "21"}),
+    "source_flows_alone": (
+        ["mincut"],
+        {"boundary": {"source_flows": [1.0, 1.0]}},
+        "boundary flows need both source_flows and destination_flows",
+    ),
+    "models_number": (["validate"], {"models": 5}, "'models' must be an array"),
+    "models_count": (
+        ["mincut"],
+        {"models": [{"kind": "deterministic"}] * 2},
+        "need one model marker per layer pair",
+    ),
+    "models_gaussian_on_additive": (
+        ["mincut"],
+        {"models": [{"kind": "gaussian"}]},
+        "layer pair 1: gaussian marker on a additive capacity",
+    ),
+    "models_none_then_plan": (
+        ["plan"],
+        {"models": [{"kind": "none"}]},
+        "this command needs a model for every layer pair",
+    ),
+    "models_unknown": (
+        ["mincut"],
+        {"models": [{"kind": "noisy"}]},
+        "unknown model marker {'kind': 'noisy'}",
+    ),
+    "layers_string": (["mincut"], {"layers": "21"}, "'layers' must be an array"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_field_exits_two(tmp_path, capsys, case):
-    command, fields = MALFORMED[case]
+    command, fields, detail = MALFORMED[case]
     netfile = tmp_path / "bad.json"
     netfile.write_text(json.dumps({**_SMALL, **fields}))
     code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
     assert code == 2 and out["error"] == "input"
+    assert out["detail"].startswith(detail)
 
 
 def test_malformed_boundary_field_is_left_to_the_commands_that_read_it(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from relayflow import (
     AdditiveOracle,
     DeterministicLayerModel,
+    DimensionMismatch,
     InputError,
     DiscreteLayerModel,
     ExplicitTableOracle,
@@ -92,6 +94,39 @@ def test_penalty_needs_models_or_leaks():
     net = build_network([1, 1], [AdditiveOracle([[2.0]])])
     with pytest.raises(UnsupportedModel):
         penalty_recursion(net)
+
+
+def _gaussian(m_in, m_out):
+    return GaussianLayerModel(np.ones((m_out, m_in)))
+
+
+#: a call given models or leaks that do not fit, and its refusal
+MISFITS = {
+    "no_models": (lambda: network_from_models([]), "at least one layer model"),
+    "adjacent_models_disagree": (
+        lambda: network_from_models([_gaussian(1, 2), _gaussian(1, 1)]),
+        "adjacent layer models disagree",
+    ),
+    "model_count": (
+        lambda: plan_rates(gaussian_line()[0], [_gaussian(1, 1)]),
+        "3 layers need 2 models",
+    ),
+    "model_dims": (
+        lambda: plan_rates(gaussian_line()[0], [_gaussian(1, 1), _gaussian(1, 2)]),
+        re.escape("model 2 has dims (1, 2), expected (1, 1)"),
+    ),
+    "leak_count": (
+        lambda: penalty_recursion(gaussian_line()[0], leaks=[1.0]),
+        "need 2 leak values",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_models_and_leaks_that_do_not_fit_are_refused(case):
+    call, message = MISFITS[case]
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
 
 
 def test_penalties_grow_toward_the_source():
@@ -210,6 +245,23 @@ def test_strong_channels_can_starve_a_relay_past_its_leak():
         assert report.binding["family"] == "relay"
     else:
         assert report.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: relay 3.2 gets penalty 0, below its own 1-bit leak",
+)
+@pytest.mark.parametrize("seed", [4, 5, 8])
+def test_unflagged_gain_scaled_gaussian_plans_pass_the_layered_check(seed):
+    # gains scaled like perfbench's generate(gain=100); the plans are not
+    # clamped, yet family 2 binds at layer 2, U = (), V = (1,)
+    inst = random_instance(InstanceSpec(seed, (1, 1, 2, 1), {"gaussian": 1.0}))
+    models = [GaussianLayerModel(model.h * 100) for model in inst.models]
+    net = network_from_models(models)
+    plan = plan_rates(net, models)
+    assert not plan.flags
+    assert check_layered_feasible(net, models, plan).passed
 
 
 def _reference_layered(net, models, plan, tol=1e-9):
@@ -331,22 +383,22 @@ def test_layered_check_matches_cell_by_cell_reference():
     assert n_violated and n_tied and n_records > 3000
 
 
-def test_layered_check_evaluates_each_leak_once_per_undecoded_mask(monkeypatch):
+def test_plan_and_layered_checks_compute_each_models_leak_terms_once(monkeypatch):
     inst = random_instance(InstanceSpec(4, (1, 2, 3, 1), {"discrete": 1.0}))
     net, models = inst.network, list(inst.models)
-    plan = plan_rates(net, models)
     calls = []
-    original = DiscreteLayerModel.leak
+    original = DiscreteLayerModel._receiver_leaks
 
-    def counting(self, receivers=None):
+    def counting(self):
         calls.append(id(self))
-        return original(self, receivers)
+        return original(self)
 
-    monkeypatch.setattr(DiscreteLayerModel, "leak", counting)
-    check_layered_feasible(net, models, plan)
-    assert calls
-    for model in models:
-        assert calls.count(id(model)) <= 1 << model.dims[1]
+    monkeypatch.setattr(DiscreteLayerModel, "_receiver_leaks", counting)
+    plan = plan_rates(net, models)
+    first = check_layered_feasible(net, models, plan)
+    again = check_layered_feasible(net, models, plan)
+    assert sorted(calls) == sorted(id(model) for model in models)
+    assert repr(again) == repr(first)
 
 
 def test_layered_check_reads_cached_model_quantities(monkeypatch, information_calls):
