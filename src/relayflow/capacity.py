@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,16 +203,22 @@ class LayerModel:
         return self
 
     def leak(self, receivers: Iterable[int] | None = None) -> float:
-        """``I(Yq_W ; Y_W | X_all)``: rate spent describing quantization noise
-        at the given receivers (all by default)."""
-        mask = -1 if receivers is None else _to_mask(receivers, self.dims[1])
-        return float(self.leak_column()[mask])
+        """``I(Yq_W ; Y_W | X_all)`` at the given receivers (all by default):
+        their :meth:`leak_column` entry, added from their terms alone."""
+        m_out = self.dims[1]
+        mask = (1 << m_out) - 1 if receivers is None else _to_mask(receivers, m_out)
+        terms = (self._leak_terms[w - 1] for w in _mask_indices(mask))
+        return max(0.0, functools.reduce(operator.add, terms, 0.0))
+
+    @functools.cached_property
+    def _leak_terms(self) -> list[float]:
+        return self._receiver_leaks()
 
     def leak_column(self) -> np.ndarray:
         """``leak(W)`` of every receiver mask ``W``, indexed by ``W``: the
         per-receiver terms added in ascending receiver order, floored at 0."""
         if self._leaks is None:
-            column = np.array([max(0.0, total) for total in _subset_sums(self._receiver_leaks())])
+            column = np.array([max(0.0, total) for total in _subset_sums(self._leak_terms)])
             column.flags.writeable = False
             self._leaks = column
         return self._leaks
@@ -357,7 +364,6 @@ class RankGF2Oracle(CapacityOracle):
 
 def _gf2_rank(rows: list[int]) -> int:
     """Rank of bit-packed rows via Gaussian elimination on the low set bit."""
-    rank = 0
     basis: list[int] = []
     for row in rows:
         for b in basis:
@@ -366,8 +372,7 @@ def _gf2_rank(rows: list[int]) -> int:
                 row ^= b
         if row:
             basis.append(row)
-            rank += 1
-    return rank
+    return len(basis)
 
 
 class GaussianLogDetOracle(CapacityOracle, LayerModel):
@@ -722,10 +727,7 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             raise TooLarge("discrete layer model joint table exceeds the cell cap")
 
         # joint input pmf as an array with one axis per transmitter
-        p_x = np.ones(())
-        for p in self.input_pmfs:
-            p_x = np.multiply.outer(p_x, p)
-        self._p_x = p_x
+        self._p_x = functools.reduce(np.multiply.outer, self.input_pmfs, np.ones(()))
         # quantized per-receiver conditionals p(yq_w | x), x axes first
         self._quantized = [
             np.tensordot(self.channels[w], self.quantizers[w], axes=([-1], [0]))
@@ -863,10 +865,7 @@ class DeterministicLayerModel(LayerModel):
 
     def __init__(self, wrapped: CapacityOracle):
         self.wrapped = wrapped
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.wrapped.dims
+        self.dims = wrapped.dims
 
     def oracle(self) -> CapacityOracle:
         return self.wrapped

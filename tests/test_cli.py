@@ -193,6 +193,44 @@ def test_table_guard_exits_three_before_any_cell(tmp_path, capsys, oracle_calls,
     assert oracle_calls == []
 
 
+#: a 30-node relay layer, past the 16-node subset guard; one leak column of
+#: it would hold 2^30 entries
+WIDE_MODEL_FILES = {
+    "deterministic": {
+        "layers": [1, 30, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1.0] * 30]},
+            {"kind": "additive", "matrix": [[1.0]] * 30},
+        ],
+        "models": [{"kind": "deterministic"}] * 2,
+    },
+    "gaussian": {
+        "layers": [1, 30, 1],
+        "capacities": [
+            {"kind": "gaussian", "h_re": [[1.0]] * 30, "h_im": [[0.0]] * 30},
+            {"kind": "gaussian", "h_re": [[1.0] * 30], "h_im": [[0.0] * 30]},
+        ],
+        "models": [{"kind": "gaussian"}] * 2,
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(WIDE_MODEL_FILES))
+@pytest.mark.parametrize(
+    "command", [["plan"], ["check"], ["check", "--mode", "joint"]], ids=" ".join
+)
+def test_wide_model_layer_exits_three_before_any_cell(
+    tmp_path, capsys, oracle_calls, family, command
+):
+    # the penalty recursion reads each model's whole leak before the max-flow
+    # guard; that read must not tabulate every receiver mask
+    netfile = tmp_path / "wide.json"
+    netfile.write_text(json.dumps(WIDE_MODEL_FILES[family]))
+    assert cli.main([command[0], str(netfile), *command[1:]]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "too_large"
+    assert oracle_calls == []
+
+
 def test_files_match_schema(capsys):
     validator = jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
     paths = sorted(DATA.glob("*.json"))
