@@ -353,14 +353,13 @@ def _ratio_survivors(
 
     So from the first low row on, the scan makes the comparisons of a scan
     over the low rows alone.  Without such a gap (chained near-ties) every
-    candidate survives, as it does with a NaN or infinite ratio, where the
-    minimum and ``ulp`` bound nothing.
+    candidate survives.  An infinite ratio makes ``w`` infinite, so every
+    candidate survives then too.  A NaN ratio sorts last; its gaps are NaN,
+    never wide, and at most it drops out of the survivors, where the scan
+    would never take it.
     """
     ordered = np.sort(ratios)
     low, high = ordered[0].item(), ordered[-1].item()
-    # NaN sorts last, -inf first
-    if not (math.isfinite(low) and math.isfinite(high)):
-        return candidates, ratios
     wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
     first = int(wide.argmax())
     if not wide[first]:

@@ -21,9 +21,9 @@ single-destination region with its per-source penalty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,8 +134,8 @@ def penalty_recursion(
     """Backward penalty recursion; entry ``l-1`` is the penalty of layer ``l``.
 
     Leaks come from the layer models, or may be supplied directly as one
-    value per layer pair (the last pair's leak never enters: the final
-    penalty is pinned at zero).
+    finite, nonnegative value per layer pair (the last pair's leak never
+    enters: the final penalty is pinned at zero).
     """
     L = net.num_layers
     if leaks is None:
@@ -145,6 +145,10 @@ def penalty_recursion(
         leaks = [quantizer_leak(m) for m in models]
     elif len(leaks) != L - 1:
         raise DimensionMismatch(f"need {L - 1} leak values")
+    else:
+        _require_finite(leaks, "leaks")
+        if any(leak < 0 for leak in leaks):
+            raise InputError("leaks must be nonnegative")
     penalties = [0.0] * (L - 1)
     for l in range(L - 2, 0, -1):
         penalties[l - 1] = float(leaks[l - 1]) + penalties[l] * net.layer_sizes[l]
@@ -310,18 +314,18 @@ def check_joint_feasible(
     Supported model families: all-Gaussian (``_logdet_mi``'s float steps on
     one stacked receivers x senders channel matrix, noise 2 at relays and 1
     at the destination, one batched call per ``(|s|, |d|)`` group) and
-    all-discrete (exact summation over every sender assignment, whose
-    probability and receiver rows are built once per check and whose
-    weighted output blocks once per decoded set; each pair keeps its own
-    summation order, since summing one global joint table instead changes
-    the last digit of some results).
+    all-discrete (exact summation on a grid over every sender assignment:
+    probabilities and receiver rows stacked once per check, the weighted
+    output block batched once per decoded set, and one left fold over the
+    summed senders per pair, in the order of a per-assignment loop; see
+    ``_discrete_joint_mi``).
     Deterministic channels should be expressed as discrete models with 0/1
     conditionals.
 
     Raises:
         TooLarge: above 12 relays, or a joint table over all senders and
-            receivers above ``MAX_JOINT_CELLS``, before any information is
-            computed.
+            receivers above ``MAX_JOINT_CELLS`` (the message gives its cells
+            and bytes), before any information is computed.
     """
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
@@ -398,14 +402,34 @@ def _discrete_joint_mi(
     conditionals taken from the layer models (the destination's conditional
     is its raw channel).
 
-    Each assignment's probability, receiver rows and row entropies are built
-    once; each decoded mask's weighted output blocks and conditional output
-    entropy once, for the pairs sharing it, one mask's blocks at a time.
+    Works on a grid of every sender assignment in ``product`` order, with the
+    float operations of a loop over the assignments of positive probability
+    that adds each pair's weighted output rows into a dict keyed by the
+    conditioned senders' symbols.  The assignments' probabilities and
+    receiver rows are stacked once per check, and the row entropies of each
+    positive assignment are computed once.  Per decoded set the weighted
+    output block of every assignment is one batched product; per pair
+    ``_pair_information`` folds it left to right over the summed senders,
+    one group per key, in key order (the dict's first-appearance order).  Zero-probability assignments
+    stay in the grid as zero rows, which change no sum; a key that no
+    positive assignment has adds a group of zeros, which adds ``-0.0`` to
+    the joint entropy and a zero cell, dropped, to the conditioning one.
+
+    Memory: ``cells`` is the number of sender assignments (``states``) times
+    the number of joint outputs of all receivers.  At most three grid
+    copies are live (the weighted block, its transposed copy and the fold,
+    or two blocks while one is built): ``3 * cells * 8`` bytes, plus the
+    stacked receiver rows, ``8 * states`` bytes per output symbol of each
+    receiver.
+
+    Raises:
+        TooLarge: ``cells`` above ``MAX_JOINT_CELLS``, with the estimate,
+            before any information is computed.
     """
     senders = [n for l in range(1, net.num_layers) for n in net.layer_nodes(l)]
     receivers = senders[1:] + [net.destination]
     pmfs = [models[n.layer - 1].input_pmfs[n.index - 1] for n in senders]
-    x_sizes = [pmf.size for pmf in pmfs]
+    x_sizes = tuple(pmf.size for pmf in pmfs)
     pos_of = {n: i for i, n in enumerate(senders)}
     conditionals = [
         models[w.layer - 2].channels[w.index - 1]
@@ -414,52 +438,67 @@ def _discrete_joint_mi(
         for w in receivers
     ]
     inputs = [[pos_of[u] for u in net.layer_nodes(w.layer - 1)] for w in receivers]
-    out_cells = math.prod(c.shape[-1] for c in conditionals)
-    if math.prod(x_sizes) * out_cells > MAX_JOINT_CELLS:
-        raise TooLarge("global joint table exceeds the cell cap")
+    states = math.prod(x_sizes)
+    cells = states * math.prod(c.shape[-1] for c in conditionals)
+    if cells > MAX_JOINT_CELLS:
+        raise TooLarge(
+            f"global joint table exceeds the cell cap: {cells:,} cells, "
+            f"{8 * cells:,} bytes per grid copy, over {MAX_JOINT_CELLS:,} cells"
+        )
 
-    # per sender assignment with p > 0: (assignment, p, receiver rows, row entropies)
-    states = []
-    for assignment in product(*(range(s) for s in x_sizes)):
-        p = 1.0
-        for pmf, v in zip(pmfs, assignment):
-            p *= pmf[v]
-        if p == 0.0:
-            continue
-        rows = [
-            cond[tuple(assignment[i] for i in positions)]
-            for cond, positions in zip(conditionals, inputs)
-        ]
-        states.append((assignment, p, rows, [_entropy(row) for row in rows]))
+    # per assignment: its probability (1.0 times each sender's pmf entry, in
+    # sender order) and per receiver its conditional row; per positive
+    # assignment the rows' entropies
+    p = functools.reduce(np.multiply.outer, pmfs, np.ones(())).ravel()
+    positive = p > 0.0
+    coords = np.unravel_index(np.arange(states), x_sizes)
+    rows = [
+        cond[tuple(coords[i] for i in positions)]
+        for cond, positions in zip(conditionals, inputs)
+    ]
+    entropies = np.array(
+        [[_entropy(row[i]) for row in rows] for i in np.flatnonzero(positive)]
+    )
 
     by_decoded: dict[int, list[int]] = {}
     for c, (_, d) in enumerate(pairs):
         by_decoded.setdefault(d, []).append(c)
     info = [0.0] * len(pairs)
     for d, members in by_decoded.items():
-        phi = _mask_indices(d | 1 << (len(receivers) - 1))
-        h_out_given_all = 0.0
-        blocks = []
-        for _, p, rows, entropies in states:
-            block = np.ones(1)
-            for w in phi:
-                h_out_given_all += p * entropies[w - 1]
-                block = np.multiply.outer(block, rows[w - 1])
-            blocks.append(p * block.ravel())
+        phi = [w - 1 for w in _mask_indices(d | 1 << (len(receivers) - 1))]
+        # 0.0 plus p * H(row) of each positive assignment, receivers ascending
+        terms = (p[positive, None] * entropies[:, phi]).ravel()
+        h_out_given_all = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
+        # rebinding frees the last decoded set's grid before this one is built
+        grid = np.ones((states, 1))
+        for w in phi:
+            grid = (grid[:, :, None] * rows[w][:, None, :]).reshape(states, -1)
+        grid *= p[:, None]
+        grid = grid.reshape(*x_sizes, -1)
         for c in members:
             s = pairs[c][0]
-            cond_positions = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
-            groups: dict[tuple[int, ...], np.ndarray] = {}
-            for (assignment, *_), weighted in zip(states, blocks):
-                key = tuple(assignment[i] for i in cond_positions)
-                if key in groups:
-                    groups[key] = groups[key] + weighted
-                else:
-                    groups[key] = weighted
-            h_joint = sum(_entropy(arr) for arr in groups.values())
-            h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
-            info[c] = max(0.0, (h_joint - h_cond) - h_out_given_all)
+            conditioned = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
+            info[c] = _pair_information(grid, conditioned, h_out_given_all)
     return info
+
+
+def _pair_information(
+    grid: np.ndarray, conditioned: list[int], h_out_given_all: float
+) -> float:
+    """One pair's information from the weighted output grid (one axis per
+    sender, then the outputs): the groups share the symbols of the
+    ``conditioned`` senders, and each is the left fold of its rows in
+    ``product`` order of the other senders."""
+    summed = [i for i in range(grid.ndim - 1) if i not in conditioned]
+    folded = grid.transpose(conditioned + summed + [grid.ndim - 1])
+    n_groups = math.prod(folded.shape[: len(conditioned)])
+    folded = folded.reshape(n_groups, -1, grid.shape[-1])
+    groups = folded[:, 0].copy()
+    for t in range(1, folded.shape[1]):
+        groups += folded[:, t]
+    h_joint = sum(_entropy(arr) for arr in groups)
+    h_cond = _entropy(np.array([arr.sum() for arr in groups]))
+    return max(0.0, (h_joint - h_cond) - h_out_given_all)
 
 
 # ---------------------------------------------------------------------------

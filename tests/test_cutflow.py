@@ -566,10 +566,14 @@ def test_simplex_matches_dense_tableau_with_non_finite_rhs(monkeypatch, bad):
         b[k * 7 % len(b)] = bad
         with np.errstate(invalid="ignore"):
             assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
-    if bad > 0 or bad != bad:
-        # a ratio test with the bad rhs among its candidates scans them all
+    if bad > 0:
+        # an infinite ratio makes the prune's gap threshold infinite: a ratio
+        # test with the bad rhs among its candidates scans them all
         assert any(not finite for _, _, finite in pruned)
         assert all(kept == n for n, kept, finite in pruned if not finite)
+    elif bad != bad:
+        # a NaN ratio, which the scan never takes, does not stop the prune
+        assert any(kept < n for n, kept, finite in pruned if not finite)
 
 
 def test_simplex_matches_dense_tableau_with_large_rhs(monkeypatch):

@@ -29,6 +29,7 @@ from relayflow import (
     plan_rates,
     RatePlan,
 )
+from relayflow import rateplan
 from relayflow.capacity import MAX_JOINT_CELLS
 from relayflow.oracle import InstanceSpec, SplitMix64, random_instance
 
@@ -100,33 +101,56 @@ def _gaussian(m_in, m_out):
     return GaussianLayerModel(np.ones((m_out, m_in)))
 
 
-#: a call given models or leaks that do not fit, and its refusal
+def _penalties_with_leaks(leaks):
+    return lambda: penalty_recursion(gaussian_line()[0], leaks=leaks)
+
+
+#: a call given models or leaks that do not fit, and its refusal: a wrong
+#: count or shape is a dimension mismatch, a leak that is no leak (the last
+#: pair's, which never enters the recursion, too) is wrong input
 MISFITS = {
-    "no_models": (lambda: network_from_models([]), "at least one layer model"),
+    "no_models": (
+        lambda: network_from_models([]), DimensionMismatch, "at least one layer model"
+    ),
     "adjacent_models_disagree": (
         lambda: network_from_models([_gaussian(1, 2), _gaussian(1, 1)]),
+        DimensionMismatch,
         "adjacent layer models disagree",
     ),
     "model_count": (
         lambda: plan_rates(gaussian_line()[0], [_gaussian(1, 1)]),
+        DimensionMismatch,
         "3 layers need 2 models",
     ),
     "model_dims": (
         lambda: plan_rates(gaussian_line()[0], [_gaussian(1, 1), _gaussian(1, 2)]),
+        DimensionMismatch,
         re.escape("model 2 has dims (1, 2), expected (1, 1)"),
     ),
-    "leak_count": (
-        lambda: penalty_recursion(gaussian_line()[0], leaks=[1.0]),
-        "need 2 leak values",
+    "leak_count": (_penalties_with_leaks([1.0]), DimensionMismatch, "need 2 leak values"),
+    "leak_nan": (_penalties_with_leaks([math.nan, 0.0]), InputError, "leaks must be finite"),
+    "leak_inf": (_penalties_with_leaks([math.inf, 0.0]), InputError, "leaks must be finite"),
+    "leak_minus_inf": (
+        _penalties_with_leaks([-math.inf, 0.0]), InputError, "leaks must be finite"
+    ),
+    "leak_last_nan": (
+        _penalties_with_leaks([1.0, math.nan]), InputError, "leaks must be finite"
+    ),
+    "leak_negative": (
+        _penalties_with_leaks([-5.0, 0.0]), InputError, "leaks must be nonnegative"
+    ),
+    "leak_last_negative": (
+        _penalties_with_leaks([1.0, -1e-300]), InputError, "leaks must be nonnegative"
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MISFITS))
 def test_models_and_leaks_that_do_not_fit_are_refused(case):
-    call, message = MISFITS[case]
-    with pytest.raises(DimensionMismatch, match=message):
+    call, error, message = MISFITS[case]
+    with pytest.raises(error, match=message) as refused:
         call()
+    assert refused.type is error
 
 
 def test_penalties_grow_toward_the_source():
@@ -737,9 +761,168 @@ def test_joint_cell_cap_raises_before_any_information(information_calls):
     models = [_uniform_discrete(1, 2, 32), _uniform_discrete(2, 1, 32)]
     assert 32**6 > MAX_JOINT_CELLS
     relays = {NodeId(2, 1): 0.0, NodeId(2, 2): 0.0}
-    with pytest.raises(TooLarge, match="global joint table exceeds the cell cap"):
+    # the estimate: 32^3 sender assignments times 32^3 joint outputs
+    estimate = re.escape(
+        "global joint table exceeds the cell cap: 1,073,741,824 cells, "
+        "8,589,934,592 bytes per grid copy, over 10,000,000 cells"
+    )
+    assert MAX_JOINT_CELLS == 10_000_000
+    with pytest.raises(TooLarge, match=estimate):
         check_joint_feasible(_placeholder_network(sizes), models, 0.1, relays)
     assert information_calls == []
+
+
+def test_joint_grid_peak_memory_stays_within_the_stated_bound():
+    # 10^3 sender assignments times 10^3 joint outputs, about 2^20 cells: at
+    # most three grid copies (3 * cells * 8 bytes) plus the stacked receiver
+    # rows (8 * states bytes per output symbol of each receiver) are live
+    import tracemalloc
+
+    sizes, alphabet = (1, 2, 1), 10
+    models = [_uniform_discrete(1, 2, alphabet), _uniform_discrete(2, 1, alphabet)]
+    net = _placeholder_network(sizes)
+    relays = {NodeId(2, 1): 0.0, NodeId(2, 2): 0.0}
+    states = cells_out = alphabet**3
+    cells = states * cells_out
+    assert 2**19 < cells < 2**20
+    bound = 3 * cells * 8 + 8 * states * 3 * alphabet
+    tracemalloc.start()
+    try:
+        report = check_joint_feasible(net, models, 0.0, relays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_constraints == 9
+    # the decoded set of every receiver holds one whole grid
+    assert cells * 8 < peak <= bound
+
+
+def _dict_grouped_joint_mi(net, models, pairs):
+    """The discrete joint information as it grouped each pair's weighted
+    output rows in a dict, one sender assignment at a time, kept verbatim as
+    the reference."""
+    from itertools import product
+
+    from relayflow.capacity import _entropy, _mask_indices
+
+    senders = [n for l in range(1, net.num_layers) for n in net.layer_nodes(l)]
+    receivers = senders[1:] + [net.destination]
+    pmfs = [models[n.layer - 1].input_pmfs[n.index - 1] for n in senders]
+    x_sizes = [pmf.size for pmf in pmfs]
+    pos_of = {n: i for i, n in enumerate(senders)}
+    conditionals = [
+        models[w.layer - 2].channels[w.index - 1]
+        if w == net.destination
+        else models[w.layer - 2].quantized_conditional(w.index)
+        for w in receivers
+    ]
+    inputs = [[pos_of[u] for u in net.layer_nodes(w.layer - 1)] for w in receivers]
+    out_cells = math.prod(c.shape[-1] for c in conditionals)
+    if math.prod(x_sizes) * out_cells > MAX_JOINT_CELLS:
+        raise TooLarge("global joint table exceeds the cell cap")
+
+    # per sender assignment with p > 0: (assignment, p, receiver rows, row entropies)
+    states = []
+    for assignment in product(*(range(s) for s in x_sizes)):
+        p = 1.0
+        for pmf, v in zip(pmfs, assignment):
+            p *= pmf[v]
+        if p == 0.0:
+            continue
+        rows = [
+            cond[tuple(assignment[i] for i in positions)]
+            for cond, positions in zip(conditionals, inputs)
+        ]
+        states.append((assignment, p, rows, [_entropy(row) for row in rows]))
+
+    by_decoded: dict[int, list[int]] = {}
+    for c, (_, d) in enumerate(pairs):
+        by_decoded.setdefault(d, []).append(c)
+    info = [0.0] * len(pairs)
+    for d, members in by_decoded.items():
+        phi = _mask_indices(d | 1 << (len(receivers) - 1))
+        h_out_given_all = 0.0
+        blocks = []
+        for _, p, rows, entropies in states:
+            block = np.ones(1)
+            for w in phi:
+                h_out_given_all += p * entropies[w - 1]
+                block = np.multiply.outer(block, rows[w - 1])
+            blocks.append(p * block.ravel())
+        for c in members:
+            s = pairs[c][0]
+            cond_positions = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
+            groups: dict[tuple[int, ...], np.ndarray] = {}
+            for (assignment, *_), weighted in zip(states, blocks):
+                key = tuple(assignment[i] for i in cond_positions)
+                if key in groups:
+                    groups[key] = groups[key] + weighted
+                else:
+                    groups[key] = weighted
+            h_joint = sum(_entropy(arr) for arr in groups.values())
+            h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
+            info[c] = max(0.0, (h_joint - h_cond) - h_out_given_all)
+    return info
+
+
+def _all_joint_pairs(n_relays):
+    """Every ``(s, d)`` pair of disjoint relay masks, ``s`` ascending and ``d``
+    over the submasks of the rest, ascending."""
+    full = (1 << n_relays) - 1
+    return [(s, d) for s in range(full + 1) for d in range(full + 1) if not s & d]
+
+
+def _zero_heavy_discrete_models(rng, sizes):
+    """Discrete layer models over alphabets of 1-3 symbols, whose input pmfs
+    often give a symbol probability zero (+0.0 or -0.0) and whose channel and
+    quantizer conditionals have zero cells; the last pair's quantizers are
+    the identity."""
+
+    def pmf(shape):
+        arr = rng.random(shape)
+        arr[rng.random(shape) < 0.35] = 0.0
+        arr[..., 0] += arr.sum(axis=-1) == 0.0
+        arr = arr / arr.sum(axis=-1, keepdims=True)
+        arr[(arr == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+        return arr
+
+    alphabets = [[int(rng.integers(1, 4)) for _ in range(m)] for m in sizes]
+    models = []
+    for l, (m_in, m_out) in enumerate(zip(sizes, sizes[1:])):
+        x_shape = tuple(alphabets[l])
+        received = [int(rng.integers(1, 4)) for _ in range(m_out)]
+        last = l == len(sizes) - 2
+        quantized = received if last else alphabets[l + 1]
+        models.append(
+            DiscreteLayerModel(
+                [pmf(k) for k in x_shape],
+                [pmf(x_shape + (k,)) for k in received],
+                [np.eye(k) if last else pmf((k, q)) for k, q in zip(received, quantized)],
+            )
+        )
+    return models
+
+
+def test_joint_information_matches_dict_grouping_reference():
+    # repr tells apart every float, -0.0 from 0.0 included, and np.float64
+    # from float
+    cases = []
+    for shape in [(1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 4, 1), (1, 2, 1, 2, 1), (1, 3, 2, 1)]:
+        for seed in range(1, 4):
+            inst = random_instance(InstanceSpec(seed, shape, {"discrete": 1.0}))
+            cases.append((inst.network, list(inst.models)))
+    rng = np.random.default_rng(20)
+    for shape in [(1, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 1, 2, 1), (1, 2, 2, 1)] * 4:
+        cases.append((_placeholder_network(shape), _zero_heavy_discrete_models(rng, shape)))
+    n_zero_states = 0
+    for net, models in cases:
+        pairs = _all_joint_pairs(sum(net.layer_sizes[1:-1]))
+        got = rateplan._discrete_joint_mi(net, models, pairs)
+        assert repr(got) == repr(_dict_grouped_joint_mi(net, models, pairs))
+        n_zero_states += any(
+            (pmf <= 0.0).any() for model in models for pmf in model.input_pmfs
+        )
+    assert n_zero_states >= 12
 
 
 # --- multi-source region ---------------------------------------------------------------
