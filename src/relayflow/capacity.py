@@ -32,7 +32,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,7 +131,9 @@ class CapacityOracle:
             return 0.0
         if umask >> self.dims[0] or vmask >> self.dims[1]:
             raise OutOfRange("subset mask outside oracle dimensions")
-        return self._value(umask, vmask)
+        # an overflowing cell is inf; the checks that read cells refuse it
+        with np.errstate(over="ignore"):
+            return self._value(umask, vmask)
 
     def _value(self, umask: int, vmask: int) -> float:
         raise NotImplementedError
@@ -160,8 +162,9 @@ class CapacityOracle:
             # zero whenever either side is empty
             self._fill(dense, np.arange(1 << m_in), 0, 0.0)
             self._fill(dense, 0, np.arange(1, 1 << m_out), 0.0)
-            for umasks, vmasks, values in self._nonempty_cells():
-                self._fill(dense, umasks, vmasks, values)
+            with np.errstate(over="ignore"):
+                for umasks, vmasks, values in self._nonempty_cells():
+                    self._fill(dense, umasks, vmasks, values)
             self._dense = dense
         return self._dense
 
@@ -172,16 +175,19 @@ class CapacityOracle:
 
     def _nonempty_cells(self):
         """Yield ``(umasks, vmasks, values)`` covering each nonempty cell once."""
-        for umasks, vmasks in _cell_chunks(*self.dims, self._chunk_cells):
-            yield umasks, vmasks, self._cells(umasks, vmasks)
+        for umasks, vmasks, upos, vpos in _cell_chunks(*self.dims, self._chunk_cells):
+            yield umasks, vmasks, self._cells(umasks, vmasks, upos, vpos)
 
     def _chunk_cells(self, n_u: int, n_v: int) -> int:
         """Most cells per :meth:`_cells` call when ``|U| = n_u``, ``|V| = n_v``."""
         return _BLOCK_CELLS
 
-    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
-        """Values of nonempty cells sharing ``|U|`` and ``|V|``; the default
-        evaluates ``_value`` cell by cell."""
+    def _cells(
+        self, umasks: np.ndarray, vmasks: np.ndarray, upos: np.ndarray, vpos: np.ndarray
+    ) -> np.ndarray:
+        """Values of nonempty cells sharing ``|U|`` and ``|V|``, given with
+        their masks' set-bit positions (``_SubsetIndex.positions`` rows); the
+        default evaluates ``_value`` cell by cell."""
         return np.array([self._value(int(u), int(v)) for u, v in zip(umasks, vmasks)])
 
 
@@ -241,58 +247,97 @@ class LayerModel:
         return self._received
 
 
-def _masks_by_popcount(width: int) -> list[np.ndarray]:
-    """Masks of ``width`` bits, ascending, listed by their number of set bits."""
+class _SubsetIndex(NamedTuple):
+    """Every subset mask of one layer width, grouped by size: ``by_popcount[k]``
+    lists the masks of ``k`` set bits ascending (``int64``), ``positions[k]``
+    their 0-based set-bit positions ascending, one ``uint8`` row of ``k`` per
+    mask, ``rank[mask]`` the mask's row in its group (``int32``) and
+    ``popcount[mask]`` its size (``uint8``).  All arrays are read-only."""
+
+    by_popcount: tuple[np.ndarray, ...]
+    positions: tuple[np.ndarray, ...]
+    rank: np.ndarray
+    popcount: np.ndarray
+
+    def positions_of(self, masks: np.ndarray) -> np.ndarray:
+        """The ``positions`` rows of ``masks``, which share one popcount."""
+        return self.positions[self.popcount[masks[0]]][self.rank[masks]]
+
+
+def _build_subset_index(width: int) -> _SubsetIndex:
     masks = np.arange(1 << width)
-    counts = _popcounts(masks, width)
-    return [masks[counts == k] for k in range(width + 1)]
-
-
-def _popcounts(masks: np.ndarray, width: int) -> np.ndarray:
-    counts = np.zeros_like(masks)
+    popcount = np.zeros(masks.size, dtype=np.uint8)
     for bit in range(width):
-        counts += masks >> bit & 1
-    return counts
+        popcount += (masks >> bit & 1).astype(np.uint8)
+    rank = np.empty(masks.size, dtype=np.int32)
+    by_popcount, positions = [], []
+    for k in range(width + 1):
+        group = masks[popcount == k]
+        rank[group] = np.arange(group.size)
+        # fill each row's positions left to right, one bit at a time
+        pos = np.empty((group.size, k), dtype=np.uint8)
+        filled = np.zeros(group.size, dtype=np.intp)
+        for bit in range(width):
+            rows = np.flatnonzero(group >> bit & 1)
+            pos[rows, filled[rows]] = bit
+            filled[rows] += 1
+        by_popcount.append(group)
+        positions.append(pos)
+    for arr in (*by_popcount, *positions, rank, popcount):
+        arr.flags.writeable = False
+    return _SubsetIndex(tuple(by_popcount), tuple(positions), rank, popcount)
+
+
+#: widest layer whose subset index is kept: ``cutflow.LAYER_GUARD``, the
+#: widest layer of any network.  A wider side, which only a table built
+#: directly from its oracle has, gets an index for that table alone.
+_KEPT_INDEX_BITS = 16
+
+_kept_subset_index = functools.cache(_build_subset_index)
+
+
+def _subset_index(width: int) -> _SubsetIndex:
+    """The :class:`_SubsetIndex` of ``width``-bit masks, built once per
+    width up to ``_KEPT_INDEX_BITS`` and kept.
+
+    It holds ``(13 + width / 2) * 2^width`` bytes of arrays: 1,376,256
+    (1.3 MB) at 16, 2,112 at 7.
+    """
+    if width > _KEPT_INDEX_BITS:
+        return _build_subset_index(width)
+    return _kept_subset_index(width)
 
 
 def _cell_chunks(m_in: int, m_out: int, chunk_cells):
     """The nonempty cells of a ``2^m_in x 2^m_out`` table as ``(umasks,
-    vmasks)`` arrays, grouped by ``(|U|, |V|)``, at most ``chunk_cells(|U|,
-    |V|)`` cells per chunk."""
-    by_u, by_v = _masks_by_popcount(m_in), _masks_by_popcount(m_out)
-    for n_u, us in enumerate(by_u[1:], start=1):
-        for n_v, vs in enumerate(by_v[1:], start=1):
+    vmasks, upos, vpos)``: masks and their ``_SubsetIndex.positions`` rows,
+    grouped by ``(|U|, |V|)``, at most ``chunk_cells(|U|, |V|)`` cells per
+    chunk."""
+    index_u, index_v = _subset_index(m_in), _subset_index(m_out)
+    for n_u in range(1, m_in + 1):
+        us, upos = index_u.by_popcount[n_u], index_u.positions[n_u]
+        for n_v in range(1, m_out + 1):
+            vs, vpos = index_v.by_popcount[n_v], index_v.positions[n_v]
             n, step = us.size * vs.size, chunk_cells(n_u, n_v)
             for lo in range(0, n, step):
-                i = np.arange(lo, min(lo + step, n))
-                yield us[i // vs.size], vs[i % vs.size]
+                i, j = np.divmod(np.arange(lo, min(lo + step, n)), vs.size)
+                yield us[i], vs[j], upos[i], vpos[j]
 
 
-def _size_chunks(umasks: np.ndarray, vmasks: np.ndarray, m_in: int, m_out: int):
-    """Index arrays into ``(umasks, vmasks)`` grouping the pairs by ``(|U|,
-    |V|)``, at most ``_BLOCK_CELLS`` per chunk."""
-    key = _popcounts(umasks, m_in) * (m_out + 1) + _popcounts(vmasks, m_out)
+def _size_chunks(umasks: np.ndarray, vmasks: np.ndarray, index: _SubsetIndex):
+    """Index arrays into ``(umasks, vmasks)``, masks of ``index``'s width,
+    grouping the pairs by ``(|U|, |V|)``, at most ``_BLOCK_CELLS`` per chunk."""
+    # |U| in the high byte, |V| in the low one
+    key = index.popcount[umasks].astype(np.intp) << 8 | index.popcount[vmasks]
     order = np.argsort(key, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         for lo in range(0, group.size, _BLOCK_CELLS):
             yield group[lo : lo + _BLOCK_CELLS]
 
 
-def _bit_positions(masks: np.ndarray) -> np.ndarray:
-    """0-based set-bit positions of masks that share one popcount, ascending,
-    as a ``(len(masks), popcount)`` array."""
-    out = np.empty((masks.size, int(masks[0]).bit_count()), dtype=np.intp)
-    for j in range(out.shape[1]):
-        low = masks & -masks
-        out[:, j] = np.frexp(low)[1] - 1
-        masks = masks ^ low
-    return out
-
-
-def _blocks(mat: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
-    """``mat[np.ix_(rows, cols)]`` of every ``(row_masks[i], col_masks[i])``,
-    stacked; the row masks share one popcount, as do the column masks."""
-    rows, cols = _bit_positions(row_masks), _bit_positions(col_masks)
+def _blocks(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mat[np.ix_(rows[i], cols[i])]`` of every row pair of two position
+    arrays (broadcast against each other), stacked."""
     return mat[rows[:, :, None], cols[:, None, :]]
 
 
@@ -316,9 +361,9 @@ class AdditiveOracle(CapacityOracle):
         cols = [j - 1 for j in _mask_indices(vmask)]
         return float(self.matrix[np.ix_(rows, cols)].sum())
 
-    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
+    def _cells(self, umasks, vmasks, upos, vpos) -> np.ndarray:
         # one C-order row per cell: the same pairwise sum as ``_value``'s
-        return _blocks(self.matrix, umasks, vmasks).reshape(umasks.size, -1).sum(axis=-1)
+        return _blocks(self.matrix, upos, vpos).reshape(umasks.size, -1).sum(axis=-1)
 
 
 class RankGF2Oracle(CapacityOracle):
@@ -351,8 +396,8 @@ class RankGF2Oracle(CapacityOracle):
         ]
         return float(_gf2_rank(rows))
 
-    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
-        packed = np.array(self._packed_rows)[_bit_positions(vmasks)]
+    def _cells(self, umasks, vmasks, upos, vpos) -> np.ndarray:
+        packed = np.array(self._packed_rows)[vpos]
         basis: list[np.ndarray] = []
         # ``_gf2_rank`` on every cell at once; a zero row in the basis is inert
         for row in (packed & umasks[:, None]).T:
@@ -399,8 +444,8 @@ class GaussianLogDetOracle(CapacityOracle, LayerModel):
     def _value(self, umask: int, vmask: int) -> float:
         return _logdet_mi(self.h, umask, vmask, noise=2.0)
 
-    def _cells(self, umasks: np.ndarray, vmasks: np.ndarray) -> np.ndarray:
-        return _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=2.0)
+    def _cells(self, umasks, vmasks, upos, vpos) -> np.ndarray:
+        return _logdet_mi_stack(_blocks(self.h, vpos, upos), noise=2.0)
 
     def _chunk_cells(self, n_u: int, n_v: int) -> int:
         # a cell's (|V|, |U|) channel block and (|V|, |V|) Gram matrix, complex
@@ -415,10 +460,11 @@ class GaussianLogDetOracle(CapacityOracle, LayerModel):
     def _received_column(self) -> np.ndarray:
         """One batched log-det per ``|U|``, with ``_logdet_mi``'s float operations."""
         m_in, m_out = self.dims
+        index = _subset_index(m_in)
+        receivers = np.arange(m_out)[None]
         column = np.zeros(1 << m_in)
-        for umasks in _masks_by_popcount(m_in)[1:]:
-            vmasks = np.full(umasks.size, (1 << m_out) - 1)
-            column[umasks] = _logdet_mi_stack(_blocks(self.h, vmasks, umasks), noise=1.0)
+        for umasks, upos in zip(index.by_popcount[1:], index.positions[1:]):
+            column[umasks] = _logdet_mi_stack(_blocks(self.h, receivers, upos), noise=1.0)
         return column
 
 
@@ -532,8 +578,13 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
 
     ``n_checks`` counts every check of families 2 and 3 and the zero checks
     made up to each one's first failure.  Families 2 and 3 are whole-table
-    comparisons; family 3 is evaluated per ``U1`` in blocks of at most
-    ``_BLOCK_CELLS`` cells, or one row over ``V2`` where that is longer.
+    comparisons: family 2 one per added node, family 3 in blocks of at most
+    ``_BLOCK_CELLS`` cells (several ``U1`` each on small tables), or one row
+    over ``V2`` where that is longer.  Each comparison first takes the plain
+    margins ``rhs - lhs`` (:func:`_plainly_leq`): when all are finite and at
+    least ``-tol / 2`` (``tol >= 0``), every cell provably passes ``_leq``
+    and the comparison is done; otherwise ``_leq_cells`` decides cell by
+    cell.  The report is the same either way.
 
     Raises:
         TooLarge: if the layer pair exceeds the enumeration guard
@@ -548,9 +599,8 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
         )
     nu, nv = 1 << m_in, 1 << m_out
     tab = oracle.table()
-    non_finite = np.argwhere(~np.isfinite(tab))
-    if non_finite.size:
-        u, v = non_finite[0].tolist()
+    if not np.isfinite(tab).all():
+        u, v = np.argwhere(~np.isfinite(tab))[0].tolist()
         raise NumericalFailure(
             f"capacity at U={list(_mask_indices(u))}, V={list(_mask_indices(v))} "
             f"is {tab[u, v]}, not a finite number"
@@ -587,23 +637,54 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
     )
 
 
+def _plainly_leq(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
+    """Whether every cell passes ``_leq(lhs, rhs, tol)`` by the plain
+    comparison alone: ``tol >= 0`` and every margin ``rhs - lhs`` finite and
+    at least ``-tol / 2``.  ``lhs`` and ``rhs`` are only read.
+
+    A finite margin has finite operands, and the rounded difference of two
+    floats is within a factor ``1 +- 2^-53`` of the exact one, so ``rhs +
+    tol > lhs`` exactly (``rhs >= lhs`` when ``tol = 0``).  Rounding is
+    monotone and ``lhs`` is a float, so ``lhs <= fl(rhs + tol)``, and the
+    bound ``rhs + tol * max(1, |lhs|, |rhs|)`` is no smaller.  ``False``
+    claims nothing, and the caller runs ``_leq_cells``.  That is always so
+    for NaN, for overflowed sums (with ``tol = 0`` an infinite operand makes
+    the bound ``0 * inf = NaN``, which fails) and for a negative or NaN
+    ``tol``.
+    """
+    if not tol >= 0.0:
+        return False
+    margins = np.subtract(rhs, lhs)
+    return bool(margins.min() >= -0.5 * tol and margins.max() < math.inf)
+
+
 def _first_monotone_failure(
     tab: np.ndarray, m_in: int, m_out: int, tol: float
 ) -> dict | None:
     """First failing step ``tab[U, V] <= tab[U + i, V]`` (transmitters ``i``)
     or ``tab[U, V] <= tab[U, V + j]`` (receivers ``j``) in ``(U, V, step)``
-    order, steps ordered transmitters first, each by ascending index."""
+    order, steps ordered transmitters first, each by ascending index.
+
+    A step compares two strided views of the table: the cells whose mask
+    lacks the added node, with the mask split into the bits above and below
+    it, and the same cells with it."""
+    nu, nv = tab.shape
     first = None  # (U, V, step)
     for step in range(m_in + m_out):
-        axis, bit = (0, step) if step < m_in else (1, step - m_in)
-        masks = np.arange(tab.shape[axis])
-        smaller = masks[masks >> bit & 1 == 0]
-        failed = ~_leq_cells(
-            np.take(tab, smaller, axis=axis), np.take(tab, smaller | 1 << bit, axis=axis), tol
-        )
+        if step < m_in:
+            bit = step
+            pairs = tab.reshape(-1, 2, 1 << bit, nv)
+            without, with_node = pairs[:, 0], pairs[:, 1]
+        else:
+            bit = step - m_in
+            pairs = tab.reshape(nu, -1, 2, 1 << bit)
+            without, with_node = pairs[:, :, 0], pairs[:, :, 1]
+        if _plainly_leq(without, with_node, tol):
+            continue
+        failed = ~_leq_cells(without.copy(), with_node, tol)
         if failed.any():
-            cell = [int(i) for i in np.unravel_index(int(np.argmax(failed)), failed.shape)]
-            cell[axis] = int(smaller[cell[axis]])
+            a, b, c = (int(i) for i in np.unravel_index(int(np.argmax(failed)), failed.shape))
+            cell = (a << (bit + 1) | b, c) if step < m_in else (a, b << (bit + 1) | c)
             first = min(first or (*cell, step), (*cell, step))
     if first is None:
         return None
@@ -627,42 +708,53 @@ def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
     tab[U1, V1] + tab[U2, V2]`` in ``(U1, V1, U2, V2)`` order, over
     ``U2 >= U1`` and, on ``U2 == U1``, ``V2 >= V1``.
 
-    For each ``U1`` the cells ``(V1, U2, V2)`` are taken in C-order blocks of
-    at most ``_BLOCK_CELLS`` cells, or one ``V2`` row where that is longer
-    (one block holds whole ``(U2, V2)`` planes for some ``V1``, or some rows
-    of one plane), so the first failing cell of the first failing block is
-    the first failure.
+    The cells are taken in C-order blocks ``(U1, V1, U2, V2)`` of at most
+    ``_BLOCK_CELLS`` cells, or one ``V2`` row where that is longer.  A block
+    holds as many consecutive ``U1`` as fit with all of ``(V1, U2, V2)`` for
+    ``U2`` from the first of them; its cells with ``U2`` before their own
+    ``U1`` are computed but not checked (each mirrors a check of an earlier
+    ``U1``).  Where one ``U1`` does not fit, its block holds whole ``(U2,
+    V2)`` planes for some ``V1``, or some rows of one plane.  So the first
+    failing cell of the first failing block is the first failure.
     """
     nu, nv = tab.shape
+    cells = tab.ravel()
     v_all = np.arange(nv)
     u_step = max(1, _BLOCK_CELLS // nv)
-    for u1 in range(nu):
-        n_u2 = nu - u1
+    u1_lo = 0
+    while u1_lo < nu:
+        n_u2 = nu - u1_lo
+        u1 = np.arange(u1_lo, min(nu, u1_lo + max(1, _BLOCK_CELLS // (n_u2 * nv * nv))))
         v_step = max(1, _BLOCK_CELLS // (n_u2 * nv))
         for v_lo in range(0, nv, v_step):
             v1 = v_all[v_lo : v_lo + v_step]
-            v_and = (v1[:, None] & v_all)[:, None, :]
-            v_or = (v1[:, None] | v_all)[:, None, :]
-            for u_lo in range(u1, nu, u_step):
+            v_and = (v1[:, None] & v_all)[None, :, None, :]
+            v_or = (v1[:, None] | v_all)[None, :, None, :]
+            for u_lo in range(u1_lo, nu, u_step):
                 u2 = np.arange(u_lo, min(u_lo + u_step, nu))
-                lhs = tab[(u1 | u2)[:, None], v_and]
-                lhs += tab[(u1 & u2)[:, None], v_or]
-                rhs = tab[u1, v1][:, None, None] + tab[u2]
+                lhs = cells.take((u1[:, None] | u2)[:, None, :, None] * nv + v_and)
+                lhs += cells.take((u1[:, None] & u2)[:, None, :, None] * nv + v_or)
+                rhs = tab[u1, v_lo : v_lo + v_step][:, :, None, None] + tab[u2]
+                if _plainly_leq(lhs, rhs, tol):
+                    continue
                 failed = ~_leq_cells(lhs, rhs, tol)
-                if u_lo == u1:
-                    # U2 == U1 pairs only V2 >= V1
-                    failed[:, 0, :] &= v_all >= v1[:, None]
+                if u_lo == u1_lo:
+                    # U2 > U1, or U2 == U1 and V2 >= V1
+                    later = (u2 > u1[:, None])[:, None, :, None]
+                    same = (u2 == u1[:, None])[:, None, :, None]
+                    failed &= later | same & (v_all >= v1[:, None])[None, :, None, :]
                 if failed.any():
-                    i, j, v2 = np.unravel_index(int(np.argmax(failed)), failed.shape)
+                    i, j, k, v2 = np.unravel_index(int(np.argmax(failed)), failed.shape)
                     return {
                         "axiom": "bisubmodular",
-                        "U1": _mask_indices(u1),
-                        "V1": _mask_indices(int(v1[i])),
-                        "U2": _mask_indices(int(u2[j])),
+                        "U1": _mask_indices(int(u1[i])),
+                        "V1": _mask_indices(int(v1[j])),
+                        "U2": _mask_indices(int(u2[k])),
                         "V2": _mask_indices(int(v2)),
-                        "lhs": float(lhs[i, j, v2]),
-                        "rhs": float(rhs[i, j, v2]),
+                        "lhs": float(lhs[i, j, k, v2]),
+                        "rhs": float(rhs[i, j, k, v2]),
                     }
+        u1_lo += u1.size
     return None
 
 

@@ -130,6 +130,9 @@ def random_instance(spec: InstanceSpec) -> GeneratedInstance:
     from 0 and 1, and the last pair quantizes the destination with the
     identity.  Every generated oracle is checked against the capacity
     axioms before being accepted.
+
+    Raises:
+        NumericalFailure: a generated oracle fails the capacity axioms.
     """
     rng = SplitMix64(spec.seed)
     sizes = spec.layer_sizes
@@ -178,7 +181,10 @@ def random_instance(spec: InstanceSpec) -> GeneratedInstance:
                     quantizers.append(q)
             oracle = model = DiscreteLayerModel(pmfs, channels, quantizers)
         report = check_capacity_axioms(oracle)
-        assert report.passed, f"generated {family} oracle failed axioms: {report.counterexample}"
+        if not report.passed:
+            raise NumericalFailure(
+                f"generated {family} oracle failed axioms: {report.counterexample}"
+            )
         oracles.append(oracle)
         models.append(model)
     return GeneratedInstance(spec, build_network(sizes, oracles), models, families)
@@ -254,6 +260,9 @@ def brute_min_cut(net: LayeredNetwork) -> tuple[float, Cut]:
     accumulate from the sink side and the scan order is the global
     indicator-lexicographic order, matching the tie-break of
     :func:`relayflow.cutflow.min_cut`.
+
+    Raises:
+        NumericalFailure: every cut value is NaN or infinite.
     """
     if net.node_count > 20:
         raise TooLarge("exhaustive cut enumeration limited to 20 nodes")
@@ -276,7 +285,8 @@ def brute_min_cut(net: LayeredNetwork) -> tuple[float, Cut]:
         if value < best:
             best = value
             best_combo = combo
-    assert best_combo is not None
+    if best_combo is None:
+        raise NumericalFailure("every cut value is NaN or infinite")
     members = frozenset(
         NodeId(l + 1, i)
         for l, mask in enumerate(best_combo)

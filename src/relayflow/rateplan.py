@@ -40,6 +40,7 @@ from .capacity import (
     _mask_indices,
     _require_finite,
     _size_chunks,
+    _subset_index,
     _subset_sums,
     quantizer_leak,
 )
@@ -363,8 +364,10 @@ def check_joint_feasible(
         senders = 1 | np.array([s for s, _ in pairs]) << 1
         receivers = np.array([d for _, d in pairs]) | 1 << len(relays)
         mi = np.empty(len(pairs))
-        for i in _size_chunks(senders, receivers, len(relays) + 1, len(relays) + 1):
-            mi[i] = _logdet_mi_stack(_blocks(gains, receivers[i], senders[i]), noise=1.0)
+        index = _subset_index(len(relays) + 1)
+        for i in _size_chunks(senders, receivers, index):
+            rows, cols = index.positions_of(receivers[i]), index.positions_of(senders[i])
+            mi[i] = _logdet_mi_stack(_blocks(gains, rows, cols), noise=1.0)
         info = mi.tolist()
     else:
         info = _discrete_joint_mi(net, models, pairs)

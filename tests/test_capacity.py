@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from relayflow import (
     network_from_models,
     quantizer_leak,
 )
-from relayflow.capacity import PMF_TOL
+from relayflow import capacity, cutflow
+from relayflow.capacity import PMF_TOL, _leq, _leq_cells, _plainly_leq, _subset_index
 from relayflow.oracle import FAMILIES, SplitMix64, discrete_mi_reference
 
 
@@ -482,6 +484,113 @@ def test_axiom_check_memory_is_blocked():
     assert peak < 8 * 2**20
 
 
+#: block entries: signed zeros, infinities, NaN, the largest magnitudes and
+#: subnormals
+_BLOCK_ENTRIES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 2.5e-308, 1.0]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _block_pairs(draw):
+    """``(lhs, rhs, tol)``: ``rhs`` drawn on its own, or ``lhs`` moved by
+    offsets around the plain comparison's threshold ``-tol / 2``."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.1]))
+    n = draw(st.integers(1, 6))
+    lhs = np.array(draw(st.lists(_BLOCK_ENTRIES, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        rhs = np.array(draw(st.lists(_BLOCK_ENTRIES, min_size=n, max_size=n)))
+    else:
+        near = st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, tol / 2, -tol / 2, -tol / 2 * (1 + 2**-52), -tol]
+        )
+        offsets = near | near | st.just(math.inf) | _BLOCK_ENTRIES
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = lhs + np.array(draw(st.lists(offsets, min_size=n, max_size=n)))
+    shape = draw(st.sampled_from([(n,), (1, n), (n, 1)]))
+    return lhs.reshape(shape), rhs.reshape(shape), tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(_block_pairs())
+def test_plain_comparison_skips_only_blocks_that_pass(pair):
+    lhs, rhs, tol = pair
+    before = lhs.tobytes(), rhs.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = _plainly_leq(lhs, rhs, tol)
+        assert (lhs.tobytes(), rhs.tobytes()) == before
+        if plain:
+            assert _leq_cells(lhs.copy(), rhs, tol).all()
+            assert all(map(_leq, lhs.ravel().tolist(), rhs.ravel().tolist(), [tol] * lhs.size))
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,tol,plain",
+    [
+        (1.0, 1.0, 0.0, True),
+        (0.0, -0.0, 0.0, True),
+        (1.0, 1.0 - 2**-52, 1e-9, True),  # rounding noise of an equality
+        (1.0, 1.0 - 2**-52, 0.0, False),
+        (1.0, 1.0 - 0.4e-9, 1e-9, True),
+        (1.0, 1.0 - 0.6e-9, 1e-9, False),
+        (5e-324, 0.0, 0.0, False),
+        (math.inf, math.inf, 1e-9, False),  # passes _leq, but not plainly
+        (math.inf, math.inf, 0.0, False),  # fails _leq: 0 * inf is NaN
+        (1e308, math.inf, 0.1, False),
+        (math.nan, 1.0, 0.1, False),
+        (1.0, 2.0, -1e-9, False),
+        (1.0, 2.0, math.nan, False),
+    ],
+)
+def test_plain_comparison_cases(lhs, rhs, tol, plain):
+    with np.errstate(invalid="ignore"):
+        assert _plainly_leq(np.array([lhs]), np.array([rhs]), tol) is plain
+
+
+def _checked_with_spy(orc, tol=1e-9):
+    """``check_capacity_axioms(orc, tol)``, and whether each block it skipped
+    passes ``_leq_cells`` in every cell."""
+    skipped = []
+
+    def spy(lhs, rhs, tol):
+        plain = _plainly_leq(lhs, rhs, tol)
+        if plain:
+            skipped.append(bool(_leq_cells(lhs.copy(), rhs, tol).all()))
+        return plain
+
+    with mock.patch("relayflow.capacity._plainly_leq", spy):
+        return check_capacity_axioms(orc, tol), skipped
+
+
+def test_axiom_check_skips_blocks_of_valid_oracles():
+    for family in FAMILIES:
+        for m_in, m_out in ((1, 2), (2, 2), (3, 4), (4, 4)):
+            orc = _family_oracle(family, m_in, m_out, seed=m_in * m_out)
+            report, skipped = _checked_with_spy(orc)
+            assert report.passed and skipped and all(skipped), (family, m_in, m_out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, 0.5, 1.0, 1e307, 1e308]),
+        min_size=64,
+        max_size=64,
+    ),
+    st.sampled_from([0.0, 1e-9, 0.1]),
+)
+def test_axiom_check_skips_only_passing_blocks(m_in, m_out, entries, tol):
+    # finite tables whose sums overflow and whose cells tie, with signed zeros
+    table = np.array(entries[: 1 << m_in + m_out]).reshape(1 << m_in, 1 << m_out)
+    table[0] = table[:, 0] = 0.0
+    orc = _with_table(AdditiveOracle(np.zeros((m_in, m_out))), table)
+    report, skipped = _checked_with_spy(orc, tol)
+    assert all(skipped)
+    assert repr(report) == repr(_reference_axioms(orc, tol))
+
+
 # --- dense tables -------------------------------------------------------------
 
 
@@ -626,6 +735,65 @@ def test_gaussian_table_memory_is_bounded_in_bytes():
         tracemalloc.stop()
     # the 2^18-cell table is 2 MB; chunks of 8,192 cells peaked 17.75 MB above it
     assert peak < 2 * 2**20 + 4 * 2**20
+
+
+def _reference_bit_positions(masks):
+    """The per-call set-bit positions loop that the subset index replaced,
+    kept verbatim as the reference."""
+    out = np.empty((masks.size, int(masks[0]).bit_count()), dtype=np.intp)
+    for j in range(out.shape[1]):
+        low = masks & -masks
+        out[:, j] = np.frexp(low)[1] - 1
+        masks = masks ^ low
+    return out
+
+
+def test_subset_index_matches_the_per_call_loops():
+    for width in range(1, 17):
+        index = _subset_index(width)
+        masks = np.arange(1 << width)
+        counts = np.zeros_like(masks)
+        for bit in range(width):
+            counts += masks >> bit & 1
+        assert np.array_equal(index.popcount, counts)
+        for k in range(width + 1):
+            group = masks[counts == k]
+            assert np.array_equal(index.by_popcount[k], group)
+            assert np.array_equal(index.positions[k], _reference_bit_positions(group))
+            assert np.array_equal(index.rank[group], np.arange(group.size))
+            picked = group[::-7]
+            assert np.array_equal(index.positions_of(picked), _reference_bit_positions(picked))
+
+
+def test_subset_index_is_kept_per_width_and_read_only():
+    index = _subset_index(5)
+    arrays = [*index.by_popcount, *index.positions, index.rank, index.popcount]
+    before = [a.tobytes() for a in arrays]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        index.rank[3] = 0
+    for family in FAMILIES:
+        for dims in ((5, 3), (3, 5)):
+            assert check_capacity_axioms(_family_oracle(family, *dims, seed=8)).passed
+    assert _subset_index(5) is index
+    assert [a.tobytes() for a in arrays] == before
+    # the widest layer of any network; wider sides are indexed per table
+    assert capacity._KEPT_INDEX_BITS == cutflow.LAYER_GUARD
+    assert _subset_index(17) is not _subset_index(17)
+
+
+def test_widest_subset_index_holds_the_stated_bytes():
+    # (13 + width / 2) * 2^width bytes: 1,376,256 at the widest layer of 16
+    width = capacity._KEPT_INDEX_BITS
+    tracemalloc.start()
+    try:
+        index = capacity._build_subset_index(width)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [*index.by_popcount, *index.positions, index.rank, index.popcount]
+    assert sum(a.nbytes for a in arrays) == (13 + width // 2) * 2**width == 1_376_256
+    assert retained < 1_376_256 + 16384
 
 
 def test_table_guard_refuses_before_any_cell(oracle_calls):

@@ -145,6 +145,25 @@ def test_validate_refuses_overflowing_tables(tmp_path, first, layer_pair, cell):
     assert json.loads(proc.stdout)["detail"] == (
         f"layer pair {layer_pair}: capacity at {cell} is inf, not a finite number"
     )
+    # the refusal reports the overflow; numpy does not warn about it
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["mincut", "maxflow"])
+def test_overflowing_cut_is_refused_without_warnings(tmp_path, command):
+    # every cut crosses two entries of 1e308, whose sum overflows
+    net = {
+        "layers": [1, 2, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1e308, 1e308]]},
+            {"kind": "additive", "matrix": [[1e308], [1e308]]},
+        ],
+    }
+    netfile = tmp_path / "overflow.json"
+    netfile.write_text(json.dumps(net))
+    proc = run_cli(command, str(netfile))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["detail"] == "cut value is inf, not a finite number"
 
 
 def test_parse_error_exits_two(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from relayflow import (
     AdditiveOracle,
     NodeId,
+    NumericalFailure,
     TooLarge,
     build_network,
     check_capacity_axioms,
@@ -72,6 +76,40 @@ def test_generated_discrete_oracles_pass_axioms():
             assert check_capacity_axioms(oracle).passed
 
 
+def _failing_report(oracle, tol=1e-9):
+    from relayflow.capacity import AxiomReport
+
+    return AxiomReport(False, False, True, True, {"axiom": "bisubmodular"}, 1)
+
+
+def test_generated_oracle_failing_the_axioms_is_refused(monkeypatch):
+    monkeypatch.setattr("relayflow.oracle.check_capacity_axioms", _failing_report)
+    with pytest.raises(NumericalFailure, match="generated additive oracle failed axioms"):
+        random_instance(InstanceSpec(1, (1, 2, 1), {"additive": 1.0}))
+
+
+def test_generated_oracle_is_refused_under_python_O():
+    # -O strips assert statements; the axiom verdict must not be one
+    code = textwrap.dedent(
+        """
+        import sys
+        from relayflow import NumericalFailure, oracle
+        from relayflow.capacity import AxiomReport
+
+        oracle.check_capacity_axioms = lambda o, tol=1e-9: AxiomReport(
+            False, False, True, True, {"axiom": "bisubmodular"}, 1
+        )
+        try:
+            oracle.random_instance(oracle.InstanceSpec(1, (1, 2, 1), {"additive": 1.0}))
+        except NumericalFailure as exc:
+            print(sys.flags.optimize, exc)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 generated additive oracle failed axioms")
+
+
 def test_size_guard_on_spec():
     with pytest.raises(TooLarge):
         InstanceSpec(1, (1, 5, 1), {"additive": 1.0})
@@ -96,6 +134,15 @@ def test_brute_min_cut_two_layers():
     value, cut = brute_min_cut(line_net((3.0,)))
     assert value == 3.0
     assert cut.members == frozenset({NodeId(1, 1)})
+
+
+def test_brute_min_cut_refuses_when_every_cut_is_infinite():
+    # every cut crosses two entries of 1e308, whose sum overflows
+    net = build_network(
+        [1, 2, 1], [AdditiveOracle([[1e308, 1e308]]), AdditiveOracle([[1e308], [1e308]])]
+    )
+    with pytest.raises(NumericalFailure, match="every cut value is NaN or infinite"):
+        brute_min_cut(net)
 
 
 def test_brute_max_flow_line_and_diamond():
