@@ -57,6 +57,9 @@ AXIOM_GUARD_BITS = 16
 #: 2^24 float64 cells, 128 MB
 TABLE_GUARD_BITS = 24
 
+#: per-layer subset enumeration guard: the widest layer of any network
+LAYER_GUARD = 16
+
 #: largest temporary array, in cells, of the blocked exhaustive checks
 #: (64 KB of float64; larger blocks were no faster and raised peak RSS)
 _BLOCK_CELLS = 1 << 13
@@ -288,22 +291,20 @@ def _build_subset_index(width: int) -> _SubsetIndex:
     return _SubsetIndex(tuple(by_popcount), tuple(positions), rank, popcount)
 
 
-#: widest layer whose subset index is kept: ``cutflow.LAYER_GUARD``, the
-#: widest layer of any network.  A wider side, which only a table built
-#: directly from its oracle has, gets an index for that table alone.
-_KEPT_INDEX_BITS = 16
-
+#: subset indexes up to ``LAYER_GUARD`` bits, kept.  A wider side, which
+#: only a table built directly from its oracle has, gets an index for that
+#: table alone.
 _kept_subset_index = functools.cache(_build_subset_index)
 
 
 def _subset_index(width: int) -> _SubsetIndex:
     """The :class:`_SubsetIndex` of ``width``-bit masks, built once per
-    width up to ``_KEPT_INDEX_BITS`` and kept.
+    width up to ``LAYER_GUARD`` and kept.
 
     It holds ``(13 + width / 2) * 2^width`` bytes of arrays: 1,376,256
     (1.3 MB) at 16, 2,112 at 7.
     """
-    if width > _KEPT_INDEX_BITS:
+    if width > LAYER_GUARD:
         return _build_subset_index(width)
     return _kept_subset_index(width)
 

@@ -45,6 +45,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from .capacity import (
+    LAYER_GUARD,
     TABLE_GUARD_BITS,
     CapacityOracle,
     _leq,
@@ -66,9 +67,6 @@ from .errors import (
 from .netgraph import Cut, Flow, LayeredNetwork, NodeId
 
 INF = float("inf")
-
-#: per-layer subset enumeration guard
-LAYER_GUARD = 16
 
 
 def _guard_layers(net: LayeredNetwork) -> None:

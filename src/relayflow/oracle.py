@@ -4,8 +4,8 @@ constraint, and a seeded instance generator.
 
 The flow reference shares no solver code with the construction in
 :mod:`relayflow.cutflow`: it assembles the full constraint matrix in one
-piece and solves it with its own two-phase simplex, in exact rational
-arithmetic when every capacity is integral and in floating point
+piece and solves it with one two-phase simplex of its own, on exact
+fractions when every right-hand side is integral and on float64
 otherwise.
 
 The generator advances a fixed splitmix-style 64-bit state, so instances
@@ -361,44 +361,71 @@ def brute_max_flow(
         objective[pos[node]] = 1.0
 
     exact = all(float(v).is_integer() for v in rhs)
-    if exact:
-        value, _ = _lp_max_exact(rows, rhs, objective)
-    else:
-        value, _ = _lp_max_float(rows, rhs, objective)
+    value, _ = _lp_max(rows, rhs, objective, exact)
     return value
 
 
-def _lp_max_float(
-    rows: Sequence[Sequence[float]], rhs: Sequence[float], objective: Sequence[float]
+def _lp_max(
+    rows: Sequence[Sequence[float]],
+    rhs: Sequence[float],
+    objective: Sequence[float],
+    exact: bool,
 ) -> tuple[float, list[float]]:
-    """Two-phase tableau simplex (float): max c.x, A x <= b, x >= 0."""
-    a = np.asarray(rows, dtype=float).copy()
-    b = np.asarray(rhs, dtype=float).copy()
-    c = np.asarray(objective, dtype=float)
+    """Two-phase tableau simplex with Bland's rule: max c.x, A x <= b, x >= 0.
+
+    ``exact`` runs it on ``Fraction``s with zero tolerances, where Bland's
+    rule cannot cycle; otherwise on float64 with a pivot tolerance of 1e-9
+    and a phase-1 feasibility tolerance of 1e-7.  Either mode gives up
+    after 50,000 pivots per phase.
+    """
+    if exact:
+        num, dtype, eps, feas_tol = Fraction, object, 0, 0
+    else:
+        num, dtype, eps, feas_tol = float, float, 1e-9, 1e-7
+    zero, one = num(0), num(1)
+    a = np.array([[num(v) for v in row] for row in rows], dtype=dtype)
+    b = np.array([num(v) for v in rhs], dtype=dtype)
+    c = np.array([num(v) for v in objective], dtype=dtype)
     m, n = a.shape
-    eps = 1e-9
     flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    a[flip] = -a[flip]
+    b[flip] = -b[flip]
     art_rows = list(np.flatnonzero(flip))
     k = len(art_rows)
     ncols = n + m + k
-    tab = np.zeros((m, ncols + 1))
+    tab = np.full((m, ncols + 1), zero, dtype=dtype)
     tab[:, :n] = a
     for i in range(m):
-        tab[i, n + i] = -1.0 if flip[i] else 1.0
+        tab[i, n + i] = -one if flip[i] else one
     for j, i in enumerate(art_rows):
-        tab[i, n + m + j] = 1.0
+        tab[i, n + m + j] = one
     tab[:, -1] = b
     basis = [n + m + art_rows.index(i) if flip[i] else n + i for i in range(m)]
 
     def priceout(cost: np.ndarray) -> np.ndarray:
-        z = np.zeros(tab.shape[1])
-        z[:-1] = -cost[: tab.shape[1] - 1]
-        for i in range(tab.shape[0]):
+        z = np.full(ncols + 1, zero, dtype=dtype)
+        z[:-1] = -cost
+        for i in range(m):
             cb = cost[basis[i]]
-            if cb != 0.0:
+            if cb != 0:
                 z += cb * tab[i]
+        return z
+
+    def pivot(leave: int, enter: int, z: np.ndarray) -> np.ndarray:
+        piv = tab[leave, enter]
+        tab[leave] /= piv
+        col = tab[:, enter].copy()
+        col[leave] = zero
+        if exact:
+            # an entry moves only where its row's entering entry and its
+            # column's pivot-row entry are both nonzero
+            moved, used = np.flatnonzero(col), np.flatnonzero(tab[leave])
+            tab[np.ix_(moved, used)] -= np.outer(col[moved], tab[leave, used])
+        else:
+            np.subtract(tab, np.outer(col, tab[leave]), out=tab)
+        if z[enter] != 0:
+            z = z - z[enter] * tab[leave]
+        basis[leave] = enter
         return z
 
     def pivot_loop(z: np.ndarray, n_allowed: int) -> np.ndarray:
@@ -411,7 +438,7 @@ def _lp_max_float(
             if enter < 0:
                 return z
             leave, best = -1, math.inf
-            for i in range(tab.shape[0]):
+            for i in range(m):
                 coef = tab[i, enter]
                 if coef > eps:
                     ratio = tab[i, -1] / coef
@@ -422,155 +449,31 @@ def _lp_max_float(
                         leave = i
             if leave < 0:
                 raise NumericalFailure("flow program is unbounded")
-            piv = tab[leave, enter]
-            tab[leave] /= piv
-            col = tab[:, enter].copy()
-            col[leave] = 0.0
-            np.subtract(tab, np.outer(col, tab[leave]), out=tab)
-            if z[enter] != 0.0:
-                z = z - z[enter] * tab[leave]
-            basis[leave] = enter
+            z = pivot(leave, enter, z)
         raise NumericalFailure("simplex did not converge")
 
     if k:
-        cost1 = np.zeros(ncols)
-        cost1[n + m :] = -1.0
-        z = priceout(cost1)
-        z = pivot_loop(z, ncols)
-        if z[-1] < -1e-7:
-            raise InfeasibleBoundary("no flow satisfies the fixed boundary values")
-        keep = []
-        for i in range(tab.shape[0]):
-            if basis[i] < n + m:
-                keep.append(i)
-                continue
-            pivots = [j for j in range(n + m) if abs(tab[i, j]) > eps]
-            if not pivots:
-                continue  # dependent row
-            enter = pivots[0]
-            piv = tab[i, enter]
-            tab[i] /= piv
-            col = tab[:, enter].copy()
-            col[i] = 0.0
-            tab -= np.outer(col, tab[i])
-            basis[i] = enter
-            keep.append(i)
-        if len(keep) != tab.shape[0]:
-            tab = tab[keep]
-            basis = [basis[i] for i in keep]
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    z = priceout(cost2)
-    z = pivot_loop(z, n + m)
-    x = [0.0] * n
-    for i in range(tab.shape[0]):
-        if basis[i] < n:
-            x[basis[i]] = float(tab[i, -1])
-    return float(z[-1]), x
-
-
-def _lp_max_exact(
-    rows: Sequence[Sequence[float]], rhs: Sequence[float], objective: Sequence[float]
-) -> tuple[float, list[float]]:
-    """Two-phase tableau simplex in exact rational arithmetic."""
-    zero, one = Fraction(0), Fraction(1)
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    c = [Fraction(x) for x in objective]
-    m, n = len(a), len(c)
-    flip = [bi < 0 for bi in b]
-    art_rows = [i for i in range(m) if flip[i]]
-    k = len(art_rows)
-    ncols = n + m + k
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [zero] * (ncols + 1)
-        coeffs = [-x for x in a[i]] if flip[i] else a[i]
-        row[:n] = coeffs
-        row[n + i] = -one if flip[i] else one
-        if flip[i]:
-            row[n + m + art_rows.index(i)] = one
-        row[-1] = -b[i] if flip[i] else b[i]
-        tab.append(row)
-    basis = [n + m + art_rows.index(i) if flip[i] else n + i for i in range(m)]
-
-    def priceout(cost: list[Fraction]) -> list[Fraction]:
-        z = [-cost[j] for j in range(ncols)] + [zero]
-        for i in range(len(tab)):
-            cb = cost[basis[i]]
-            if cb:
-                row = tab[i]
-                for j in range(ncols + 1):
-                    z[j] += cb * row[j]
-        return z
-
-    def do_pivot(leave: int, enter: int, z: list[Fraction]) -> list[Fraction]:
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        pivot_row = tab[leave]
-        for i in range(len(tab)):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], pivot_row)]
-        if z[enter]:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, pivot_row)]
-        basis[leave] = enter
-        return z
-
-    def pivot_loop(z: list[Fraction], n_allowed: int) -> list[Fraction]:
-        # Bland's rule exactly: cannot cycle
-        while True:
-            enter = -1
-            for j in range(n_allowed):
-                if z[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return z
-            leave, best = -1, None
-            for i in range(len(tab)):
-                coef = tab[i][enter]
-                if coef > 0:
-                    ratio = tab[i][-1] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                raise NumericalFailure("flow program is unbounded")
-            z = do_pivot(leave, enter, z)
-
-    if k:
-        cost1 = [zero] * ncols
-        for j in range(n + m, ncols):
-            cost1[j] = -one
+        cost1 = np.full(ncols, zero, dtype=dtype)
+        cost1[n + m :] = -one
         z = pivot_loop(priceout(cost1), ncols)
-        if z[-1] < 0:
+        if z[-1] < -feas_tol:
             raise InfeasibleBoundary("no flow satisfies the fixed boundary values")
-        keep = []
-        for i in range(len(tab)):
-            if basis[i] < n + m:
-                keep.append(i)
-                continue
-            enter = next((j for j in range(n + m) if tab[i][j]), None)
-            if enter is None:
-                continue  # dependent row
-            z = do_pivot(i, enter, z)
-            keep.append(i)
-        if len(keep) != len(tab):
-            tab[:] = [tab[i] for i in keep]
-            basis[:] = [basis[i] for i in keep]
+        # An artificial still basic (at zero) leaves for the first original
+        # or slack column nonzero in its row.  Its own constraint's slack
+        # column is the negated artificial column, so its entry there is -1
+        # and such a column always exists.
+        for i in range(m):
+            if basis[i] >= n + m:
+                enter = next(j for j in range(n + m) if abs(tab[i, j]) > eps)
+                z = pivot(i, enter, z)
 
-    cost2 = [zero] * ncols
+    cost2 = np.full(ncols, zero, dtype=dtype)
     cost2[:n] = c
     z = pivot_loop(priceout(cost2), n + m)
     x = [0.0] * n
-    for i in range(len(tab)):
+    for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = float(tab[i][-1])
+            x[basis[i]] = float(tab[i, -1])
     return float(z[-1]), x
 
 

@@ -28,7 +28,7 @@ from relayflow import (
     network_from_models,
     quantizer_leak,
 )
-from relayflow import capacity, cutflow
+from relayflow import capacity
 from relayflow.capacity import PMF_TOL, _leq, _leq_cells, _plainly_leq, _subset_index
 from relayflow.oracle import FAMILIES, SplitMix64, discrete_mi_reference
 
@@ -777,14 +777,13 @@ def test_subset_index_is_kept_per_width_and_read_only():
             assert check_capacity_axioms(_family_oracle(family, *dims, seed=8)).passed
     assert _subset_index(5) is index
     assert [a.tobytes() for a in arrays] == before
-    # the widest layer of any network; wider sides are indexed per table
-    assert capacity._KEPT_INDEX_BITS == cutflow.LAYER_GUARD
+    # wider sides than any network's layer are indexed per table
     assert _subset_index(17) is not _subset_index(17)
 
 
 def test_widest_subset_index_holds_the_stated_bytes():
     # (13 + width / 2) * 2^width bytes: 1,376,256 at the widest layer of 16
-    width = capacity._KEPT_INDEX_BITS
+    width = capacity.LAYER_GUARD
     tracemalloc.start()
     try:
         index = capacity._build_subset_index(width)

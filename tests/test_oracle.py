@@ -1,13 +1,16 @@
+import ast
 import json
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from relayflow import (
     AdditiveOracle,
+    InfeasibleBoundary,
     NodeId,
     NumericalFailure,
     TooLarge,
@@ -16,6 +19,7 @@ from relayflow import (
     max_flow,
     min_cut,
 )
+from relayflow import oracle
 from relayflow.fileformat import network_from_dict
 from relayflow.oracle import (
     FAMILIES,
@@ -225,6 +229,118 @@ def test_brute_guards():
 
 
 # --- golden fixtures --------------------------------------------------------------
+
+
+
+def _pivot_callers(solve):
+    """Run ``solve()``; count the simplex's ``pivot`` calls by caller: the
+    pivot loop, or ``_lp_max`` itself when it pivots an artificial that is
+    still basic after phase 1 out of the basis."""
+    calls = Counter()
+
+    def spy(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "pivot" and code.co_filename == oracle.__file__:
+            calls[frame.f_back.f_code.co_name] += 1
+
+    sys.setprofile(spy)
+    try:
+        solve()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _integer_additive(seed, sizes):
+    rng = SplitMix64(seed)
+    return build_network(
+        sizes,
+        [
+            AdditiveOracle([[float(rng.next_u64() % 4) for _ in range(b)] for _ in range(a)])
+            for a, b in zip(sizes, sizes[1:])
+        ],
+    )
+
+
+def test_lp_max_float_and_exact_modes_agree_on_integral_programs(monkeypatch):
+    programs = []
+    solve = oracle._lp_max
+
+    def record(rows, rhs, objective, exact):
+        programs.append((rows, rhs, objective))
+        return solve(rows, rhs, objective, exact)
+
+    monkeypatch.setattr(oracle, "_lp_max", record)
+    for seed in range(1, 6):
+        for net in (
+            _integer_additive(seed, (1, 2, 2, 1)),
+            random_instance(InstanceSpec(seed, (1, 3, 2, 1), {"rank_gf2": 1.0})).network,
+        ):
+            value = brute_max_flow(net)
+            ends = net.layer_nodes(1) + net.layer_nodes(net.num_layers)
+            # the largest feasible boundary and one unit past it
+            for fixed in (value, value + 1.0):
+                try:
+                    brute_max_flow(net, dict.fromkeys(ends, fixed))
+                except InfeasibleBoundary:
+                    pass
+    monkeypatch.undo()
+
+    reached = Counter()
+    for rows, rhs, objective in programs:
+        assert all(float(v).is_integer() for v in rhs)
+        outcomes = []
+        for exact in (True, False):
+            try:
+                calls = _pivot_callers(
+                    lambda: outcomes.append(solve(rows, rhs, objective, exact))
+                )
+            except InfeasibleBoundary:
+                outcomes.append("infeasible")
+                continue
+            assert calls["pivot_loop"] > 0
+            reached["phase 1" if min(rhs) < 0 else "no artificial", exact] += 1
+            if calls["_lp_max"]:
+                reached["artificial left basic", exact] += 1
+        if outcomes[0] == "infeasible":
+            assert outcomes[1] == "infeasible"
+            reached["infeasible"] += 1
+            continue
+        (exact_value, exact_x), (float_value, float_x) = outcomes
+        assert float_value == pytest.approx(exact_value, rel=0, abs=1e-9)
+        assert float_x == pytest.approx(exact_x, rel=0, abs=1e-9)
+    # every branch is reached in both modes; the boundary rows come in
+    # dependent pairs (a row and its negation), which leaves an artificial
+    # basic at zero after phase 1 on some of them
+    for branch in ("no artificial", "phase 1", "artificial left basic"):
+        assert reached[branch, True] == reached[branch, False] > 0
+    assert reached["infeasible"] > 0
+
+
+def test_oracle_shares_no_solver_code_with_cutflow():
+    # the brute-force references stay independent of the construction
+    # they check
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cutflow"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all("cutflow" not in alias.name for alias in node.names)
+    assert imported == {"_lex_masks", "max_flow"}
+    named = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & imported
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert named["_lp_max"] == named["brute_max_flow"] == set()
+    # brute_min_cut scans in min_cut's tie-break order; only the golden
+    # fixture runs the construction, to record its per-node flows
+    assert named["brute_min_cut"] == {"_lex_masks"}
+    assert {name for name, used in named.items() if used} == {
+        "brute_min_cut",
+        "dump_fixture",
+    }
 
 
 def test_fixture_dump_round_trip():
