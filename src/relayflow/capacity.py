@@ -583,9 +583,9 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
     ``_BLOCK_CELLS`` cells (several ``U1`` each on small tables), or one row
     over ``V2`` where that is longer.  Each comparison first takes the plain
     margins ``rhs - lhs`` (:func:`_plainly_leq`): when all are finite and at
-    least ``-tol / 2`` (``tol >= 0``), every cell provably passes ``_leq``
-    and the comparison is done; otherwise ``_leq_cells`` decides cell by
-    cell.  The report is the same either way.
+    least ``-tol / 2`` (``0 <= tol < inf``), every cell provably passes
+    ``_leq`` and the comparison is done; otherwise ``_leq_cells`` decides
+    cell by cell.  The report is the same either way.
 
     Raises:
         TooLarge: if the layer pair exceeds the enumeration guard
@@ -640,8 +640,8 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
 
 def _plainly_leq(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
     """Whether every cell passes ``_leq(lhs, rhs, tol)`` by the plain
-    comparison alone: ``tol >= 0`` and every margin ``rhs - lhs`` finite and
-    at least ``-tol / 2``.  ``lhs`` and ``rhs`` are only read.
+    comparison alone: ``0 <= tol < inf`` and every margin ``rhs - lhs``
+    finite and at least ``-tol / 2``.  ``lhs`` and ``rhs`` are only read.
 
     A finite margin has finite operands, and the rounded difference of two
     floats is within a factor ``1 +- 2^-53`` of the exact one, so ``rhs +
@@ -650,10 +650,11 @@ def _plainly_leq(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
     bound ``rhs + tol * max(1, |lhs|, |rhs|)`` is no smaller.  ``False``
     claims nothing, and the caller runs ``_leq_cells``.  That is always so
     for NaN, for overflowed sums (with ``tol = 0`` an infinite operand makes
-    the bound ``0 * inf = NaN``, which fails) and for a negative or NaN
-    ``tol``.
+    the bound ``0 * inf = NaN``, which fails) and for a negative, NaN or
+    infinite ``tol``: at ``tol = inf`` the margin ``-inf`` of ``rhs = -inf``
+    is not below ``-tol / 2``, yet ``_leq``'s bound ``-inf + inf`` is NaN.
     """
-    if not tol >= 0.0:
+    if not 0.0 <= tol < math.inf:
         return False
     margins = np.subtract(rhs, lhs)
     return bool(margins.min() >= -0.5 * tol and margins.max() < math.inf)
@@ -664,7 +665,9 @@ def _first_monotone_failure(
 ) -> dict | None:
     """First failing step ``tab[U, V] <= tab[U + i, V]`` (transmitters ``i``)
     or ``tab[U, V] <= tab[U, V + j]`` (receivers ``j``) in ``(U, V, step)``
-    order, steps ordered transmitters first, each by ascending index.
+    order, steps ordered transmitters first, each by ascending index.  A
+    one-argument set function is the ``m_out = 0`` case: a one-column
+    ``tab``, whose steps add one element each, in ``(U, element)`` order.
 
     A step compares two strided views of the table: the cells whose mask
     lacks the added node, with the mask split into the bits above and below
@@ -707,7 +710,9 @@ def _first_monotone_failure(
 def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
     """First failing check of ``tab[U1|U2, V1&V2] + tab[U1&U2, V1|V2] <=
     tab[U1, V1] + tab[U2, V2]`` in ``(U1, V1, U2, V2)`` order, over
-    ``U2 >= U1`` and, on ``U2 == U1``, ``V2 >= V1``.
+    ``U2 >= U1`` and, on ``U2 == U1``, ``V2 >= V1``.  On a one-column
+    ``tab`` (a one-argument set function, ``m_out = 0``) every ``V`` is
+    empty and this is submodularity, by ``(U1, U2 >= U1)``.
 
     The cells are taken in C-order blocks ``(U1, V1, U2, V2)`` of at most
     ``_BLOCK_CELLS`` cells, or one ``V2`` row where that is longer.  A block

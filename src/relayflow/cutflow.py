@@ -48,11 +48,13 @@ from .capacity import (
     LAYER_GUARD,
     TABLE_GUARD_BITS,
     CapacityOracle,
-    _leq,
+    _first_bisubmodular_failure,
+    _first_monotone_failure,
     _leq_cells,
     _mask_indices,
     _require_finite,
     _subset_sums,
+    _to_mask,
 )
 from .errors import (
     DimensionMismatch,
@@ -117,19 +119,27 @@ def cut_value(net: LayeredNetwork, members: Iterable[NodeId]) -> float:
     return total
 
 
+def _values_at(
+    values: Mapping[NodeId, float], nodes: Iterable[NodeId], what: str
+) -> list:
+    """``values`` at each of ``nodes``, in order; a node missing from the
+    mapping is refused by name."""
+    found = []
+    for node in nodes:
+        if node not in values:
+            raise RateCountMismatch(f"{what} missing for {node.key()}")
+        found.append(values[node])
+    return found
+
+
 def _boundary_lists(
     net: LayeredNetwork, boundary: Mapping[NodeId, float]
 ) -> tuple[list[float], list[float]]:
     """Split a boundary-flow mapping into first-layer and last-layer lists."""
-    first, last = [], []
-    for node in net.layer_nodes(1):
-        if node not in boundary:
-            raise RateCountMismatch(f"boundary flow missing for {node.key()}")
-        first.append(float(boundary[node]))
-    for node in net.layer_nodes(net.num_layers):
-        if node not in boundary:
-            raise RateCountMismatch(f"boundary flow missing for {node.key()}")
-        last.append(float(boundary[node]))
+    first, last = (
+        [float(v) for v in _values_at(boundary, net.layer_nodes(l), "boundary flow")]
+        for l in (1, net.num_layers)
+    )
     _require_finite(first + last, "boundary flows")
     if any(v < 0 for v in first + last):
         raise NegativeRate("boundary flows must be nonnegative")
@@ -253,30 +263,37 @@ class BoundaryFunction:
     ground_size: int
     values: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.side not in ("source", "sink"):
+            raise BadRange(f"unknown side {self.side!r}")
+        if self.ground_size < 0:
+            raise BadRange(f"ground set size {self.ground_size} is negative")
+        if len(self.values) != 1 << self.ground_size:
+            raise DimensionMismatch(
+                f"{len(self.values)} values for a ground set of {self.ground_size}"
+            )
+
     def value(self, subset: Iterable[int]) -> float:
-        mask = 0
-        for i in subset:
-            if not 1 <= i <= self.ground_size:
-                raise BadRange(f"index {i} outside ground set of {self.ground_size}")
-            mask |= 1 << (i - 1)
-        return self.values[mask]
+        return self.values[_to_mask(subset, self.ground_size)]
 
     def check_polymatroid(self, tol: float = 1e-9) -> tuple[bool, str | None]:
-        """Exhaustively verify zero-at-empty, monotonicity, and submodularity."""
-        vals = self.values
-        if vals[0] != 0.0:
-            return False, f"value at empty set is {vals[0]}"
-        n = 1 << self.ground_size
-        for a in range(n):
-            for i in range(self.ground_size):
-                if a & (1 << i):
-                    continue
-                if not _leq(vals[a], vals[a | (1 << i)], tol):
-                    return False, f"not monotone at {a:b} adding {i + 1}"
-        for a in range(n):
-            for b in range(a, n):
-                if not _leq(vals[a | b] + vals[a & b], vals[a] + vals[b], tol):
-                    return False, f"not submodular at {a:b}, {b:b}"
+        """Exhaustively verify zero-at-empty, monotonicity, and submodularity,
+        the last two by ``check_capacity_axioms``'s kernels on the values as a
+        one-column table (``m_out = 0``); the first failure is reported."""
+        if self.values[0] != 0.0:
+            return False, f"value at empty set is {self.values[0]}"
+        m = self.ground_size
+        tab = np.array(self.values, dtype=float)[:, None]
+        # overflow to inf and inf - inf = NaN compare as Python floats do
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _first_monotone_failure(tab, m, 0, tol)
+            pair = None if step else _first_bisubmodular_failure(tab, tol)
+        if step:
+            u = _to_mask(step["U"], m)
+            return False, f"not monotone at {u:b} adding {step['added_transmitter']}"
+        if pair:
+            u1, u2 = _to_mask(pair["U1"], m), _to_mask(pair["U2"], m)
+            return False, f"not submodular at {u1:b}, {u2:b}"
         return True, None
 
 
@@ -690,11 +707,8 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     in the same order.
     """
     _guard_layers(net)
-    for node in net.nodes():
-        if node not in flow.values:
-            raise RateCountMismatch(f"flow value missing for {node.key()}")
     layer_vals = [
-        [flow.values[n] for n in net.layer_nodes(l)]
+        _values_at(flow.values, net.layer_nodes(l), "flow value")
         for l in range(1, net.num_layers + 1)
     ]
     worst = -INF

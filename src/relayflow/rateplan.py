@@ -50,11 +50,13 @@ from .cutflow import (
     _cut_dp,
     _first_minimizer,
     _scan_constraints,
+    _values_at,
     max_flow,
 )
 from .errors import (
     DimensionMismatch,
     InputError,
+    NegativeRate,
     NumericalFailure,
     TooLarge,
     UnsupportedModel,
@@ -182,18 +184,21 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
     return RatePlan(rate, compression, tuple(penalties), tuple(flags), flow)
 
 
-def _compression_sums(plan: RatePlan, net: LayeredNetwork, l: int) -> list[float]:
-    """``sums[mask]``: compression total of layer ``l``'s relays in ``mask``."""
-    return _subset_sums([plan.compression[n] for n in net.layer_nodes(l)])
+def _relay_rates(
+    compression: Mapping[NodeId, float], net: LayeredNetwork
+) -> dict[int, list[float]]:
+    """Each relay layer's compression rates, keyed by layer; a relay missing
+    from ``compression`` is refused by name."""
+    return {
+        l: _values_at(compression, net.layer_nodes(l), "compression rate")
+        for l in range(2, net.num_layers)
+    }
 
 
-def _undecoded_terms(
-    plan: RatePlan, net: LayeredNetwork, model: LayerModel, l: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Negated compression total and leak of the receivers of layer pair ``l``
-    left undecoded, indexed by the decoded mask ``V`` (undecoded is the
-    complement of ``V``)."""
-    sums = _compression_sums(plan, net, l + 1)
+def _undecoded_terms(sums: list[float], model: LayerModel) -> tuple[np.ndarray, np.ndarray]:
+    """Negated compression total and leak of a layer model's receivers left
+    undecoded, given their compression ``sums``, indexed by the decoded mask
+    ``V`` (undecoded is the complement of ``V``)."""
     return np.negative(sums[::-1]), np.negative(model.leak_column()[::-1])
 
 
@@ -244,12 +249,14 @@ def check_layered_feasible(
         raise InputError("layered feasibility is defined for unicast networks")
     _check_models(net, models)
     L = net.num_layers
+    # sums[l][mask]: compression total of relay layer l's relays in mask
+    sums = {l: _subset_sums(r) for l, r in _relay_rates(plan.compression, net).items()}
     checks = []
 
     # family 1: last layer pair, against the raw received signal; row
     # ``umask - 1`` holds transmit set ``umask`` (adding -0.0 changes no float)
     received = models[L - 2].mi_received_column()[1:, None]
-    sent = [plan.rate] * len(received) if L == 2 else _compression_sums(plan, net, L - 1)[1:]
+    sent = [plan.rate] * len(received) if L == 2 else sums[L - 1][1:]
     checks.append((
         _scan_constraints(received, sent, [-0.0], tol),
         lambda u, v: {"family": "last_layer", "layer": L - 1, "U": _mask_indices(u + 1)},
@@ -257,11 +264,11 @@ def check_layered_feasible(
 
     # family 2: interior layer pairs
     for l in range(2, L - 1):
-        undecoded, leaks = _undecoded_terms(plan, net, models[l - 1], l)
+        undecoded, leaks = _undecoded_terms(sums[l + 1], models[l - 1])
         checks.append((
             _scan_constraints(
                 net.oracles[l - 1].table(),
-                _compression_sums(plan, net, l),
+                sums[l],
                 undecoded,
                 tol,
                 rhs_col=leaks,
@@ -277,7 +284,7 @@ def check_layered_feasible(
 
     # family 3: the source against the first layer pair (row 1: the source sends)
     if L >= 3:
-        undecoded, leaks = _undecoded_terms(plan, net, models[0], 1)
+        undecoded, leaks = _undecoded_terms(sums[2], models[0])
         checks.append((
             _scan_constraints(
                 net.oracles[0].table()[1:2], [plan.rate], undecoded, tol, rhs_col=leaks
@@ -341,6 +348,7 @@ def check_joint_feasible(
         raise UnsupportedModel(
             "joint region checker supports all-Gaussian or all-discrete models"
         )
+    relay_rates = _values_at(compression, relays, "compression rate")
 
     full = (1 << len(relays)) - 1
     pairs: list[tuple[int, int]] = []
@@ -373,7 +381,7 @@ def check_joint_feasible(
         info = _discrete_joint_mi(net, models, pairs)
 
     leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
-    compression_sums = _subset_sums([compression[v] for v in relays])
+    compression_sums = _subset_sums(relay_rates)
     leak_sums = _subset_sums(leaks)
     rhs_row = [
         compression_sums[full & ~s & ~d] + mi - leak_sums[full & ~d]
@@ -544,6 +552,8 @@ def check_multi_source(
     _check_models(net, models)
     rates = [float(r) for r in source_rates]
     _require_finite(rates, "source rates")
+    if any(r < 0 for r in rates):
+        raise NegativeRate("source rates must be nonnegative")
     if len(rates) != net.layer_sizes[0]:
         raise DimensionMismatch(
             f"{net.layer_sizes[0]} sources need {net.layer_sizes[0]} rates"
@@ -602,6 +612,7 @@ def decoding_complexity(
     """
     if block_length < 1:
         raise InputError("block length must be at least 1")
+    compression = _relay_rates(plan.compression, net)
     sizes = dict(quantizer_sizes or {})
     for node, n in sizes.items():
         if n < 1:
@@ -617,9 +628,7 @@ def decoding_complexity(
 
     terms = []
     for l in range(1, net.num_layers):
-        r_total = (
-            plan.rate if l == 1 else sum(plan.compression[n] for n in net.layer_nodes(l))
-        )
+        r_total = plan.rate if l == 1 else sum(compression[l])
         terms.append(
             r_total * block_length
             + sum(log_points(v) for v in net.layer_nodes(l + 1))

@@ -495,7 +495,7 @@ _BLOCK_ENTRIES = st.sampled_from(
 def _block_pairs(draw):
     """``(lhs, rhs, tol)``: ``rhs`` drawn on its own, or ``lhs`` moved by
     offsets around the plain comparison's threshold ``-tol / 2``."""
-    tol = draw(st.sampled_from([0.0, 1e-9, 0.1]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.1, math.inf, math.nan]))
     n = draw(st.integers(1, 6))
     lhs = np.array(draw(st.lists(_BLOCK_ENTRIES, min_size=n, max_size=n)))
     if draw(st.booleans()):
@@ -540,6 +540,10 @@ def test_plain_comparison_skips_only_blocks_that_pass(pair):
         (math.nan, 1.0, 0.1, False),
         (1.0, 2.0, -1e-9, False),
         (1.0, 2.0, math.nan, False),
+        (0.0, -math.inf, math.inf, False),  # fails _leq: -inf + inf is NaN
+        (-math.inf, 0.0, math.inf, False),
+        (math.inf, 0.0, math.inf, False),
+        (1.0, 2.0, math.inf, False),
     ],
 )
 def test_plain_comparison_cases(lhs, rhs, tol, plain):

@@ -520,6 +520,11 @@ MALFORMED = {
         {"boundary": {"source_rates": [None, 1]}},
         "boundary.source_rates " + _NUMBERS,
     ),
+    "source_rates_negative": (
+        ["check", "--mode", "multi"],
+        {"boundary": {"source_rates": [-0.5, 0.1]}},
+        "source rates must be nonnegative",
+    ),
     "source_rates_missing": (
         ["check", "--mode", "multi"],
         {},

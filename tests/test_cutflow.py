@@ -10,7 +10,9 @@ from relayflow import (
     AdditiveOracle,
     BoundaryFunction,
     CapacityOracle,
+    DimensionMismatch,
     DiscreteLayerModel,
+    Flow,
     GaussianLogDetOracle,
     Infeasible,
     InfeasibleBoundary,
@@ -18,7 +20,9 @@ from relayflow import (
     NegativeRate,
     NodeId,
     NumericalFailure,
+    OutOfRange,
     BadRange,
+    RateCountMismatch,
     TooLarge,
     boundary_function,
     build_network,
@@ -31,6 +35,7 @@ from relayflow import (
     verify_flow,
 )
 from relayflow import cutflow
+from relayflow.capacity import _leq
 from relayflow.fileformat import network_from_dict, network_to_dict
 from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
 
@@ -264,6 +269,115 @@ def test_boundary_functions_are_polymatroids():
     for fn in (r_src, r_snk):
         ok, why = fn.check_polymatroid()
         assert ok, why
+
+
+def _loop_check_polymatroid(fn, tol=1e-9):
+    """``BoundaryFunction.check_polymatroid`` as the scalar loop it was
+    before it ran on the capacity-axiom kernels, kept as its reference."""
+    vals = fn.values
+    if vals[0] != 0.0:
+        return False, f"value at empty set is {vals[0]}"
+    n = 1 << fn.ground_size
+    for a in range(n):
+        for i in range(fn.ground_size):
+            if a & (1 << i):
+                continue
+            if not _leq(vals[a], vals[a | (1 << i)], tol):
+                return False, f"not monotone at {a:b} adding {i + 1}"
+    for a in range(n):
+        for b in range(a, n):
+            if not _leq(vals[a | b] + vals[a & b], vals[a] + vals[b], tol):
+                return False, f"not submodular at {a:b}, {b:b}"
+    return True, None
+
+
+def _polymatroid_cases(seed):
+    """``(m, values)``: seeded polymatroids on m = 0-6 elements (square
+    roots of nonnegative modular functions plus a modular one), each also
+    with one value moved by 1e-13 to 1.0 and one set to NaN or +-inf."""
+    rng = np.random.default_rng(seed)
+    for m in range(7):
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        for _ in range(4):
+            base = np.sqrt(bits @ rng.random((m, 3))).sum(axis=1) + bits @ rng.random(m)
+            yield m, base
+            for moved in (1e-13, 1e-10, 1e-3, 1.0, math.nan, math.inf, -math.inf):
+                values = base.copy()
+                k = rng.integers(1 << m)
+                if math.isfinite(moved):
+                    values[k] += rng.choice([-1.0, 1.0]) * moved
+                else:
+                    values[k] = moved
+                yield m, values
+
+
+def test_polymatroid_check_matches_the_scalar_loop():
+    verdicts = set()
+    for m, values in _polymatroid_cases(18):
+        fn = BoundaryFunction("source", m, tuple(values.tolist()))
+        for tol in (0.0, 1e-12, 1e-9, 1e-6, -1e-9, math.nan, math.inf):
+            want = _loop_check_polymatroid(fn, tol)
+            assert fn.check_polymatroid(tol) == want, (values.tolist(), tol)
+            verdicts.add(want[1].split(" at ")[0] if want[1] else None)
+    assert verdicts == {None, "value", "not monotone", "not submodular"}
+
+
+def test_every_boundary_function_max_flow_builds_is_a_polymatroid(monkeypatch):
+    built = []
+    boundary_function = cutflow.boundary_function
+
+    def recording(*args, **kwargs):
+        built.append(boundary_function(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cutflow, "boundary_function", recording)
+    for seed, m in enumerate((9, 10, 11), start=1):
+        max_flow(_seeded_network(seed, (1, m, 1), "additive"))
+    for family in ("gaussian", "rank_gf2"):
+        for w in range(1, 7):
+            max_flow(_seeded_network(w, (1, w, w, 1), family))
+    assert max(fn.ground_size for fn in built) == 11
+    for fn in built:
+        ok, why = fn.check_polymatroid()
+        assert ok, (fn.side, fn.ground_size, why)
+
+
+def test_cutflow_compares_through_the_kernels_alone():
+    assert not hasattr(cutflow, "_leq")
+
+
+@pytest.mark.parametrize(
+    "side,ground_size,values,error",
+    [
+        ("middle", 1, (0.0, 1.0), BadRange),
+        ("source", -1, (0.0,), BadRange),
+        ("source", 1, (0.0, 1.0, 5.0, 7.0), DimensionMismatch),
+        ("sink", 3, (0.0, 1.0, 5.0, 7.0), DimensionMismatch),
+    ],
+)
+def test_boundary_function_refuses_a_wrong_shape(side, ground_size, values, error):
+    with pytest.raises(error):
+        BoundaryFunction(side, ground_size, values)
+
+
+def test_boundary_function_value_refuses_indices_outside_the_ground_set():
+    r = BoundaryFunction("source", 2, (0.0, 1.0, 2.0, 3.0))
+    assert r.value([2]) == 2.0 and r.value([1, 2]) == 3.0
+    for subset in ([0], [3], [1, 3]):
+        with pytest.raises(OutOfRange):
+            r.value(subset)
+
+
+def test_missing_node_values_are_refused_by_name():
+    net = diamond_net()
+    flow = max_flow(net)
+    partial = {n: v for n, v in flow.values.items() if n != B}
+    with pytest.raises(RateCountMismatch, match="flow value missing for 2.2"):
+        verify_flow(net, Flow(partial))
+    with pytest.raises(RateCountMismatch, match="boundary flow missing for 3.1"):
+        min_cut(net, {S: 1.0})
+    with pytest.raises(RateCountMismatch, match="boundary flow missing for 1.1"):
+        max_flow(net, {D3: 1.0})
 
 
 # --- polymatroid intersection ---------------------------------------------------

@@ -13,8 +13,10 @@ from relayflow import (
     DiscreteLayerModel,
     ExplicitTableOracle,
     GaussianLayerModel,
+    NegativeRate,
     NodeId,
     RankGF2Oracle,
+    RateCountMismatch,
     TooLarge,
     UnsupportedModel,
     build_network,
@@ -1132,6 +1134,39 @@ def test_multi_source_guard_raises_before_any_table(oracle_calls, monkeypatch):
     with pytest.raises(TooLarge, match="this network has 25, 33554432 node sets"):
         check_multi_source(net, models, [0.0] * 8)
     assert oracle_calls == [] and leak_calls == []
+
+
+@pytest.mark.parametrize("rates", [[-0.5, 0.1], [-50.0, 0.1], [0.1, -1e-300]])
+def test_multi_source_refuses_negative_rates_before_any_table(oracle_calls, monkeypatch, rates):
+    leak_calls = []
+    monkeypatch.setattr(
+        "relayflow.rateplan.penalty_recursion",
+        lambda *args, **kwargs: leak_calls.append(args),
+    )
+    models = _drawn_models(4, (2, 2, 2, 1), "gaussian")
+    with pytest.raises(NegativeRate, match="source rates must be nonnegative"):
+        check_multi_source(network_from_models(models), models, rates)
+    assert oracle_calls == [] and leak_calls == []
+
+
+def test_missing_relay_rates_are_refused_before_any_table(oracle_calls):
+    models = _drawn_models(3, (1, 2, 2, 1), "gaussian")
+    plan = plan_rates(network_from_models(models), models)
+    partial = {n: r for n, r in plan.compression.items() if n != NodeId(3, 2)}
+    short = RatePlan(plan.rate, partial, plan.penalties, plan.flags, plan.flow)
+    # fresh models: no table or column is cached yet
+    models = _drawn_models(3, (1, 2, 2, 1), "gaussian")
+    net = network_from_models(models)
+    oracle_calls.clear()
+    for check in (
+        lambda: check_layered_feasible(net, models, short),
+        lambda: check_joint_feasible(net, models, plan.rate, partial),
+        lambda: decoding_complexity(net, short, 4),
+    ):
+        with pytest.raises(RateCountMismatch, match="compression rate missing for 3.2"):
+            check()
+    assert oracle_calls == []
+    assert all(m._leaks is None and m._received is None for m in models)
 
 
 # --- complexity and gap constants ---------------------------------------------------
