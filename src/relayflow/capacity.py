@@ -50,6 +50,9 @@ PMF_TOL = 1e-12
 #: largest joint probability table a discrete layer model may require
 MAX_JOINT_CELLS = 10_000_000
 
+#: most relays of a joint-region check: ``3^12`` constraints
+JOINT_GUARD_RELAYS = 12
+
 #: largest layer-pair width (m_in + m_out) for exhaustive axiom checking
 AXIOM_GUARD_BITS = 16
 
@@ -143,7 +146,7 @@ class CapacityOracle:
 
     def table(self) -> np.ndarray:
         """Every cell as a ``2^m_in x 2^m_out`` float64 array indexed by
-        ``[umask, vmask]``, built on first use and cached.
+        ``[umask, vmask]``, built on first use and cached, read-only.
 
         Nonempty cells are computed by :meth:`_cells` in chunks that share
         ``|U|`` and ``|V|``, of at most ``_BLOCK_CELLS`` cells (Gaussian
@@ -168,6 +171,7 @@ class CapacityOracle:
             with np.errstate(over="ignore"):
                 for umasks, vmasks, values in self._nonempty_cells():
                     self._fill(dense, umasks, vmasks, values)
+            dense.flags.writeable = False
             self._dense = dense
         return self._dense
 

@@ -70,6 +70,11 @@ from .netgraph import Cut, Flow, LayeredNetwork, NodeId
 
 INF = float("inf")
 
+#: the DP and the table scans run under this: a sum that overflows is inf and
+#: inf - inf is NaN, with no numpy warning, and the public entry points
+#: refuse a non-finite cut value, excess or margin
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
 
 def _guard_layers(net: LayeredNetwork) -> None:
     if max(net.layer_sizes) > LAYER_GUARD:
@@ -157,6 +162,7 @@ def _sweep(cost: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (cost + tail).min(axis=1)
 
 
+@_quiet_overflow
 def _backward_tables(
     costs: Sequence[np.ndarray], final_costs: Sequence[float]
 ) -> list[np.ndarray]:
@@ -214,6 +220,7 @@ def _cut_dp(net: LayeredNetwork, boundary: Mapping[NodeId, float] | None = None)
     return costs, tables, value
 
 
+@_quiet_overflow
 def _first_minimizer(
     costs: Sequence[np.ndarray],
     tables: Sequence[np.ndarray],
@@ -649,6 +656,7 @@ class FlowCheck:
 _Cell = tuple[int, int, float, float]
 
 
+@_quiet_overflow
 def _scan_constraints(
     table: np.ndarray,
     lhs_row: Sequence[float],
@@ -705,6 +713,9 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     ``worst_excess`` is ``lhs - rhs`` at the first constraint, in (layer,
     U mask, V mask) order, with the largest excess.  Violations are listed
     in the same order.
+
+    Raises:
+        NumericalFailure: the worst excess is not a finite number.
     """
     _guard_layers(net)
     layer_vals = [
@@ -735,6 +746,9 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
                     "excess": lhs - rhs,
                 }
             )
+    if not math.isfinite(worst):
+        # flow totals or capacities whose sums overflow
+        raise NumericalFailure(f"worst excess is {worst}, not a finite number")
     total_in = sum(layer_vals[0])
     total_out = sum(layer_vals[-1])
     gap = abs(total_in - total_out)

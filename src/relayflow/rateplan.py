@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .capacity import (
+    JOINT_GUARD_RELAYS,
     MAX_JOINT_CELLS,
     TABLE_GUARD_BITS,
     DiscreteLayerModel,
@@ -49,6 +50,7 @@ from .cutflow import (
     _cost,
     _cut_dp,
     _first_minimizer,
+    _guard_layers,
     _scan_constraints,
     _values_at,
     max_flow,
@@ -206,7 +208,8 @@ def _region_report(checks) -> FeasibilityReport:
     """The report of ``(scan, describe)`` pairs, each a ``_scan_constraints``
     result and a function naming a cell's constraint from its ``(u, v)``: the
     binding constraint is the first with the smallest margin ``rhs - lhs``,
-    and the violations keep their order."""
+    and the violations keep their order.  A margin that is not a finite
+    number raises ``NumericalFailure``."""
     margin, binding, n_constraints, violations = math.inf, {}, 0, []
     for (n, first, failed), describe in checks:
         n_constraints += n
@@ -217,6 +220,9 @@ def _region_report(checks) -> FeasibilityReport:
             dict(describe(u, v), lhs=lhs, rhs=rhs, margin=rhs - lhs)
             for u, v, lhs, rhs in failed
         ]
+    if not math.isfinite(margin):
+        # rates or capacities whose sums overflow, or no constraint with a margin
+        raise NumericalFailure(f"region margin is {margin}, not a finite number")
     return FeasibilityReport(not violations, margin, binding, n_constraints, violations)
 
 
@@ -244,10 +250,16 @@ def check_layered_feasible(
     The binding constraint is the first one with the smallest margin in
     (family, layer, U mask, V mask) order; violations are listed in the
     same order.
+
+    Raises:
+        TooLarge: a layer or layer pair past the cut guards, before any
+            subset sum, column or table.
+        NumericalFailure: the smallest margin is not a finite number.
     """
     if not net.is_unicast:
         raise InputError("layered feasibility is defined for unicast networks")
     _check_models(net, models)
+    _guard_layers(net)
     L = net.num_layers
     # sums[l][mask]: compression total of relay layer l's relays in mask
     sums = {l: _subset_sums(r) for l, r in _relay_rates(plan.compression, net).items()}
@@ -315,9 +327,10 @@ def check_joint_feasible(
     output is taken to be its raw received signal, which is never worse.
 
     The source side is the source plus a relay mask ``s``, the decoded side
-    the destination plus a submask ``d`` of the other relays, both taken in
-    ascending order; compression and leak totals come from ``_subset_sums``,
-    and ``_scan_constraints`` checks every rhs, in one row, against the rate.
+    the destination plus a mask ``d`` of the other relays.  The pairs are
+    two mask arrays, built once: ``s`` ascending, then ``d`` ascending.  The
+    rhs is one array expression over the ``_subset_sums`` of compression and
+    leak, and ``_scan_constraints`` checks it, as one row, against the rate.
 
     Supported model families: all-Gaussian (``_logdet_mi``'s float steps on
     one stacked receivers x senders channel matrix, noise 2 at relays and 1
@@ -331,17 +344,18 @@ def check_joint_feasible(
     conditionals.
 
     Raises:
-        TooLarge: above 12 relays, or a joint table over all senders and
-            receivers above ``MAX_JOINT_CELLS`` (the message gives its cells
-            and bytes), before any information is computed.
+        TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
+            all senders and receivers above ``MAX_JOINT_CELLS`` (the message
+            gives its cells and bytes), before any information is computed.
+        NumericalFailure: the smallest margin is not a finite number.
     """
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
     _require_finite([rate, *compression.values()], "rates")
     relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
-    if len(relays) > 12:
-        raise TooLarge("joint region enumeration limited to 12 relays")
+    if len(relays) > JOINT_GUARD_RELAYS:
+        raise TooLarge(f"joint region enumeration limited to {JOINT_GUARD_RELAYS} relays")
 
     gaussian = all(isinstance(m, GaussianLogDetOracle) for m in models)
     if not gaussian and not all(isinstance(m, DiscreteLayerModel) for m in models):
@@ -350,51 +364,42 @@ def check_joint_feasible(
         )
     relay_rates = _values_at(compression, relays, "compression rate")
 
-    full = (1 << len(relays)) - 1
-    pairs: list[tuple[int, int]] = []
-    for s in range(full + 1):
-        rest = full & ~s
-        d = 0
-        while True:
-            pairs.append((s, d))
-            if d == rest:
-                break
-            d = (d - rest) & rest
+    n = len(relays)
+    # every disjoint (s, d): s ascending, then each submask d of the rest ascending
+    masks = np.arange(1 << n)
+    decoded = [masks[masks & s == 0] for s in masks]
+    s, d = np.repeat(masks, [sub.size for sub in decoded]), np.concatenate(decoded)
 
     if gaussian:
-        gains = np.zeros((len(relays) + 1, len(relays) + 1), dtype=complex)
+        gains = np.zeros((n + 1, n + 1), dtype=complex)
         row = col = 0
         for l, model in enumerate(models, start=2):
             m_in, m_out = model.dims
             noise = 1.0 if l == net.num_layers else 2.0
             gains[row : row + m_out, col : col + m_in] = model.h / math.sqrt(noise)
             row, col = row + m_out, col + m_in
-        senders = 1 | np.array([s for s, _ in pairs]) << 1
-        receivers = np.array([d for _, d in pairs]) | 1 << len(relays)
-        mi = np.empty(len(pairs))
-        index = _subset_index(len(relays) + 1)
+        senders, receivers = 1 | s << 1, d | 1 << n
+        info = np.empty(s.size)
+        index = _subset_index(n + 1)
         for i in _size_chunks(senders, receivers, index):
             rows, cols = index.positions_of(receivers[i]), index.positions_of(senders[i])
-            mi[i] = _logdet_mi_stack(_blocks(gains, rows, cols), noise=1.0)
-        info = mi.tolist()
+            info[i] = _logdet_mi_stack(_blocks(gains, rows, cols), noise=1.0)
     else:
-        info = _discrete_joint_mi(net, models, pairs)
+        info = _discrete_joint_mi(net, models, s, d)
 
     leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
-    compression_sums = _subset_sums(relay_rates)
-    leak_sums = _subset_sums(leaks)
-    rhs_row = [
-        compression_sums[full & ~s & ~d] + mi - leak_sums[full & ~d]
-        for (s, d), mi in zip(pairs, info)
-    ]
-    scan = _scan_constraints(np.array(rhs_row)[None], [rate], [-0.0] * len(rhs_row), tol)
+    compression_sums = np.array(_subset_sums(relay_rates), dtype=float)
+    leak_sums = np.array(_subset_sums(leaks), dtype=float)
+    full = masks[-1]
+    rhs = compression_sums[full & ~s & ~d] + info - leak_sums[full & ~d]
+    scan = _scan_constraints(rhs[None], [rate], np.full(rhs.size, -0.0), tol)
 
     def keys(end: NodeId, mask: int) -> list[str]:
         return sorted([end.key()] + [v.key() for i, v in enumerate(relays) if mask >> i & 1])
 
     def describe(_, c: int) -> dict:
-        s, d = pairs[c]
-        return {"omega": keys(net.source, s), "phi": keys(net.destination, d)}
+        omega, phi = int(s[c]), int(d[c])
+        return {"omega": keys(net.source, omega), "phi": keys(net.destination, phi)}
 
     return _region_report([(scan, describe)])
 
@@ -402,11 +407,12 @@ def check_joint_feasible(
 def _discrete_joint_mi(
     net: LayeredNetwork,
     models: Sequence[DiscreteLayerModel],
-    pairs: Sequence[tuple[int, int]],
-) -> list[float]:
+    s: np.ndarray,
+    d: np.ndarray,
+) -> np.ndarray:
     """Exact conditional mutual information over the global joint pmf, for
-    each pair ``(s, d)``: from the source and relay mask ``s`` to relay mask
-    ``d`` and the destination.
+    each pair ``(s[c], d[c])`` of relay-mask arrays: from the source and
+    relay mask ``s[c]`` to relay mask ``d[c]`` and the destination.
 
     Transmit symbols are independent across nodes; given all of them, the
     receivers' quantized outputs are independent with per-receiver
@@ -471,12 +477,9 @@ def _discrete_joint_mi(
         [[_entropy(row[i]) for row in rows] for i in np.flatnonzero(positive)]
     )
 
-    by_decoded: dict[int, list[int]] = {}
-    for c, (_, d) in enumerate(pairs):
-        by_decoded.setdefault(d, []).append(c)
-    info = [0.0] * len(pairs)
-    for d, members in by_decoded.items():
-        phi = [w - 1 for w in _mask_indices(d | 1 << (len(receivers) - 1))]
+    info = np.empty(s.size)
+    for value in np.unique(d):
+        phi = [w - 1 for w in _mask_indices(int(value) | 1 << (len(receivers) - 1))]
         # 0.0 plus p * H(row) of each positive assignment, receivers ascending
         terms = (p[positive, None] * entropies[:, phi]).ravel()
         h_out_given_all = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
@@ -486,9 +489,8 @@ def _discrete_joint_mi(
             grid = (grid[:, :, None] * rows[w][:, None, :]).reshape(states, -1)
         grid *= p[:, None]
         grid = grid.reshape(*x_sizes, -1)
-        for c in members:
-            s = pairs[c][0]
-            conditioned = [i for i in range(1, len(senders)) if not s >> (i - 1) & 1]
+        for c in np.flatnonzero(d == value):
+            conditioned = [i for i in range(1, len(senders)) if not s[c] >> (i - 1) & 1]
             info[c] = _pair_information(grid, conditioned, h_out_given_all)
     return info
 
@@ -545,7 +547,9 @@ def check_multi_source(
 
     Raises:
         TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
-            (``2^24`` node sets), before any table or penalty is computed.
+            (``2^24`` node sets), or a layer or layer pair past the cut
+            guards, before any table or penalty is computed.
+        NumericalFailure: the margin is not a finite number.
     """
     if net.layer_sizes[-1] != 1:
         raise InputError("multi-source region is defined for a single destination")
@@ -564,6 +568,7 @@ def check_multi_source(
             f"multi-source enumeration limited to {TABLE_GUARD_BITS} nodes outside "
             f"the destination; this network has {bits}, {1 << bits} node sets"
         )
+    _guard_layers(net)
     penalty = penalty_recursion(net, models)[0]
     rate_sums = np.array(_subset_sums(rates), dtype=float)
     penalties = np.array([s.bit_count() * penalty for s in range(rate_sums.size)])
@@ -576,6 +581,8 @@ def check_multi_source(
     tables = _backward_tables(costs, [0.0, math.inf])
     path, value = _first_minimizer(costs, tables, net.layer_sizes, margin)
     worst = float(margin(path[0], value))
+    if not math.isfinite(worst):
+        raise NumericalFailure(f"multi-source margin is {worst}, not a finite number")
     members = frozenset(
         NodeId(l + 1, i) for l, mask in enumerate(path) for i in _mask_indices(mask)
     )

@@ -769,6 +769,16 @@ def test_subset_index_matches_the_per_call_loops():
             assert np.array_equal(index.positions_of(picked), _reference_bit_positions(picked))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_capacity_tables_are_read_only(family):
+    oracle = _family_oracle(family, 2, 2, seed=3)
+    table = oracle.table()
+    with pytest.raises(ValueError):
+        table[1, 1] = 5.0
+    assert oracle.table() is table
+    assert table[1, 1] == oracle.value_masks(1, 1)
+
+
 def test_subset_index_is_kept_per_width_and_read_only():
     index = _subset_index(5)
     arrays = [*index.by_popcount, *index.positions, index.rank, index.popcount]

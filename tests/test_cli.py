@@ -295,6 +295,24 @@ def test_check_multi_source(tmp_path):
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def test_check_multi_refuses_an_overflowing_margin(tmp_path):
+    # the two rates sum past the float range: the margin is -inf, no verdict
+    net = {
+        "layers": [2, 1],
+        "capacities": [{"kind": "additive", "matrix": [[1.0], [1.0]]}],
+        "models": [{"kind": "deterministic"}],
+        "boundary": {"source_rates": [1e308, 1e308]},
+    }
+    netfile = tmp_path / "ms.json"
+    netfile.write_text(json.dumps(net))
+    proc = run_cli("check", str(netfile), "--mode", "multi")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "detail": "multi-source margin is -inf, not a finite number",
+        "error": "infeasible",
+    }
+
+
 def test_check_multi_guard_exits_three_before_any_cell(tmp_path, capsys, oracle_calls):
     # 36 nodes outside the destination: 2^36 node sets to enumerate
     wide = {

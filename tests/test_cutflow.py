@@ -169,12 +169,23 @@ def test_non_finite_cut_value_is_a_numerical_failure():
     huge_net = build_network(
         [1, 2, 1], [AdditiveOracle([[1e308, 1e308]]), AdditiveOracle([[1e308], [1e308]])]
     )
+    # neither warns on the way (pyproject turns a RuntimeWarning into an error)
     for net, value in ((nan_net, "nan"), (huge_net, "inf")):
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
-                min_cut(net)
-            with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
-                max_flow(net)
+        with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
+            min_cut(net)
+        with pytest.raises(NumericalFailure, match=f"cut value is {value}"):
+            max_flow(net)
+
+
+def test_verify_flow_refuses_an_overflowing_excess():
+    # the flow's totals overflow: an infinite excess is no verdict, and no
+    # numpy warning is raised on the way
+    net = build_network(
+        [1, 2, 1], [AdditiveOracle([[1e308, 1e308]]), AdditiveOracle([[1e308], [1e308]])]
+    )
+    flow = Flow({node: 1e308 for node in net.nodes()})
+    with pytest.raises(NumericalFailure, match="worst excess is inf, not a finite number"):
+        verify_flow(net, flow)
 
 
 def test_min_cut_with_boundary_flows():

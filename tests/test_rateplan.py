@@ -12,9 +12,11 @@ from relayflow import (
     InputError,
     DiscreteLayerModel,
     ExplicitTableOracle,
+    Flow,
     GaussianLayerModel,
     NegativeRate,
     NodeId,
+    NumericalFailure,
     RankGF2Oracle,
     RateCountMismatch,
     TooLarge,
@@ -667,6 +669,57 @@ def test_joint_check_matches_node_set_reference():
     assert n_passed and n_failed
 
 
+@pytest.mark.parametrize("shape", [(1, 8, 1), (1, 3, 3, 1), (1, 2, 2, 2, 1)])
+def test_joint_violations_follow_the_pair_order(shape):
+    # at rate 1e3 and tol 0 every constraint is a violation, listed in the
+    # order of the disjoint relay-mask pairs
+    models = _drawn_models(5, shape, "gaussian")
+    net = network_from_models(models)
+    relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
+    report = check_joint_feasible(net, models, 1e3, {v: 0.0 for v in relays}, tol=0.0)
+
+    def keys(end, mask):
+        return sorted([end.key()] + [v.key() for i, v in enumerate(relays) if mask >> i & 1])
+
+    want = [
+        (keys(net.source, s), keys(net.destination, d))
+        for s, d in _all_joint_pairs(len(relays))
+    ]
+    assert report.n_constraints == len(want) == 3 ** len(relays)
+    assert [(v["omega"], v["phi"]) for v in report.violations] == want
+
+
+def test_region_checks_refuse_an_overflowing_margin():
+    # compression totals of two 1e308 relays overflow: an infinite margin is
+    # no verdict, and no numpy warning is raised on the way
+    models = _drawn_models(6, (1, 2, 1), "gaussian")
+    net = network_from_models(models)
+    plan = plan_rates(net, models)
+    huge = {v: 1e308 for v in plan.compression}
+    with pytest.raises(NumericalFailure, match="region margin is -inf, not a finite number"):
+        check_layered_feasible(
+            net, models, RatePlan(plan.rate, huge, plan.penalties, plan.flags, plan.flow)
+        )
+    negative = {v: -1e308 for v in plan.compression}
+    with pytest.raises(NumericalFailure, match="region margin is -inf, not a finite number"):
+        check_joint_feasible(net, models, plan.rate, negative)
+
+
+def test_layered_check_layer_guard_raises_before_any_sum(oracle_calls, monkeypatch):
+    # a hand-built plan on a 17-relay layer, past the 16-node subset guard
+    sums = []
+    monkeypatch.setattr("relayflow.rateplan._subset_sums", sums.append)
+    models = [
+        DeterministicLayerModel(AdditiveOracle(np.ones((1, 17)))),
+        DeterministicLayerModel(AdditiveOracle(np.ones((17, 1)))),
+    ]
+    net = network_from_models(models)
+    plan = RatePlan(0.0, {NodeId(2, i): 0.0 for i in range(1, 18)}, (0.0, 0.0), (), Flow({}))
+    with pytest.raises(TooLarge, match="subset enumeration limited to 16 nodes per layer"):
+        check_layered_feasible(net, models, plan)
+    assert oracle_calls == [] and sums == []
+
+
 @pytest.fixture
 def information_calls(monkeypatch):
     """Every ``_entropy``, ``_logdet_mi`` and ``_logdet_mi_stack`` call made
@@ -906,8 +959,8 @@ def _zero_heavy_discrete_models(rng, sizes):
 
 
 def test_joint_information_matches_dict_grouping_reference():
-    # repr tells apart every float, -0.0 from 0.0 included, and np.float64
-    # from float
+    # repr of each value as a Python float tells apart every float, -0.0
+    # from 0.0 included
     cases = []
     for shape in [(1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 4, 1), (1, 2, 1, 2, 1), (1, 3, 2, 1)]:
         for seed in range(1, 4):
@@ -919,8 +972,10 @@ def test_joint_information_matches_dict_grouping_reference():
     n_zero_states = 0
     for net, models in cases:
         pairs = _all_joint_pairs(sum(net.layer_sizes[1:-1]))
-        got = rateplan._discrete_joint_mi(net, models, pairs)
-        assert repr(got) == repr(_dict_grouped_joint_mi(net, models, pairs))
+        s, d = np.array(pairs).T
+        got = rateplan._discrete_joint_mi(net, models, s, d)
+        want = _dict_grouped_joint_mi(net, models, pairs)
+        assert repr([float(x) for x in got]) == repr([float(x) for x in want])
         n_zero_states += any(
             (pmf <= 0.0).any() for model in models for pmf in model.input_pmfs
         )
@@ -1134,6 +1189,27 @@ def test_multi_source_guard_raises_before_any_table(oracle_calls, monkeypatch):
     with pytest.raises(TooLarge, match="this network has 25, 33554432 node sets"):
         check_multi_source(net, models, [0.0] * 8)
     assert oracle_calls == [] and leak_calls == []
+
+
+def test_multi_source_layer_guard_raises_before_any_table(oracle_calls, monkeypatch):
+    # 17 sources pass the 24-node guard, not the 16-node layer guard
+    leak_calls = []
+    monkeypatch.setattr(
+        "relayflow.rateplan.penalty_recursion",
+        lambda *args, **kwargs: leak_calls.append(args),
+    )
+    models = [DeterministicLayerModel(AdditiveOracle(np.ones((17, 1))))]
+    net = network_from_models(models)
+    with pytest.raises(TooLarge, match="subset enumeration limited to 16 nodes per layer"):
+        check_multi_source(net, models, [0.0] * 17)
+    assert oracle_calls == [] and leak_calls == []
+
+
+def test_multi_source_refuses_an_overflowing_margin():
+    # the two rates sum past the float range
+    models = [DeterministicLayerModel(AdditiveOracle([[1.0], [1.0]]))]
+    with pytest.raises(NumericalFailure, match="multi-source margin is -inf, not a finite"):
+        check_multi_source(network_from_models(models), models, [1e308, 1e308])
 
 
 @pytest.mark.parametrize("rates", [[-0.5, 0.1], [-50.0, 0.1], [0.1, -1e-300]])

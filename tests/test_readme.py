@@ -43,3 +43,29 @@ def test_cli_example_file_prints_the_shown_min_cut(tmp_path, capsys):
     shown = re.search(r"\nrelayflow mincut net\.json +# (\{.*\})\n", README).group(1)
     assert cli.main(["mincut", str(netfile)]) == 0
     assert capsys.readouterr().out == shown + "\n"
+
+
+def test_guard_paragraph_states_the_enforced_limits():
+    from relayflow.capacity import (
+        AXIOM_GUARD_BITS,
+        DISCRETE_GUARD_BITS,
+        JOINT_GUARD_RELAYS,
+        LAYER_GUARD,
+        TABLE_GUARD_BITS,
+    )
+
+    text = " ".join(README.split())
+    start = text.index("All subset enumerations are guarded")
+    sentence = text[start : text.index("node sets).", start)]
+    for limit in (
+        f"{LAYER_GUARD} nodes per layer and {TABLE_GUARD_BITS} nodes per layer pair",
+        f"{AXIOM_GUARD_BITS} per layer pair for the axiom check",
+        f"{DISCRETE_GUARD_BITS} per discrete layer pair",
+        f"{JOINT_GUARD_RELAYS} relays for the joint region",
+        f"{TABLE_GUARD_BITS} nodes outside the destination for the multi-source region "
+        f"(`2^{TABLE_GUARD_BITS}`",
+    ):
+        assert limit in sentence
+        sentence = sentence.replace(limit, "")
+    # every number the sentence states is one of the limits above
+    assert not re.search(r"\d", sentence)
