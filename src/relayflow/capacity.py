@@ -72,6 +72,11 @@ _BLOCK_CELLS = 1 << 13
 #: MB in chunks of _BLOCK_CELLS cells); 256 KB to 4 MB built as fast.
 _BLOCK_BYTES = 1 << 19
 
+#: numpy's error state wherever finite input can overflow: inf and inf - inf =
+#: NaN come out unwarned, as with Python floats, and every reader of a cell,
+#: cut, excess or margin refuses them.  Decorator only: ``with`` cannot reenter.
+_quiet_arithmetic = np.errstate(over="ignore", invalid="ignore")
+
 
 def _require_finite(values, what: str) -> None:
     """Refuse NaN and +-infinity (either part of a complex number): every
@@ -132,14 +137,13 @@ class CapacityOracle:
         vmask = _to_mask(receivers, self.dims[1])
         return self.value_masks(umask, vmask)
 
+    @_quiet_arithmetic
     def value_masks(self, umask: int, vmask: int) -> float:
         if umask == 0 or vmask == 0:
             return 0.0
         if umask >> self.dims[0] or vmask >> self.dims[1]:
             raise OutOfRange("subset mask outside oracle dimensions")
-        # an overflowing cell is inf; the checks that read cells refuse it
-        with np.errstate(over="ignore"):
-            return self._value(umask, vmask)
+        return self._value(umask, vmask)
 
     def _value(self, umask: int, vmask: int) -> float:
         raise NotImplementedError
@@ -159,21 +163,24 @@ class CapacityOracle:
             TooLarge: if ``m_in + m_out`` exceeds ``TABLE_GUARD_BITS``.
         """
         if self._dense is None:
-            m_in, m_out = self.dims
-            if m_in + m_out > TABLE_GUARD_BITS:
+            if sum(self.dims) > TABLE_GUARD_BITS:
                 raise TooLarge(
                     f"capacity table limited to {TABLE_GUARD_BITS} nodes per layer pair"
                 )
-            dense = np.empty((1 << m_in, 1 << m_out))
-            # zero whenever either side is empty
-            self._fill(dense, np.arange(1 << m_in), 0, 0.0)
-            self._fill(dense, 0, np.arange(1, 1 << m_out), 0.0)
-            with np.errstate(over="ignore"):
-                for umasks, vmasks, values in self._nonempty_cells():
-                    self._fill(dense, umasks, vmasks, values)
-            dense.flags.writeable = False
-            self._dense = dense
+            self._dense = self._build_table()
         return self._dense
+
+    @_quiet_arithmetic
+    def _build_table(self) -> np.ndarray:
+        m_in, m_out = self.dims
+        dense = np.empty((1 << m_in, 1 << m_out))
+        # zero whenever either side is empty
+        self._fill(dense, np.arange(1 << m_in), 0, 0.0)
+        self._fill(dense, 0, np.arange(1, 1 << m_out), 0.0)
+        for umasks, vmasks, values in self._nonempty_cells():
+            self._fill(dense, umasks, vmasks, values)
+        dense.flags.writeable = False
+        return dense
 
     def _fill(self, dense: np.ndarray, umasks, vmasks, values) -> None:
         """Write cells ``(umasks, vmasks)`` of a table being built.  Every
@@ -485,6 +492,7 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"Gaussian log-det: Cholesky failed ({exc})") from exc
 
 
+@_quiet_arithmetic
 def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     """``log2 det(I + H_sub H_sub^* / noise)`` via Cholesky in the log domain."""
     rows = [w - 1 for w in _mask_indices(vmask)]
@@ -496,6 +504,7 @@ def _logdet_mi(h: np.ndarray, umask: int, vmask: int, noise: float) -> float:
     return float(2.0 * np.log2(np.real(np.diag(chol))).sum())
 
 
+@_quiet_arithmetic
 def _logdet_mi_stack(sub: np.ndarray, noise: float) -> np.ndarray:
     """``_logdet_mi`` of each matrix in a ``(k, receivers, senders)`` stack of
     channel submatrices, with the same float operations per matrix."""
@@ -622,11 +631,9 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
             counterexample = {"axiom": "zero_on_empty", **empty}
     zero_ok = counterexample is None
 
-    # single-element steps imply monotonicity along every inclusion chain;
-    # overflow to inf and inf - inf = NaN pass silently, as with Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        monotone = _first_monotone_failure(tab, m_in, m_out, tol)
-        bisubmodular = _first_bisubmodular_failure(tab, tol)
+    # single-element steps imply monotonicity along every inclusion chain
+    monotone = _first_monotone_failure(tab, m_in, m_out, tol)
+    bisubmodular = _first_bisubmodular_failure(tab, tol)
     n_checks += nu * nv * (m_in + m_out) // 2
     n_checks += nv * nv * nu * (nu - 1) // 2 + nu * nv * (nv + 1) // 2
     mono_ok, bisub_ok = monotone is None, bisubmodular is None
@@ -664,6 +671,7 @@ def _plainly_leq(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> bool:
     return bool(margins.min() >= -0.5 * tol and margins.max() < math.inf)
 
 
+@_quiet_arithmetic
 def _first_monotone_failure(
     tab: np.ndarray, m_in: int, m_out: int, tol: float
 ) -> dict | None:
@@ -711,6 +719,7 @@ def _first_monotone_failure(
     }
 
 
+@_quiet_arithmetic
 def _first_bisubmodular_failure(tab: np.ndarray, tol: float) -> dict | None:
     """First failing check of ``tab[U1|U2, V1&V2] + tab[U1&U2, V1|V2] <=
     tab[U1, V1] + tab[U2, V2]`` in ``(U1, V1, U2, V2)`` order, over

@@ -15,8 +15,6 @@ import math
 import sys
 from typing import Any
 
-import numpy as np
-
 from . import cutflow, oracle, rateplan
 from .capacity import check_capacity_axioms
 from .errors import (
@@ -237,9 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not math.isfinite(args.tol):
             raise InputError("--tol must be a finite number")
-        # an overflowing sum is inf, which the commands refuse themselves
-        with np.errstate(over="ignore"):
-            return args.func(args)
+        return args.func(args)
     except TooLarge as exc:
         _emit({"error": "too_large", "detail": str(exc)})
         return EXIT_GUARD

@@ -52,6 +52,7 @@ from .capacity import (
     _first_monotone_failure,
     _leq_cells,
     _mask_indices,
+    _quiet_arithmetic,
     _require_finite,
     _subset_sums,
     _to_mask,
@@ -69,11 +70,6 @@ from .errors import (
 from .netgraph import Cut, Flow, LayeredNetwork, NodeId
 
 INF = float("inf")
-
-#: the DP and the table scans run under this: a sum that overflows is inf and
-#: inf - inf is NaN, with no numpy warning, and the public entry points
-#: refuse a non-finite cut value, excess or margin
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _guard_layers(net: LayeredNetwork) -> None:
@@ -162,7 +158,7 @@ def _sweep(cost: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (cost + tail).min(axis=1)
 
 
-@_quiet_overflow
+@_quiet_arithmetic
 def _backward_tables(
     costs: Sequence[np.ndarray], final_costs: Sequence[float]
 ) -> list[np.ndarray]:
@@ -220,7 +216,7 @@ def _cut_dp(net: LayeredNetwork, boundary: Mapping[NodeId, float] | None = None)
     return costs, tables, value
 
 
-@_quiet_overflow
+@_quiet_arithmetic
 def _first_minimizer(
     costs: Sequence[np.ndarray],
     tables: Sequence[np.ndarray],
@@ -291,10 +287,8 @@ class BoundaryFunction:
             return False, f"value at empty set is {self.values[0]}"
         m = self.ground_size
         tab = np.array(self.values, dtype=float)[:, None]
-        # overflow to inf and inf - inf = NaN compare as Python floats do
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = _first_monotone_failure(tab, m, 0, tol)
-            pair = None if step else _first_bisubmodular_failure(tab, tol)
+        step = _first_monotone_failure(tab, m, 0, tol)
+        pair = None if step else _first_bisubmodular_failure(tab, tol)
         if step:
             u = _to_mask(step["U"], m)
             return False, f"not monotone at {u:b} adding {step['added_transmitter']}"
@@ -510,6 +504,7 @@ def _pivot_max(structural: np.ndarray, b: np.ndarray) -> tuple[float, list[float
     return float(rhs[m]), x
 
 
+@_quiet_arithmetic
 def polymatroid_intersect(
     r_source: BoundaryFunction,
     r_sink: BoundaryFunction,
@@ -529,7 +524,9 @@ def polymatroid_intersect(
         InputError: a non-finite target or boundary-function value.
         NegativeRate: a negative target.
         Infeasible: target exceeds the intersection bound.
-        NumericalFailure: the solver fell measurably short of the target.
+        NumericalFailure: the solver fell measurably short of the target,
+            or the reduced coordinates miss it by as much (the reduction
+            loses a target far below the optimum to rounding).
     """
     m = r_source.ground_size
     if r_sink.ground_size != m:
@@ -550,7 +547,8 @@ def polymatroid_intersect(
     # per nonempty mask, two rows: source rank, sink rank
     rhs = np.stack([src[1:], snk[1:]], axis=1).ravel()
     value, x = _pivot_max(_membership_block(m).astype(float), rhs)
-    if value < target_total - max(tol, 1e-9) * max(1.0, abs(target_total)):
+    slack = max(tol, 1e-9) * max(1.0, abs(target_total))
+    if value < target_total - slack:
         raise NumericalFailure(
             f"simplex reached {value}, short of target {target_total}"
         )
@@ -559,7 +557,14 @@ def polymatroid_intersect(
         cut = min(x[i], excess)
         x[i] -= cut
         excess -= cut
-    return [max(0.0, v) for v in x]
+    flows = [max(0.0, v) for v in x]
+    total = sum(flows)
+    if abs(total - target_total) > slack:
+        # an excess that rounds to the optimum zeroes every coordinate
+        raise NumericalFailure(
+            f"split-layer flows sum to {total}, not the target {target_total}"
+        )
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +661,7 @@ class FlowCheck:
 _Cell = tuple[int, int, float, float]
 
 
-@_quiet_overflow
+@_quiet_arithmetic
 def _scan_constraints(
     table: np.ndarray,
     lhs_row: Sequence[float],
@@ -664,7 +669,7 @@ def _scan_constraints(
     tol: float,
     rhs_col: Sequence[float] | None = None,
     skip_corner: bool = False,
-) -> tuple[int, _Cell | None, list[_Cell]]:
+) -> tuple[int, _Cell | None, _Cell | None, list[_Cell]]:
     """Check ``lhs[u, v] <= rhs[u, v]`` on every cell of a capacity table, with
 
         lhs[u, v] = lhs_row[u] + lhs_col[v]
@@ -677,7 +682,9 @@ def _scan_constraints(
     Returns the number of cells checked; the binding cell, which is the
     first in row-major order with the smallest margin ``rhs - lhs`` (NaN
     margins never bind, and there is none when no margin is below +inf);
-    and the cells failing ``_leq(lhs, rhs, tol)``, in row-major order.
+    the first cell whose margin is NaN, which no comparison decides (or
+    ``None``); and the cells failing ``_leq(lhs, rhs, tol)``, in row-major
+    order.
 
     Allocates ``lhs``, ``rhs`` (unless it is ``table`` itself) and one
     scratch array, which holds the margins and then the tolerance bounds,
@@ -687,13 +694,20 @@ def _scan_constraints(
     rhs = table if rhs_col is None else table + np.asarray(rhs_col, dtype=float)
     scratch = np.subtract(rhs, lhs)
     if skip_corner:
-        scratch[0, -1] = np.nan
+        # a margin that neither binds nor is NaN
+        scratch[0, -1] = INF
     margins = scratch.ravel()
-    worst = np.fmin.reduce(margins)
-    binding = None
-    if worst < INF:
-        u, v = divmod(int(np.argmax(margins == worst)), table.shape[1])
-        binding = (u, v, float(lhs[u, v]), float(rhs[u, v]))
+
+    def cell(i: int) -> _Cell:
+        u, v = divmod(i, table.shape[1])
+        return u, v, float(lhs[u, v]), float(rhs[u, v])
+
+    worst = margins.min()  # NaN when some margin is NaN
+    first_nan = None
+    if math.isnan(worst):
+        first_nan = cell(int(np.argmax(np.isnan(margins))))
+        worst = np.fmin.reduce(margins)
+    binding = cell(int(np.argmax(margins == worst))) if worst < INF else None
 
     failed = ~_leq_cells(lhs, rhs, tol, bound=scratch)
     if skip_corner:
@@ -702,7 +716,7 @@ def _scan_constraints(
     us, vs = np.nonzero(failed)
     if us.size:
         violations += zip(us.tolist(), vs.tolist(), lhs[us, vs].tolist(), rhs[us, vs].tolist())
-    return table.size - int(skip_corner), binding, violations
+    return table.size - int(skip_corner), binding, first_nan, violations
 
 
 def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck:
@@ -715,7 +729,8 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     in the same order.
 
     Raises:
-        NumericalFailure: the worst excess is not a finite number.
+        NumericalFailure: the worst excess is not a finite number, or
+            else some constraint's excess is NaN (the first is named).
     """
     _guard_layers(net)
     layer_vals = [
@@ -725,16 +740,19 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     worst = -INF
     n_constraints = 0
     violations: list[dict] = []
+    first_nan = None
     for l in range(1, net.num_layers):
         f_excluded = np.negative(_subset_sums(layer_vals[l - 1])[::-1])
         f_included = _subset_sums(layer_vals[l])
-        n, binding, failed = _scan_constraints(
+        n, binding, nan, failed = _scan_constraints(
             net.oracles[l - 1].table(), f_excluded, f_included, tol
         )
         n_constraints += n
         if binding is not None:
             _, _, lhs, rhs = binding
             worst = max(worst, lhs - rhs)
+        if first_nan is None and nan is not None:
+            first_nan = (l, *nan)
         for umask, vmask, lhs, rhs in failed:
             violations.append(
                 {
@@ -749,6 +767,13 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     if not math.isfinite(worst):
         # flow totals or capacities whose sums overflow
         raise NumericalFailure(f"worst excess is {worst}, not a finite number")
+    if first_nan is not None:
+        # NaN capacities, or infinite ones against infinite flow totals
+        l, umask, vmask, lhs, rhs = first_nan
+        raise NumericalFailure(
+            f"excess at layer {l}, U={list(_mask_indices(umask))}, "
+            f"V={list(_mask_indices(vmask))} is nan (lhs {lhs}, rhs {rhs})"
+        )
     total_in = sum(layer_vals[0])
     total_out = sum(layer_vals[-1])
     gap = abs(total_in - total_out)

@@ -36,6 +36,7 @@ from .capacity import (
 )
 from .cutflow import _lex_masks, max_flow
 from .errors import (
+    EmptyLayer,
     InfeasibleBoundary,
     InputError,
     NumericalFailure,
@@ -95,6 +96,9 @@ class InstanceSpec:
     def __post_init__(self):
         if any(m > 4 for m in self.layer_sizes):
             raise TooLarge("generated instances are capped at 4 nodes per layer")
+        for l, m in enumerate(self.layer_sizes, start=1):
+            if m < 1:
+                raise EmptyLayer(f"layer {l} is empty")
         for name in self.family_weights:
             if name not in FAMILIES:
                 raise InputError(f"unknown capacity family {name!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -208,14 +209,18 @@ def _region_report(checks) -> FeasibilityReport:
     """The report of ``(scan, describe)`` pairs, each a ``_scan_constraints``
     result and a function naming a cell's constraint from its ``(u, v)``: the
     binding constraint is the first with the smallest margin ``rhs - lhs``,
-    and the violations keep their order.  A margin that is not a finite
-    number raises ``NumericalFailure``."""
+    and the violations keep their order.  A smallest margin that is not a
+    finite number raises ``NumericalFailure``, and so, after it, does the
+    first constraint whose margin is NaN."""
     margin, binding, n_constraints, violations = math.inf, {}, 0, []
-    for (n, first, failed), describe in checks:
+    first_nan = None
+    for (n, first, nan, failed), describe in checks:
         n_constraints += n
         if first is not None and first[3] - first[2] < margin:
             u, v, lhs, rhs = first
             margin, binding = rhs - lhs, dict(describe(u, v), lhs=lhs, rhs=rhs)
+        if first_nan is None and nan is not None:
+            first_nan = nan, describe
         violations += [
             dict(describe(u, v), lhs=lhs, rhs=rhs, margin=rhs - lhs)
             for u, v, lhs, rhs in failed
@@ -223,6 +228,12 @@ def _region_report(checks) -> FeasibilityReport:
     if not math.isfinite(margin):
         # rates or capacities whose sums overflow, or no constraint with a margin
         raise NumericalFailure(f"region margin is {margin}, not a finite number")
+    if first_nan is not None:
+        # NaN capacities or information, or infinite ones against infinite rates
+        (u, v, lhs, rhs), describe = first_nan
+        raise NumericalFailure(
+            f"region margin at {describe(u, v)} is nan (lhs {lhs}, rhs {rhs})"
+        )
     return FeasibilityReport(not violations, margin, binding, n_constraints, violations)
 
 
@@ -254,7 +265,8 @@ def check_layered_feasible(
     Raises:
         TooLarge: a layer or layer pair past the cut guards, before any
             subset sum, column or table.
-        NumericalFailure: the smallest margin is not a finite number.
+        NumericalFailure: the smallest margin is not a finite number, or
+            else some constraint's margin is NaN (the first is named).
     """
     if not net.is_unicast:
         raise InputError("layered feasibility is defined for unicast networks")
@@ -347,7 +359,8 @@ def check_joint_feasible(
         TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
             all senders and receivers above ``MAX_JOINT_CELLS`` (the message
             gives its cells and bytes), before any information is computed.
-        NumericalFailure: the smallest margin is not a finite number.
+        NumericalFailure: the smallest margin is not a finite number, or
+            else some constraint's margin is NaN (the first is named).
     """
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
@@ -616,9 +629,16 @@ def decoding_complexity(
     relay quantization codebook; layered decoding scans one layer at a
     time.  ``quantizer_sizes`` gives the number of quantization points per
     relay (default 1); boundary layers carry no quantization codebook.
+
+    Raises:
+        InputError: a block length below 1 or above the float range, or a
+            quantizer size below 1.
+        NumericalFailure: either size is not a finite number.
     """
     if block_length < 1:
         raise InputError("block length must be at least 1")
+    if block_length > sys.float_info.max:
+        raise InputError("block length exceeds the float range")
     compression = _relay_rates(plan.compression, net)
     sizes = dict(quantizer_sizes or {})
     for node, n in sizes.items():
@@ -642,6 +662,12 @@ def decoding_complexity(
         )
     peak = max(terms)
     log2_layered = peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
+    if not (math.isfinite(log2_joint) and math.isfinite(log2_layered)):
+        # rates times the block length past the float range
+        raise NumericalFailure(
+            f"log2 search sizes are {log2_joint} (joint) and {log2_layered} "
+            "(layered), not finite numbers"
+        )
     return log2_joint, log2_layered
 
 

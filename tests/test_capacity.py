@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -492,6 +493,7 @@ _BLOCK_ENTRIES = st.sampled_from(
 
 
 @st.composite
+@np.errstate(over="ignore", invalid="ignore")
 def _block_pairs(draw):
     """``(lhs, rhs, tol)``: ``rhs`` drawn on its own, or ``lhs`` moved by
     offsets around the plain comparison's threshold ``-tol / 2``."""
@@ -505,23 +507,22 @@ def _block_pairs(draw):
             [0.0, -0.0, 5e-324, -5e-324, tol / 2, -tol / 2, -tol / 2 * (1 + 2**-52), -tol]
         )
         offsets = near | near | st.just(math.inf) | _BLOCK_ENTRIES
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = lhs + np.array(draw(st.lists(offsets, min_size=n, max_size=n)))
+        rhs = lhs + np.array(draw(st.lists(offsets, min_size=n, max_size=n)))
     shape = draw(st.sampled_from([(n,), (1, n), (n, 1)]))
     return lhs.reshape(shape), rhs.reshape(shape), tol
 
 
 @settings(max_examples=500, deadline=None)
 @given(_block_pairs())
+@np.errstate(over="ignore", invalid="ignore")
 def test_plain_comparison_skips_only_blocks_that_pass(pair):
     lhs, rhs, tol = pair
     before = lhs.tobytes(), rhs.tobytes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = _plainly_leq(lhs, rhs, tol)
-        assert (lhs.tobytes(), rhs.tobytes()) == before
-        if plain:
-            assert _leq_cells(lhs.copy(), rhs, tol).all()
-            assert all(map(_leq, lhs.ravel().tolist(), rhs.ravel().tolist(), [tol] * lhs.size))
+    plain = _plainly_leq(lhs, rhs, tol)
+    assert (lhs.tobytes(), rhs.tobytes()) == before
+    if plain:
+        assert _leq_cells(lhs.copy(), rhs, tol).all()
+        assert all(map(_leq, lhs.ravel().tolist(), rhs.ravel().tolist(), [tol] * lhs.size))
 
 
 @pytest.mark.parametrize(
@@ -546,9 +547,9 @@ def test_plain_comparison_skips_only_blocks_that_pass(pair):
         (1.0, 2.0, math.inf, False),
     ],
 )
+@np.errstate(invalid="ignore")
 def test_plain_comparison_cases(lhs, rhs, tol, plain):
-    with np.errstate(invalid="ignore"):
-        assert _plainly_leq(np.array([lhs]), np.array([rhs]), tol) is plain
+    assert _plainly_leq(np.array([lhs]), np.array([rhs]), tol) is plain
 
 
 def _checked_with_spy(orc, tol=1e-9):
@@ -596,6 +597,38 @@ def test_axiom_check_skips_only_passing_blocks(m_in, m_out, entries, tol):
 
 
 # --- dense tables -------------------------------------------------------------
+
+
+def test_huge_gaussian_gain_gives_nan_cells_without_a_warning():
+    # |h|^2 of a 1e200 gain overflows, and every cell and raw information
+    # that sees the gain is NaN, which the readers refuse; numpy says nothing
+    model = GaussianLogDetOracle([[1e200], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = model.table()
+        assert np.isnan(table[1, [1, 3]]).all()
+        assert math.isnan(model.value([1], [1]))
+        assert model.value([1], [2]) == table[1, 2] and math.isfinite(table[1, 2])
+        assert math.isnan(model.mi_received([1], [1, 2]))
+        assert math.isfinite(model.mi_received([1], [2]))
+        assert math.isnan(model.mi_received_column()[1])
+
+
+class _OverflowingOracle(capacity.CapacityOracle):
+    """A family outside the library whose own numpy arithmetic overflows."""
+
+    kind = "overflowing"
+
+    def _value(self, umask, vmask):
+        return float(np.float64(1e300) * (1e300 * (umask + vmask)))
+
+
+def test_custom_oracle_overflow_is_quiet_through_both_doors():
+    orc = _OverflowingOracle((2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orc.value_masks(3, 1) == math.inf
+        assert orc.table()[1:, 1].tolist() == [math.inf] * 3
 
 
 def _with_zero_inputs(model):

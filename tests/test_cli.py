@@ -466,6 +466,96 @@ def test_tied_large_gaussian_gains_exit_one(tmp_path, capsys, command):
     assert (code, out) == (1, {"detail": detail, "error": "infeasible"})
 
 
+#: schema-valid files whose arithmetic overflows: a Gaussian gain of 1e200,
+#: whose |h|^2 is inf and whose capacity cells are NaN, and additive entries
+#: of 1e308, whose rates times a block length of 10 pass the float range
+HUGE_FILES = {
+    "gaussian": {
+        "layers": [1, 2, 1],
+        "capacities": [
+            {"kind": "gaussian", "h_re": [[1e200], [1.0]], "h_im": [[0.0], [0.0]]},
+            {"kind": "gaussian", "h_re": [[1.0, 1.0]], "h_im": [[0.0, 0.0]]},
+        ],
+        "models": [{"kind": "gaussian"}, {"kind": "gaussian"}],
+        "boundary": {"source_rates": [1.0]},
+    },
+    "additive": {
+        "layers": [1, 1, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1e308]]},
+            {"kind": "additive", "matrix": [[1e308]]},
+        ],
+        "models": _DETERMINISTIC,
+        "boundary": {"source_rates": [1e308]},
+    },
+}
+
+_NAN_CUT = '{"detail": "cut value is nan, not a finite number", "error": "infeasible"}'
+
+#: each command's exit code and stdout on HUGE_FILES
+HUGE_OUTPUTS = {
+    "gaussian": {
+        "validate": (1, '{"detail": "layer pair 1: capacity at U=[1], V=[1] is nan, not a '
+                        'finite number", "error": "infeasible"}'),
+        "mincut": (1, _NAN_CUT),
+        "maxflow": (1, _NAN_CUT),
+        "plan": (1, _NAN_CUT),
+        "check --mode layered": (1, _NAN_CUT),
+        "check --mode joint": (1, _NAN_CUT),
+        "check --mode multi": (1, _NAN_CUT),
+        "complexity": (1, _NAN_CUT),
+        "complexity --block-length 10": (1, _NAN_CUT),
+    },
+    "additive": {
+        "validate": (0, '{"oracles": [{"layer_pair": 1, "ok": true}, {"layer_pair": 2, "ok": '
+                        'true}], "valid": true}'),
+        "mincut": (0, '{"cut": ["1.1"], "value": 1e+308}'),
+        "maxflow": (0, '{"flow": {"1.1": 1e+308, "2.1": 1e+308, "3.1": 1e+308}, '
+                       '"value": 1e+308}'),
+        "plan": (0, '{"R": 1e+308, "flags": [], "kappa": [0.0, 0.0], "r": {"2.1": 1e+308}}'),
+        "check --mode layered": (0, '{"binding": {"U": [1], "family": "last_layer", '
+                                    '"layer": 2, "lhs": 1e+308, "rhs": 1e+308}, '
+                                    '"margin": 0.0, "pass": true}'),
+        "check --mode joint": (2, '{"detail": "joint region checker supports all-Gaussian '
+                                  'or all-discrete models", "error": "input"}'),
+        "check --mode multi": (0, '{"binding": {"cut": [], "value": 0.0}, "margin": 0.0, '
+                                  '"pass": true}'),
+        "complexity": (0, '{"log2_joint": 1e+308, "log2_layered": 1e+308}'),
+        # was exit 0 with {"log2_joint": Infinity, "log2_layered": NaN}
+        "complexity --block-length 10": (1, '{"detail": "log2 search sizes are inf (joint) '
+                                            'and nan (layered), not finite numbers", '
+                                            '"error": "infeasible"}'),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "family,command",
+    [(family, command) for family in sorted(HUGE_OUTPUTS) for command in HUGE_OUTPUTS[family]],
+)
+def test_huge_numbers_print_no_numpy_warning(tmp_path, family, command):
+    netfile = tmp_path / "huge.json"
+    netfile.write_text(json.dumps(HUGE_FILES[family]))
+    name, *options = command.split()
+    proc = run_cli(name, str(netfile), *options)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        HUGE_OUTPUTS[family][command][0], HUGE_OUTPUTS[family][command][1] + "\n", ""
+    )
+
+
+def test_complexity_refuses_a_block_length_past_the_float_range(capsys):
+    argv = ["complexity", str(DATA / "diamond.json"), "--block-length", "1" + "0" * 400]
+    assert _run_main(capsys, argv) == (
+        2, {"detail": "block length exceeds the float range", "error": "input"}
+    )
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
+def test_gen_refuses_an_empty_layer_before_any_draw(capsys, family):
+    argv = ["gen", "--seed", "1", "--layers", "1,0,1", "--family", family]
+    assert _run_main(capsys, argv) == (2, {"detail": "layer 2 is empty", "error": "input"})
+
+
 @pytest.mark.parametrize("command", ENTRY_POINTS, ids=" ".join)
 def test_discrete_node_limit_exits_three_at_parse(tmp_path, capsys, oracle_calls, command):
     # a (1, 12) discrete pair: 13 nodes, one more than the discrete limit

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -29,6 +31,7 @@ from relayflow import (
     cut_value,
     max_flow,
     min_cut,
+    network_from_models,
     polymatroid_intersect,
     RankGF2Oracle,
     subnetwork,
@@ -185,6 +188,16 @@ def test_verify_flow_refuses_an_overflowing_excess():
     )
     flow = Flow({node: 1e308 for node in net.nodes()})
     with pytest.raises(NumericalFailure, match="worst excess is inf, not a finite number"):
+        verify_flow(net, flow)
+
+
+def test_verify_flow_refuses_a_nan_constraint():
+    # |h|^2 of a 1e200 gain overflows, and the capacity cells are NaN (the
+    # true value is about 1,328 bits): a NaN excess is no verdict either
+    net = network_from_models([GaussianLogDetOracle([[1e200]]) for _ in range(2)])
+    flow = Flow({node: 1.0 for node in net.nodes()})
+    detail = "excess at layer 1, U=[1], V=[1] is nan (lhs 1.0, rhs nan)"
+    with pytest.raises(NumericalFailure, match=re.escape(detail)):
         verify_flow(net, flow)
 
 
@@ -685,12 +698,12 @@ def test_simplex_scans_every_candidate_on_near_tie_chains(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@np.errstate(invalid="ignore")
 def test_simplex_matches_dense_tableau_with_non_finite_rhs(monkeypatch, bad):
     pruned = _pruning(monkeypatch)
     for k, (a, b, c) in enumerate(_wide_lps(6, 6)):
         b[k * 7 % len(b)] = bad
-        with np.errstate(invalid="ignore"):
-            assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
+        assert _solve(_pivot_max_lp, a, b, c) == _solve(_dense_simplex_max, a, b, c)
     if bad > 0:
         # an infinite ratio makes the prune's gap threshold infinite: a ratio
         # test with the bad rhs among its candidates scans them all
@@ -769,11 +782,38 @@ def _ratio_tests(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_ratio_tests())
+@np.errstate(invalid="ignore", over="ignore")
 def test_ratio_prune_keeps_the_row_the_bland_scan_picks(ratio_test):
     candidates, ratios, basis = ratio_test
-    with np.errstate(invalid="ignore", over="ignore"):
-        pruned = cutflow._ratio_survivors(candidates, ratios, 1e-12)
+    pruned = cutflow._ratio_survivors(candidates, ratios, 1e-12)
     assert _bland_scan(*pruned, basis, 1e-12) == _bland_scan(candidates, ratios, basis, 1e-12)
+
+
+
+def test_intersection_refuses_flows_off_the_target():
+    # two polymatroids of optimum 1e16 at target 1: the excess 1e16 - 1
+    # rounds to 1e16 and the greedy cut would zero every coordinate
+    for big, want in ((1e15, [1.0, 0.0]), (1e16, None)):
+        values = (0.0, big, big, big)
+        r_src, r_snk = BoundaryFunction("source", 2, values), BoundaryFunction("sink", 2, values)
+        assert r_src.check_polymatroid() == r_snk.check_polymatroid() == (True, None)
+        if want is None:
+            with pytest.raises(
+                NumericalFailure, match="split-layer flows sum to 0.0, not the target 1.0"
+            ):
+                polymatroid_intersect(r_src, r_snk, 1.0)
+        else:
+            assert polymatroid_intersect(r_src, r_snk, 1.0) == want
+
+
+def test_intersection_of_huge_polymatroids_does_not_warn():
+    values = (0.0, 1e308, 1e308, 1e308)
+    r_src, r_snk = BoundaryFunction("source", 2, values), BoundaryFunction("sink", 2, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polymatroid_intersect(r_src, r_snk, 1e308) == [1e308, 0.0]
+        with pytest.raises(NumericalFailure, match="flows sum to 0.0"):
+            polymatroid_intersect(r_src, r_snk, 1.0)
 
 
 def test_membership_block_is_built_once_per_width_and_left_unchanged():

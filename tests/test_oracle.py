@@ -10,6 +10,7 @@ import pytest
 
 from relayflow import (
     AdditiveOracle,
+    EmptyLayer,
     InfeasibleBoundary,
     NodeId,
     NumericalFailure,
@@ -117,6 +118,13 @@ def test_generated_oracle_is_refused_under_python_O():
 def test_size_guard_on_spec():
     with pytest.raises(TooLarge):
         InstanceSpec(1, (1, 5, 1), {"additive": 1.0})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_empty_layer_is_refused_before_any_draw(family):
+    # the message of build_network, whatever family the draw would pick
+    with pytest.raises(EmptyLayer, match="^layer 2 is empty$"):
+        InstanceSpec(1, (1, 0, 1), {family: 1.0})
 
 
 # --- brute references ------------------------------------------------------------

@@ -494,11 +494,9 @@ def test_joint_gaussian_binding_cut_is_the_bottleneck():
 
 def _reference_joint(net, models, rate, compression, tol=1e-9):
     """The joint-region check as it enumerated node sets, kept verbatim as
-    the reference, returned as ``(margin, binding, n_constraints,
-    violations)``."""
-    from itertools import product
-
-    from relayflow.capacity import _entropy, _leq
+    the reference (the discrete information from ``_dict_grouped_joint_mi``),
+    returned as ``(margin, binding, n_constraints, violations)``."""
+    from relayflow.capacity import _leq
 
     def _subsets(items):
         for mask in range(1 << len(items)):
@@ -522,60 +520,21 @@ def _reference_joint(net, models, rate, compression, tol=1e-9):
 
         return mi
 
-    def _discrete_joint_mi(net, models):
-        L = net.num_layers
-        senders = [n for l in range(1, L) for n in net.layer_nodes(l)]
-        pmf_of = {n: models[n.layer - 1].input_pmfs[n.index - 1] for n in senders}
-        x_sizes = [pmf_of[n].size for n in senders]
-        pos_of = {n: i for i, n in enumerate(senders)}
-
-        def cond_output(w, assignment):
-            model = models[w.layer - 2]
-            prev = net.layer_nodes(w.layer - 1)
-            x_prev = tuple(assignment[pos_of[u]] for u in prev)
-            if w == net.destination:
-                return model.channels[w.index - 1][x_prev]
-            return model.quantized_conditional(w.index)[x_prev]
-
-        def mi(omega, phi):
-            receivers = sorted(phi)
-            out_cells = math.prod(
-                cond_output(w, tuple(0 for _ in senders)).size for w in receivers
-            )
-            if math.prod(x_sizes) * out_cells > 10_000_000:
-                raise TooLarge("global joint table exceeds the cell cap")
-            cond_positions = [pos_of[n] for n in senders if n not in omega]
-            groups = {}
-            h_out_given_all = 0.0
-            for assignment in product(*(range(s) for s in x_sizes)):
-                p = 1.0
-                for n, v in zip(senders, assignment):
-                    p *= pmf_of[n][v]
-                if p == 0.0:
-                    continue
-                block = np.ones(1)
-                for w in receivers:
-                    row = cond_output(w, assignment)
-                    h_out_given_all += p * _entropy(row)
-                    block = np.multiply.outer(block, row)
-                key = tuple(assignment[i] for i in cond_positions)
-                if key in groups:
-                    groups[key] = groups[key] + p * block.ravel()
-                else:
-                    groups[key] = p * block.ravel()
-            h_joint = sum(_entropy(arr) for arr in groups.values())
-            h_cond = _entropy(np.array([arr.sum() for arr in groups.values()]))
-            return max(0.0, (h_joint - h_cond) - h_out_given_all)
-
-        return mi
-
     L = net.num_layers
     relays = [n for l in range(2, L) for n in net.layer_nodes(l)]
     if all(isinstance(m, GaussianLayerModel) for m in models):
         mi_fn = _gaussian_joint_mi(net, models)
         leak_of = {v: 1.0 for v in relays}
     else:
-        mi_fn = _discrete_joint_mi(net, models)
+        pairs = _all_joint_pairs(len(relays))
+        info = dict(zip(pairs, _dict_grouped_joint_mi(net, models, pairs)))
+
+        def relay_mask(nodes):
+            return sum(1 << i for i, v in enumerate(relays) if v in nodes)
+
+        def mi_fn(omega, phi):
+            return info[relay_mask(omega), relay_mask(phi)]
+
         leak_of = {v: models[v.layer - 2].leak([v.index]) for v in relays}
 
     worst = math.inf
@@ -703,6 +662,23 @@ def test_region_checks_refuse_an_overflowing_margin():
     negative = {v: -1e308 for v in plan.compression}
     with pytest.raises(NumericalFailure, match="region margin is -inf, not a finite number"):
         check_joint_feasible(net, models, plan.rate, negative)
+
+
+def test_region_checks_refuse_a_nan_constraint():
+    # |h|^2 of a 1e200 gain overflows, and the capacity and information
+    # cells are NaN (the true value is about 1,328 bits): np.fmin skips a
+    # NaN margin, so the smallest finite one would not be the worst
+    models = [GaussianLayerModel([[1e200]]), GaussianLayerModel([[1e200]])]
+    net = network_from_models(models)
+    relay = NodeId(2, 1)
+    nan = " is nan (lhs 1.0, rhs nan)"
+    joint = "region margin at {'omega': ['1.1'], 'phi': ['2.1', '3.1']}" + nan
+    with pytest.raises(NumericalFailure, match=re.escape(joint)):
+        check_joint_feasible(net, models, 1.0, {relay: 1.0})
+    plan = RatePlan(1.0, {relay: 1.0}, (0.0, 0.0), (), Flow({}))
+    layered = "region margin at {'family': 'last_layer', 'layer': 2, 'U': (1,)}" + nan
+    with pytest.raises(NumericalFailure, match=re.escape(layered)):
+        check_layered_feasible(net, models, plan)
 
 
 def test_layered_check_layer_guard_raises_before_any_sum(oracle_calls, monkeypatch):
@@ -1274,6 +1250,19 @@ def test_complexity_unit_block():
     plan = plan_rates(net, models)
     log2_joint, _ = decoding_complexity(net, plan, 1, {NodeId(2, 1): 4})
     assert log2_joint == pytest.approx(plan.rate + 2.0)
+
+
+def test_complexity_refuses_numbers_past_the_float_range():
+    net = build_network([1, 1, 1], [AdditiveOracle([[1e308]]), AdditiveOracle([[1e308]])])
+    plan = RatePlan(1e308, {NodeId(2, 1): 1e308}, (0.0, 0.0), (), Flow({}))
+    assert decoding_complexity(net, plan, 1) == (1e308, 1e308)
+    # 1e309 bits of search space: inf, and inf - inf in the layered sum
+    detail = "log2 search sizes are inf (joint) and nan (layered), not finite numbers"
+    with pytest.raises(NumericalFailure, match=re.escape(detail)):
+        decoding_complexity(net, plan, 10)
+    # a block length that no float holds is an input error, not a traceback
+    with pytest.raises(InputError, match="block length exceeds the float range"):
+        decoding_complexity(net, plan, 10**400)
 
 
 def test_gaussian_gap_examples():
