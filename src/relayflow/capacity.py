@@ -95,10 +95,8 @@ def _to_mask(subset: Iterable[int], size: int) -> int:
     return mask
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _mask_indices(mask: int) -> tuple[int, ...]:
-    """1-based indices of the set bits of ``mask``, ascending.  Memoized:
-    violation records describe the same few masks thousands of times."""
+    """1-based indices of the set bits of ``mask``, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -648,13 +648,27 @@ def _construct(
 @dataclass
 class FlowCheck:
     """Result of exhaustively checking a flow against every capacity
-    constraint and conservation across the boundary layers."""
+    constraint and conservation across the boundary layers.
+
+    ``violations`` is described on first read and then cached.  Until then
+    the report keeps, per layer pair with failing constraints, the four
+    arrays ``(u, v, lhs, rhs)`` of ``_scan_constraints`` (32 bytes per
+    failing constraint) and the function naming a cell's constraint from
+    its ``(u, v)``.  Equality and ``repr`` leave them out."""
 
     passed: bool
     worst_excess: float
     conservation_gap: float
     n_constraints: int
-    violations: list[dict] = field(default_factory=list)
+    _failing: list = field(default_factory=list, compare=False, repr=False)
+
+    @cached_property
+    def violations(self) -> list[dict]:
+        return [
+            dict(describe(u, v), lhs=lhs, rhs=rhs, excess=lhs - rhs)
+            for (us, vs, lhs_, rhs_), describe in self._failing
+            for u, v, lhs, rhs in zip(us.tolist(), vs.tolist(), lhs_.tolist(), rhs_.tolist())
+        ]
 
 
 #: one checked cell of a constraint table: ``(u, v, lhs, rhs)``
@@ -669,7 +683,7 @@ def _scan_constraints(
     tol: float,
     rhs_col: Sequence[float] | None = None,
     skip_corner: bool = False,
-) -> tuple[int, _Cell | None, _Cell | None, list[_Cell]]:
+) -> tuple[int, _Cell | None, _Cell | None, tuple[np.ndarray, ...]]:
     """Check ``lhs[u, v] <= rhs[u, v]`` on every cell of a capacity table, with
 
         lhs[u, v] = lhs_row[u] + lhs_col[v]
@@ -684,11 +698,13 @@ def _scan_constraints(
     margins never bind, and there is none when no margin is below +inf);
     the first cell whose margin is NaN, which no comparison decides (or
     ``None``); and the cells failing ``_leq(lhs, rhs, tol)``, in row-major
-    order.
+    order, as four arrays: their ``u`` and ``v`` indices and their ``lhs``
+    and ``rhs`` values.
 
     Allocates ``lhs``, ``rhs`` (unless it is ``table`` itself) and one
     scratch array, which holds the margins and then the tolerance bounds,
-    all of ``table``'s shape, plus boolean masks.
+    all of ``table``'s shape, plus boolean masks and the four arrays of
+    failing cells, 32 bytes each; no Python object per cell.
     """
     lhs = np.add.outer(np.asarray(lhs_row, dtype=float), np.asarray(lhs_col, dtype=float))
     rhs = table if rhs_col is None else table + np.asarray(rhs_col, dtype=float)
@@ -712,11 +728,8 @@ def _scan_constraints(
     failed = ~_leq_cells(lhs, rhs, tol, bound=scratch)
     if skip_corner:
         failed[0, -1] = False
-    violations: list[_Cell] = []
     us, vs = np.nonzero(failed)
-    if us.size:
-        violations += zip(us.tolist(), vs.tolist(), lhs[us, vs].tolist(), rhs[us, vs].tolist())
-    return table.size - int(skip_corner), binding, first_nan, violations
+    return table.size - int(skip_corner), binding, first_nan, (us, vs, lhs[us, vs], rhs[us, vs])
 
 
 def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck:
@@ -725,8 +738,10 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
 
     Each layer pair is one whole-table pass over its capacity table.
     ``worst_excess`` is ``lhs - rhs`` at the first constraint, in (layer,
-    U mask, V mask) order, with the largest excess.  Violations are listed
-    in the same order.
+    U mask, V mask) order, with the largest excess.  The report keeps each
+    pass's failing cells as ``_scan_constraints`` returns them, and
+    ``passed`` needs none of them; ``violations`` describes them, in the
+    same order, when first read.
 
     Raises:
         NumericalFailure: the worst excess is not a finite number, or
@@ -739,7 +754,7 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     ]
     worst = -INF
     n_constraints = 0
-    violations: list[dict] = []
+    failing = []
     first_nan = None
     for l in range(1, net.num_layers):
         f_excluded = np.negative(_subset_sums(layer_vals[l - 1])[::-1])
@@ -753,17 +768,11 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
             worst = max(worst, lhs - rhs)
         if first_nan is None and nan is not None:
             first_nan = (l, *nan)
-        for umask, vmask, lhs, rhs in failed:
-            violations.append(
-                {
-                    "layer": l,
-                    "U": _mask_indices(umask),
-                    "V": _mask_indices(vmask),
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "excess": lhs - rhs,
-                }
-            )
+        if failed[0].size:
+            failing.append((
+                failed,
+                lambda u, v, l=l: {"layer": l, "U": _mask_indices(u), "V": _mask_indices(v)},
+            ))
     if not math.isfinite(worst):
         # flow totals or capacities whose sums overflow
         raise NumericalFailure(f"worst excess is {worst}, not a finite number")
@@ -779,9 +788,9 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     gap = abs(total_in - total_out)
     conserved = gap <= tol * max(1.0, total_in, total_out)
     return FlowCheck(
-        passed=conserved and not violations,
+        passed=conserved and not failing,
         worst_excess=worst,
         conservation_gap=gap,
         n_constraints=n_constraints,
-        violations=violations,
+        _failing=failing,
     )

@@ -90,13 +90,29 @@ class RatePlan:
 @dataclass
 class FeasibilityReport:
     """Outcome of a region check: the smallest margin (rhs minus lhs over
-    all constraints) and the constraint attaining it."""
+    all constraints) and the constraint attaining it.
+
+    ``violations`` is described on first read and then cached.  Until then
+    the report keeps, per family or layer pair with failing constraints,
+    the four arrays ``(u, v, lhs, rhs)`` of ``_scan_constraints`` (32 bytes
+    per failing constraint) and the function naming a cell's constraint
+    from its ``(u, v)``; the joint check's closes over the network and its
+    two relay-mask arrays (16 bytes per constraint).  Equality and ``repr``
+    leave them out."""
 
     passed: bool
     margin: float
     binding: dict
     n_constraints: int
-    violations: list[dict] = field(default_factory=list)
+    _failing: list = field(default_factory=list, compare=False, repr=False)
+
+    @functools.cached_property
+    def violations(self) -> list[dict]:
+        return [
+            dict(describe(u, v), lhs=lhs, rhs=rhs, margin=rhs - lhs)
+            for (us, vs, lhs_, rhs_), describe in self._failing
+            for u, v, lhs, rhs in zip(us.tolist(), vs.tolist(), lhs_.tolist(), rhs_.tolist())
+        ]
 
 
 @dataclass
@@ -208,11 +224,13 @@ def _undecoded_terms(sums: list[float], model: LayerModel) -> tuple[np.ndarray, 
 def _region_report(checks) -> FeasibilityReport:
     """The report of ``(scan, describe)`` pairs, each a ``_scan_constraints``
     result and a function naming a cell's constraint from its ``(u, v)``: the
-    binding constraint is the first with the smallest margin ``rhs - lhs``,
-    and the violations keep their order.  A smallest margin that is not a
-    finite number raises ``NumericalFailure``, and so, after it, does the
-    first constraint whose margin is NaN."""
-    margin, binding, n_constraints, violations = math.inf, {}, 0, []
+    binding constraint is the first with the smallest margin ``rhs - lhs``.
+    The report keeps the failing cells' arrays with their ``describe``, in
+    order, and ``passed`` needs none of them; ``violations`` describes them
+    when first read.  A smallest margin that is not a finite number raises
+    ``NumericalFailure``, and so, after it, does the first constraint whose
+    margin is NaN."""
+    margin, binding, n_constraints, failing = math.inf, {}, 0, []
     first_nan = None
     for (n, first, nan, failed), describe in checks:
         n_constraints += n
@@ -221,10 +239,8 @@ def _region_report(checks) -> FeasibilityReport:
             margin, binding = rhs - lhs, dict(describe(u, v), lhs=lhs, rhs=rhs)
         if first_nan is None and nan is not None:
             first_nan = nan, describe
-        violations += [
-            dict(describe(u, v), lhs=lhs, rhs=rhs, margin=rhs - lhs)
-            for u, v, lhs, rhs in failed
-        ]
+        if failed[0].size:
+            failing.append((failed, describe))
     if not math.isfinite(margin):
         # rates or capacities whose sums overflow, or no constraint with a margin
         raise NumericalFailure(f"region margin is {margin}, not a finite number")
@@ -234,7 +250,7 @@ def _region_report(checks) -> FeasibilityReport:
         raise NumericalFailure(
             f"region margin at {describe(u, v)} is nan (lhs {lhs}, rhs {rhs})"
         )
-    return FeasibilityReport(not violations, margin, binding, n_constraints, violations)
+    return FeasibilityReport(not failing, margin, binding, n_constraints, failing)
 
 
 def check_layered_feasible(

@@ -1105,6 +1105,36 @@ def test_verify_rejects_overloaded_node():
     )
 
 
+def test_verify_flow_describes_violations_only_when_read(monkeypatch):
+    calls = []
+    original = cutflow._mask_indices
+
+    def counting(mask):
+        calls.append(mask)
+        return original(mask)
+
+    monkeypatch.setattr(cutflow, "_mask_indices", counting)
+    net = diamond_net()
+    report = verify_flow(net, Flow({S: 2.0, A: 2.0, B: 0.0, D3: 2.0}))
+    assert not report.passed and calls == []
+    violations = report.violations
+    # one call for U and one for V per violation, and none on a second read
+    assert len(calls) == 2 * len(violations) > 0
+    assert report.violations is violations and len(calls) == 2 * len(violations)
+
+
+def test_failing_flow_checks_compare_equal_and_print_without_violations():
+    net = diamond_net()
+    bad = Flow({S: 2.0, A: 2.0, B: 0.0, D3: 2.0})
+    first, again = verify_flow(net, bad), verify_flow(net, bad)
+    assert first == again and repr(first) == repr(again)
+    assert first.violations and first == again
+    assert repr(first) == (
+        f"FlowCheck(passed=False, worst_excess={first.worst_excess!r}, "
+        f"conservation_gap={first.conservation_gap!r}, n_constraints={first.n_constraints})"
+    )
+
+
 def test_zero_flow_always_passes():
     from relayflow import Flow
 

@@ -648,6 +648,72 @@ def test_joint_violations_follow_the_pair_order(shape):
     assert [(v["omega"], v["phi"]) for v in report.violations] == want
 
 
+def test_layered_check_describes_violations_only_when_read(monkeypatch):
+    models = _drawn_models(5, (1, 3, 3, 1), "gaussian")
+    net = network_from_models(models)
+    plan = plan_rates(net, models)
+    calls = []
+    original = rateplan._mask_indices
+
+    def counting(mask):
+        calls.append(mask)
+        return original(mask)
+
+    monkeypatch.setattr(rateplan, "_mask_indices", counting)
+    report = check_layered_feasible(net, models, plan)
+    # only binding constraints are described: at most one per family, and a
+    # relay constraint's description takes two calls
+    described = len(calls)
+    assert not report.passed and described <= 4
+    violations = report.violations
+    assert len(violations) > 10
+    per_record = [1 + (v["family"] == "relay") for v in violations]
+    assert len(calls) == described + sum(per_record)
+    assert report.violations is violations and len(calls) == described + sum(per_record)
+
+
+def test_joint_check_describes_violations_only_when_read(monkeypatch):
+    models = _drawn_models(5, (1, 3, 3, 1), "gaussian")
+    net = network_from_models(models)
+    relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
+    calls = []
+    original = NodeId.key
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(NodeId, "key", counting)
+    report = check_joint_feasible(net, models, 1e3, {v: 0.0 for v in relays}, tol=0.0)
+    # one key per node of the binding constraint's two sets
+    binding = report.binding
+    described = len(calls)
+    assert not report.passed and described == len(binding["omega"]) + len(binding["phi"])
+    violations = report.violations
+    nodes = described + sum(len(v["omega"]) + len(v["phi"]) for v in violations)
+    assert len(violations) == 3 ** len(relays) and len(calls) == nodes
+    assert report.violations is violations and len(calls) == nodes
+
+
+def test_failing_region_checks_compare_equal_and_print_without_violations():
+    models = _drawn_models(5, (1, 3, 3, 1), "gaussian")
+    net = network_from_models(models)
+    plan = plan_rates(net, models)
+    runs = [
+        lambda: check_layered_feasible(net, models, plan),
+        lambda: check_joint_feasible(net, models, 1e3, {v: 0.0 for v in plan.compression}),
+    ]
+    for run in runs:
+        first, again = run(), run()
+        assert not first.passed
+        assert first == again and repr(first) == repr(again)
+        assert first.violations and first == again
+        assert repr(first) == (
+            f"FeasibilityReport(passed=False, margin={first.margin!r}, "
+            f"binding={first.binding!r}, n_constraints={first.n_constraints})"
+        )
+
+
 def test_region_checks_refuse_an_overflowing_margin():
     # compression totals of two 1e308 relays overflow: an infinite margin is
     # no verdict, and no numpy warning is raised on the way
