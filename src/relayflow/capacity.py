@@ -100,14 +100,15 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _subset_sums(values: Sequence[float]) -> list[float]:
+def _subset_sums(values: Sequence[float]) -> np.ndarray:
     """``sums[mask]``: total of ``values`` over the 1-based indices in ``mask``,
-    added in ascending index order (``sum`` of them: 0 plus each in turn)."""
+    added in ascending index order (``sum`` of them: 0 plus each in turn),
+    as a float64 array: the list of totals, converted once."""
     sums = [0]
     for value in values:
         # masks with this index set: their highest index is added last
         sums += [total + value for total in sums]
-    return sums
+    return np.array(sums, dtype=float)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -234,9 +235,11 @@ class LayerModel:
 
     def leak_column(self) -> np.ndarray:
         """``leak(W)`` of every receiver mask ``W``, indexed by ``W``: the
-        per-receiver terms added in ascending receiver order, floored at 0."""
+        per-receiver terms added in ascending receiver order, floored at 0
+        (a NaN or signed-zero total gives 0.0, as ``max(0.0, total)``)."""
         if self._leaks is None:
-            column = np.array([max(0.0, total) for total in _subset_sums(self._leak_terms)])
+            sums = _subset_sums(self._leak_terms)
+            column = np.where(sums > 0.0, sums, 0.0)
             column.flags.writeable = False
             self._leaks = column
         return self._leaks

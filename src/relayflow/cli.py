@@ -160,13 +160,8 @@ def cmd_check(args) -> int:
 def cmd_complexity(args) -> int:
     net, models, _ = _load(args.file)
     plan = rateplan.plan_rates(net, _require_models(models))
-    sizes = {
-        node: args.quantizer_points
-        for l in range(2, net.num_layers)
-        for node in net.layer_nodes(l)
-    }
     log2_joint, log2_layered = rateplan.decoding_complexity(
-        net, plan, args.block_length, sizes
+        net, plan, args.block_length, args.quantizer_points
     )
     _emit({"log2_joint": log2_joint, "log2_layered": log2_layered})
     return EXIT_OK

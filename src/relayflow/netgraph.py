@@ -73,6 +73,12 @@ class LayeredNetwork:
         return [n for l in range(1, self.num_layers + 1) for n in self.layer_nodes(l)]
 
     @property
+    def relays(self) -> list[NodeId]:
+        """The nodes strictly between the first and last layer, ordered by
+        (layer, index): bit ``i`` of a relay mask stands for ``relays[i]``."""
+        return [n for l in range(2, self.num_layers) for n in self.layer_nodes(l)]
+
+    @property
     def source(self) -> NodeId:
         return NodeId(1, 1)
 

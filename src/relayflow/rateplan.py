@@ -44,7 +44,6 @@ from .capacity import (
     _size_chunks,
     _subset_index,
     _subset_sums,
-    quantizer_leak,
 )
 from .cutflow import (
     _backward_tables,
@@ -97,8 +96,9 @@ class FeasibilityReport:
     the four arrays ``(u, v, lhs, rhs)`` of ``_scan_constraints`` (32 bytes
     per failing constraint) and the function naming a cell's constraint
     from its ``(u, v)``; the joint check's closes over the network and its
-    two relay-mask arrays (16 bytes per constraint).  Equality and ``repr``
-    leave them out."""
+    two relay-mask arrays (16 bytes per constraint), and keeps one key list
+    per (side, mask) it has described.  Equality and ``repr`` leave them
+    out."""
 
     passed: bool
     margin: float
@@ -125,9 +125,17 @@ class MultiSourceReport:
 
 
 def network_from_models(models: Sequence[LayerModel]) -> LayeredNetwork:
-    """Assemble the network whose capacities are derived from the models."""
+    """Assemble the network whose capacities are derived from the models.
+
+    Raises:
+        DimensionMismatch: no models, or adjacent models that disagree on
+            the size of the layer they share.
+        UnsupportedModel: an entry that is not a :class:`LayerModel`
+            (``None`` or a plain oracle), naming its layer pair.
+    """
     if not models:
         raise DimensionMismatch("need at least one layer model")
+    _require_layer_models(models)
     sizes = [models[0].dims[0]]
     for model in models:
         if model.dims[0] != sizes[-1]:
@@ -136,11 +144,24 @@ def network_from_models(models: Sequence[LayerModel]) -> LayeredNetwork:
     return build_network(sizes, [m.oracle() for m in models])
 
 
+def _require_layer_models(models: Sequence[LayerModel]) -> None:
+    """Refuse an entry that is not a :class:`LayerModel`, naming its layer pair."""
+    for l, model in enumerate(models, start=1):
+        if not isinstance(model, LayerModel):
+            raise UnsupportedModel(f"layer pair {l}: {type(model).__name__} is not a layer model")
+
+
 def _check_models(net: LayeredNetwork, models: Sequence[LayerModel]) -> None:
+    """Refuse models that do not fit ``net``, before any table or flow is
+    built: a count other than one per layer pair or a model whose dims
+    differ from its layer pair's (``DimensionMismatch``), or an entry that
+    is not a :class:`LayerModel`, such as ``None`` or a plain oracle
+    (``UnsupportedModel``, naming the layer pair)."""
     if len(models) != net.num_layers - 1:
         raise DimensionMismatch(
             f"{net.num_layers} layers need {net.num_layers - 1} models"
         )
+    _require_layer_models(models)
     for l, model in enumerate(models, start=1):
         expected = (net.layer_sizes[l - 1], net.layer_sizes[l])
         if model.dims != expected:
@@ -158,13 +179,19 @@ def penalty_recursion(
     Leaks come from the layer models, or may be supplied directly as one
     finite, nonnegative value per layer pair (the last pair's leak never
     enters: the final penalty is pinned at zero).
+
+    Raises:
+        UnsupportedModel: neither models nor leaks, or a model entry that is
+            not a :class:`LayerModel` (named by its layer pair).
+        DimensionMismatch: models or leaks that do not fit the layer pairs.
+        InputError: a leak that is not a finite, nonnegative number.
     """
     L = net.num_layers
     if leaks is None:
         if models is None:
             raise UnsupportedModel("penalty recursion needs layer models or explicit leaks")
         _check_models(net, models)
-        leaks = [quantizer_leak(m) for m in models]
+        leaks = [model.leak() for model in models]
     elif len(leaks) != L - 1:
         raise DimensionMismatch(f"need {L - 1} leak values")
     else:
@@ -182,8 +209,11 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
 
     Computes the flow, subtracts each layer's penalty, and clamps (and
     flags) any entry that would go negative.
+
+    Raises:
+        DimensionMismatch, UnsupportedModel: models that do not fit the
+            network (see ``penalty_recursion``), before any flow is built.
     """
-    _check_models(net, models)
     penalties = penalty_recursion(net, models)
     flow = max_flow(net)
     flags: list[str] = []
@@ -193,13 +223,12 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
         flags.append("negative_rate:R")
         rate = 0.0
     compression: dict[NodeId, float] = {}
-    for l in range(2, net.num_layers):
-        for node in net.layer_nodes(l):
-            r = flow.at(node) - penalties[l - 1]
-            if r < 0:
-                flags.append(f"negative_rate:{node.key()}")
-                r = 0.0
-            compression[node] = r
+    for node in net.relays:
+        r = flow.at(node) - penalties[node.layer - 1]
+        if r < 0:
+            flags.append(f"negative_rate:{node.key()}")
+            r = 0.0
+        compression[node] = r
     return RatePlan(rate, compression, tuple(penalties), tuple(flags), flow)
 
 
@@ -214,7 +243,7 @@ def _relay_rates(
     }
 
 
-def _undecoded_terms(sums: list[float], model: LayerModel) -> tuple[np.ndarray, np.ndarray]:
+def _undecoded_terms(sums: np.ndarray, model: LayerModel) -> tuple[np.ndarray, np.ndarray]:
     """Negated compression total and leak of a layer model's receivers left
     undecoded, given their compression ``sums``, indexed by the decoded mask
     ``V`` (undecoded is the complement of ``V``)."""
@@ -279,6 +308,8 @@ def check_layered_feasible(
     same order.
 
     Raises:
+        DimensionMismatch, UnsupportedModel: models that do not fit the
+            network (see ``_check_models``), before any table.
         TooLarge: a layer or layer pair past the cut guards, before any
             subset sum, column or table.
         NumericalFailure: the smallest margin is not a finite number, or
@@ -372,6 +403,9 @@ def check_joint_feasible(
     conditionals.
 
     Raises:
+        DimensionMismatch, UnsupportedModel: models that do not fit the
+            network (see ``_check_models``), or that are not all Gaussian or
+            all discrete, before any information is computed.
         TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
             all senders and receivers above ``MAX_JOINT_CELLS`` (the message
             gives its cells and bytes), before any information is computed.
@@ -382,7 +416,7 @@ def check_joint_feasible(
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
     _require_finite([rate, *compression.values()], "rates")
-    relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
+    relays = net.relays
     if len(relays) > JOINT_GUARD_RELAYS:
         raise TooLarge(f"joint region enumeration limited to {JOINT_GUARD_RELAYS} relays")
 
@@ -417,18 +451,18 @@ def check_joint_feasible(
         info = _discrete_joint_mi(net, models, s, d)
 
     leaks = [models[v.layer - 2].leak([v.index]) for v in relays]
-    compression_sums = np.array(_subset_sums(relay_rates), dtype=float)
-    leak_sums = np.array(_subset_sums(leaks), dtype=float)
     full = masks[-1]
-    rhs = compression_sums[full & ~s & ~d] + info - leak_sums[full & ~d]
+    rhs = _subset_sums(relay_rates)[full & ~s & ~d] + info - _subset_sums(leaks)[full & ~d]
     scan = _scan_constraints(rhs[None], [rate], np.full(rhs.size, -0.0), tol)
 
+    @functools.cache
     def keys(end: NodeId, mask: int) -> list[str]:
+        # one list per (side, mask) and check; each record copies it
         return sorted([end.key()] + [v.key() for i, v in enumerate(relays) if mask >> i & 1])
 
     def describe(_, c: int) -> dict:
         omega, phi = int(s[c]), int(d[c])
-        return {"omega": keys(net.source, omega), "phi": keys(net.destination, phi)}
+        return {"omega": keys(net.source, omega)[:], "phi": keys(net.destination, phi)[:]}
 
     return _region_report([(scan, describe)])
 
@@ -575,6 +609,8 @@ def check_multi_source(
     smallest margin, which ``min_cut``'s reconstruction finds.
 
     Raises:
+        DimensionMismatch, UnsupportedModel: models that do not fit the
+            network (see ``_check_models``), before any table.
         TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
             (``2^24`` node sets), or a layer or layer pair past the cut
             guards, before any table or penalty is computed.
@@ -599,7 +635,7 @@ def check_multi_source(
         )
     _guard_layers(net)
     penalty = penalty_recursion(net, models)[0]
-    rate_sums = np.array(_subset_sums(rates), dtype=float)
+    rate_sums = _subset_sums(rates)
     penalties = np.array([s.bit_count() * penalty for s in range(rate_sums.size)])
 
     def margin(first, values):
@@ -637,45 +673,35 @@ def decoding_complexity(
     net: LayeredNetwork,
     plan: RatePlan,
     block_length: int,
-    quantizer_sizes: Mapping[NodeId, int] | None = None,
+    quantizer_points: int = 1,
 ) -> tuple[float, float]:
     """Search-space sizes of joint and layered decoding, in log2.
 
     Joint decoding scans the product of the source codebook and every
     relay quantization codebook; layered decoding scans one layer at a
-    time.  ``quantizer_sizes`` gives the number of quantization points per
-    relay (default 1); boundary layers carry no quantization codebook.
+    time.  Every relay has ``quantizer_points`` quantization points;
+    boundary layers carry no quantization codebook.  A layer's
+    ``log2(quantizer_points)`` terms are added one relay at a time.
 
     Raises:
-        InputError: a block length below 1 or above the float range, or a
-            quantizer size below 1.
+        InputError: a block length below 1 or above the float range, or
+            fewer than one quantizer point (checked with or without relays).
+        RateCountMismatch: a relay missing from the plan's compression.
         NumericalFailure: either size is not a finite number.
     """
     if block_length < 1:
         raise InputError("block length must be at least 1")
     if block_length > sys.float_info.max:
         raise InputError("block length exceeds the float range")
+    if quantizer_points < 1:
+        raise InputError("quantizer points must be at least 1")
     compression = _relay_rates(plan.compression, net)
-    sizes = dict(quantizer_sizes or {})
-    for node, n in sizes.items():
-        if n < 1:
-            raise InputError(f"quantizer size at {node.key()} must be at least 1")
-
-    def log_points(node: NodeId) -> float:
-        if node.layer in (1, net.num_layers):
-            return 0.0
-        return math.log2(sizes.get(node, 1))
-
-    relays = [n for l in range(2, net.num_layers) for n in net.layer_nodes(l)]
-    log2_joint = plan.rate * block_length + sum(log_points(v) for v in relays)
-
-    terms = []
-    for l in range(1, net.num_layers):
-        r_total = plan.rate if l == 1 else sum(compression[l])
-        terms.append(
-            r_total * block_length
-            + sum(log_points(v) for v in net.layer_nodes(l + 1))
-        )
+    log_q = math.log2(quantizer_points)
+    log2_joint = plan.rate * block_length + sum([log_q] * len(net.relays))
+    # layer pair l sends layer l's total to layer l + 1's quantizers
+    totals = [plan.rate, *(sum(rates) for rates in compression.values())]
+    counts = [len(rates) for rates in compression.values()] + [0]
+    terms = [t * block_length + sum([log_q] * n) for t, n in zip(totals, counts)]
     peak = max(terms)
     log2_layered = peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
     if not (math.isfinite(log2_joint) and math.isfinite(log2_layered)):

@@ -550,6 +550,40 @@ def test_complexity_refuses_a_block_length_past_the_float_range(capsys):
     )
 
 
+def test_complexity_prints_the_same_bytes(tmp_path):
+    proc = run_cli(
+        "complexity", str(DATA / "diamond.json"),
+        "--block-length", "10", "--quantizer-points", "1024", check=True,
+    )
+    assert proc.stdout == '{"log2_joint": 40.0, "log2_layered": 40.0000013759}\n'
+    netfile = tmp_path / "gen.json"
+    gen = ("gen", "--seed", "3", "--layers", "1,2,2,1", "--family", "gaussian")
+    netfile.write_text(run_cli(*gen, check=True).stdout)
+    proc = run_cli(
+        "complexity", str(netfile), "--block-length", "4", "--quantizer-points", "16",
+        check=True,
+    )
+    assert proc.stdout == '{"log2_joint": 16.0, "log2_layered": 9.05078967461}\n'
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+@pytest.mark.parametrize("fname", ["diamond.json", "relay_free"])
+def test_complexity_refuses_fewer_than_one_quantizer_point(tmp_path, capsys, points, fname):
+    path = DATA / fname
+    if fname == "relay_free":
+        # no relay reads the quantizer size, and it is still refused
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "layers": [1, 1],
+            "capacities": [{"kind": "additive", "matrix": [[1.0]]}],
+            "models": [{"kind": "deterministic"}],
+        }))
+    argv = ["complexity", str(path), "--quantizer-points", points]
+    assert _run_main(capsys, argv) == (
+        2, {"detail": "quantizer points must be at least 1", "error": "input"}
+    )
+
+
 @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
 def test_gen_refuses_an_empty_layer_before_any_draw(capsys, family):
     argv = ["gen", "--seed", "1", "--layers", "1,0,1", "--family", family]

@@ -157,6 +157,34 @@ def test_models_and_leaks_that_do_not_fit_are_refused(case):
     assert refused.type is error
 
 
+#: every entry point that takes a model list, called with ``models``
+MODEL_ENTRY_POINTS = {
+    "network_from_models": lambda net, models: network_from_models(models),
+    "penalty_recursion": lambda net, models: penalty_recursion(net, models),
+    "plan_rates": lambda net, models: plan_rates(net, models),
+    "check_layered_feasible": lambda net, models: check_layered_feasible(
+        net, models, RatePlan(0.5, {NodeId(2, 1): 0.5}, (0.0, 0.0), (), Flow({}))
+    ),
+    "check_joint_feasible": lambda net, models: check_joint_feasible(
+        net, models, 0.5, {NodeId(2, 1): 0.5}
+    ),
+    "check_multi_source": lambda net, models: check_multi_source(net, models, [0.5]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODEL_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, AdditiveOracle([[1.0]])], ids=["none", "plain_oracle"])
+@pytest.mark.parametrize("pair", [1, 2])
+def test_entries_that_are_not_layer_models_are_refused(oracle_calls, entry, bad, pair):
+    net, models = gaussian_line()
+    models[pair - 1] = bad
+    oracle_calls.clear()
+    message = f"layer pair {pair}: {type(bad).__name__} is not a layer model"
+    with pytest.raises(UnsupportedModel, match=re.escape(message)):
+        MODEL_ENTRY_POINTS[entry](net, models)
+    assert oracle_calls == []
+
+
 def test_penalties_grow_toward_the_source():
     # nonnegative leaks and nonempty layers make the penalty sequence
     # non-increasing in the layer index
@@ -690,9 +718,16 @@ def test_joint_check_describes_violations_only_when_read(monkeypatch):
     described = len(calls)
     assert not report.passed and described == len(binding["omega"]) + len(binding["phi"])
     violations = report.violations
-    nodes = described + sum(len(v["omega"]) + len(v["phi"]) for v in violations)
-    assert len(violations) == 3 ** len(relays) and len(calls) == nodes
-    assert report.violations is violations and len(calls) == nodes
+    assert len(violations) == 3 ** len(relays)
+    # each (side, mask) is keyed at most once per check, the binding's too
+    sides = {(side, tuple(v[side])) for v in violations for side in ("omega", "phi")}
+    keyed = sum(len(members) for _, members in sides)
+    assert len(calls) <= keyed < sum(len(v["omega"]) + len(v["phi"]) for v in violations)
+    assert report.violations is violations and len(calls) <= keyed
+    # no two records, nor the binding constraint, share a list
+    lists = [binding["omega"], binding["phi"]]
+    lists += [v[side] for v in violations for side in ("omega", "phi")]
+    assert len({id(members) for members in lists}) == len(lists)
 
 
 def test_failing_region_checks_compare_equal_and_print_without_violations():
@@ -1296,7 +1331,7 @@ def test_complexity_single_relay_example():
     from relayflow import Flow, RatePlan
 
     unit = RatePlan(1.0, {NodeId(2, 1): 1.0}, plan.penalties, (), plan.flow)
-    log2_joint, log2_layered = decoding_complexity(net, unit, 10, {NodeId(2, 1): 2**10})
+    log2_joint, log2_layered = decoding_complexity(net, unit, 10, 2**10)
     assert log2_joint == pytest.approx(20.0, abs=1e-12)
     assert log2_layered == pytest.approx(math.log2(2**20 + 2**10), abs=1e-12)
 
@@ -1314,7 +1349,7 @@ def test_complexity_no_relays_collapses():
 def test_complexity_unit_block():
     net, models = gaussian_line()
     plan = plan_rates(net, models)
-    log2_joint, _ = decoding_complexity(net, plan, 1, {NodeId(2, 1): 4})
+    log2_joint, _ = decoding_complexity(net, plan, 1, 4)
     assert log2_joint == pytest.approx(plan.rate + 2.0)
 
 
