@@ -228,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if not math.isfinite(args.tol):
-            raise InputError("--tol must be a finite number")
+        if not 0 <= args.tol < math.inf:
+            raise InputError("--tol must be a finite, nonnegative number")
         return args.func(args)
     except TooLarge as exc:
         _emit({"error": "too_large", "detail": str(exc)})

@@ -45,8 +45,6 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from .capacity import (
-    LAYER_GUARD,
-    TABLE_GUARD_BITS,
     CapacityOracle,
     _first_bisubmodular_failure,
     _first_monotone_failure,
@@ -65,22 +63,10 @@ from .errors import (
     NumericalFailure,
     RateCountMismatch,
     NegativeRate,
-    TooLarge,
 )
 from .netgraph import Cut, Flow, LayeredNetwork, NodeId
 
 INF = float("inf")
-
-
-def _guard_layers(net: LayeredNetwork) -> None:
-    if max(net.layer_sizes) > LAYER_GUARD:
-        raise TooLarge(f"subset enumeration limited to {LAYER_GUARD} nodes per layer")
-    pair = max(a + b for a, b in zip(net.layer_sizes, net.layer_sizes[1:]))
-    if pair > TABLE_GUARD_BITS:
-        raise TooLarge(
-            f"capacity tables limited to {TABLE_GUARD_BITS} nodes per layer pair, "
-            f"network has {pair}"
-        )
 
 
 @cache
@@ -194,7 +180,6 @@ def min_cut(
 def _cut_dp(net: LayeredNetwork, boundary: Mapping[NodeId, float] | None = None):
     """``min_cut`` without the cut: the costs (a one-state layer 0 first),
     their ``_backward_tables`` and the minimum value, which must be finite."""
-    _guard_layers(net)
     m_first, m_last = net.layer_sizes[0], net.layer_sizes[-1]
     if boundary is None:
         init_costs = [INF] * (1 << m_first)
@@ -313,7 +298,6 @@ def boundary_function(
     T: the minimum over cuts of the half of the cut value plus the far
     boundary flow the cut leaves exposed.
     """
-    _guard_layers(half)
     if side not in ("source", "sink"):
         raise BadRange(f"unknown side {side!r}")
     m_far, m_ground = half.layer_sizes[0], half.layer_sizes[-1]
@@ -393,7 +377,7 @@ def _membership_block(m: int) -> np.ndarray:
     objective's ``-1``.
 
     Read-only ``int8``, ``m * 2^(m + 1) - m`` bytes: 2,097,136 (2 MB) at
-    the widest split ``LAYER_GUARD = 16``, 45 KB at 11.
+    the widest split a network allows (16 nodes), 45 KB at 11.
     """
     masks = np.arange(1, 1 << m, dtype=np.int32)
     bits = (masks >> np.arange(m, dtype=np.int32)[:, None]) & 1
@@ -593,7 +577,6 @@ def max_flow(
         InfeasibleBoundary: boundary totals unequal, infeasible against the
             cut bound, or missing on a multi-node boundary.
     """
-    _guard_layers(net)
     if split_layer is not None and not 2 <= split_layer <= net.num_layers - 1:
         raise BadRange(f"split layer must lie strictly inside [1, {net.num_layers}]")
     if boundary is None:
@@ -747,7 +730,6 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
         NumericalFailure: the worst excess is not a finite number, or
             else some constraint's excess is NaN (the first is named).
     """
-    _guard_layers(net)
     layer_vals = [
         _values_at(flow.values, net.layer_nodes(l), "flow value")
         for l in range(1, net.num_layers + 1)

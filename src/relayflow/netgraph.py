@@ -4,7 +4,10 @@ supernode extensions for multi-source / multi-destination problems.
 Nodes are addressed positionally: layer 1 holds the sources, the last layer
 holds the destinations, and a node is the pair ``(layer, index)``, both
 1-based.  Capacities live on adjacent layer pairs as
-:class:`~relayflow.capacity.CapacityOracle` instances.  Networks are
+:class:`~relayflow.capacity.CapacityOracle` instances.  A network is valid
+when it is made: :class:`LayeredNetwork` checks its shape, including the
+width limits of the subset enumerations every cut, flow and region runs,
+however it is built, so no consumer checks it again.  Networks are
 immutable after construction and safe to share across threads.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .capacity import AdditiveOracle, CapacityOracle, _require_finite
+from .capacity import LAYER_GUARD, TABLE_GUARD_BITS, AdditiveOracle, CapacityOracle, _require_finite
 from .errors import (
     DimensionMismatch,
     EmptyLayer,
@@ -22,6 +25,7 @@ from .errors import (
     BadRange,
     RateCountMismatch,
     TooFewLayers,
+    TooLarge,
 )
 
 
@@ -47,10 +51,50 @@ class NodeId:
 
 @dataclass(frozen=True)
 class LayeredNetwork:
-    """Immutable layered topology plus one capacity oracle per layer pair."""
+    """Immutable layered topology plus one capacity oracle per layer pair.
+
+    Every construction, direct or through :func:`build_network`,
+    :func:`subnetwork` or :func:`attach_supernode`, checks the shape, in this
+    order, before any capacity is evaluated.
+
+    Raises:
+        TooFewLayers: fewer than two layers.
+        EmptyLayer: some layer has no nodes.
+        DimensionMismatch: oracle count or dimensions inconsistent with the
+            layer sizes.
+        InputError: an entry is not a :class:`CapacityOracle`.
+        TooLarge: a layer above ``LAYER_GUARD`` nodes, or a layer pair
+            above ``TABLE_GUARD_BITS`` (one capacity table).
+    """
 
     layer_sizes: tuple[int, ...]
     oracles: tuple[CapacityOracle, ...]
+
+    def __post_init__(self):
+        sizes, oracles = self.layer_sizes, self.oracles
+        if len(sizes) < 2:
+            raise TooFewLayers("a layered network needs at least two layers")
+        for l, m in enumerate(sizes, start=1):
+            if m < 1:
+                raise EmptyLayer(f"layer {l} is empty")
+        if len(oracles) != len(sizes) - 1:
+            raise DimensionMismatch(
+                f"{len(sizes)} layers need {len(sizes) - 1} oracles, got {len(oracles)}"
+            )
+        for l, oracle in enumerate(oracles, start=1):
+            if not isinstance(oracle, CapacityOracle):
+                raise InputError(f"oracle {l} is a {type(oracle).__name__}, not a CapacityOracle")
+            expected = (sizes[l - 1], sizes[l])
+            if oracle.dims != expected:
+                raise DimensionMismatch(f"oracle {l} has dims {oracle.dims}, expected {expected}")
+        if max(sizes) > LAYER_GUARD:
+            raise TooLarge(f"subset enumeration limited to {LAYER_GUARD} nodes per layer")
+        pair = max(a + b for a, b in zip(sizes, sizes[1:]))
+        if pair > TABLE_GUARD_BITS:
+            raise TooLarge(
+                f"capacity tables limited to {TABLE_GUARD_BITS} nodes per layer pair, "
+                f"network has {pair}"
+            )
 
     @property
     def num_layers(self) -> int:
@@ -119,35 +163,16 @@ def build_network(
     layer_sizes: Sequence[int],
     oracles: Sequence[CapacityOracle],
 ) -> LayeredNetwork:
-    """Validate and assemble a layered network from one capacity oracle per
-    layer pair (network files go through :mod:`relayflow.fileformat`).
+    """Assemble a layered network from one capacity oracle per layer pair
+    (network files go through :mod:`relayflow.fileformat`): the sizes as
+    ints and both sequences as tuples, checked by :class:`LayeredNetwork`.
 
     Raises:
-        TooFewLayers: fewer than two layers.
-        EmptyLayer: some layer has no nodes.
-        DimensionMismatch: oracle count or dimensions inconsistent with the
-            layer sizes.
-        InputError: an entry is not a :class:`CapacityOracle`.
+        TooFewLayers, EmptyLayer, DimensionMismatch, InputError, TooLarge:
+            a shape that :class:`LayeredNetwork` refuses, including a layer
+            or layer pair past the width limits.
     """
-    sizes = tuple(int(m) for m in layer_sizes)
-    if len(sizes) < 2:
-        raise TooFewLayers("a layered network needs at least two layers")
-    for l, m in enumerate(sizes, start=1):
-        if m < 1:
-            raise EmptyLayer(f"layer {l} is empty")
-    if len(oracles) != len(sizes) - 1:
-        raise DimensionMismatch(
-            f"{len(sizes)} layers need {len(sizes) - 1} oracles, got {len(oracles)}"
-        )
-    for l, oracle in enumerate(oracles, start=1):
-        if not isinstance(oracle, CapacityOracle):
-            raise InputError(f"oracle {l} is a {type(oracle).__name__}, not a CapacityOracle")
-        expected = (sizes[l - 1], sizes[l])
-        if oracle.dims != expected:
-            raise DimensionMismatch(
-                f"oracle {l} has dims {oracle.dims}, expected {expected}"
-            )
-    return LayeredNetwork(sizes, tuple(oracles))
+    return LayeredNetwork(tuple(int(m) for m in layer_sizes), tuple(oracles))
 
 
 def subnetwork(

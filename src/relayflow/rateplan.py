@@ -50,7 +50,6 @@ from .cutflow import (
     _cost,
     _cut_dp,
     _first_minimizer,
-    _guard_layers,
     _scan_constraints,
     _values_at,
     max_flow,
@@ -211,9 +210,13 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
     flags) any entry that would go negative.
 
     Raises:
+        InputError: a network with more than one source or destination,
+            before any leak, table or flow.
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``penalty_recursion``), before any flow is built.
     """
+    if not net.is_unicast:
+        raise InputError("rate planning is defined for unicast networks")
     penalties = penalty_recursion(net, models)
     flow = max_flow(net)
     flags: list[str] = []
@@ -310,15 +313,12 @@ def check_layered_feasible(
     Raises:
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), before any table.
-        TooLarge: a layer or layer pair past the cut guards, before any
-            subset sum, column or table.
         NumericalFailure: the smallest margin is not a finite number, or
             else some constraint's margin is NaN (the first is named).
     """
     if not net.is_unicast:
         raise InputError("layered feasibility is defined for unicast networks")
     _check_models(net, models)
-    _guard_layers(net)
     L = net.num_layers
     # sums[l][mask]: compression total of relay layer l's relays in mask
     sums = {l: _subset_sums(r) for l, r in _relay_rates(plan.compression, net).items()}
@@ -612,8 +612,7 @@ def check_multi_source(
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), before any table.
         TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
-            (``2^24`` node sets), or a layer or layer pair past the cut
-            guards, before any table or penalty is computed.
+            (``2^24`` node sets), before any table or penalty is computed.
         NumericalFailure: the margin is not a finite number.
     """
     if net.layer_sizes[-1] != 1:
@@ -633,7 +632,6 @@ def check_multi_source(
             f"multi-source enumeration limited to {TABLE_GUARD_BITS} nodes outside "
             f"the destination; this network has {bits}, {1 << bits} node sets"
         )
-    _guard_layers(net)
     penalty = penalty_recursion(net, models)[0]
     rate_sums = _subset_sums(rates)
     penalties = np.array([s.bit_count() * penalty for s in range(rate_sums.size)])

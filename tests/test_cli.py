@@ -618,9 +618,74 @@ def test_discrete_node_limit_exits_three_at_parse(tmp_path, capsys, oracle_calls
     assert oracle_calls == []
 
 
-def test_non_finite_tolerance_exits_two(capsys):
-    code, out = _run_main(capsys, ["--tol", "nan", "validate", str(DATA / "line.json")])
-    assert code == 2 and out["error"] == "input"
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_non_finite_tolerance_exits_two(capsys, tol):
+    code, out = _run_main(capsys, ["--tol", tol, "validate", str(DATA / "line.json")])
+    assert (code, out) == (
+        2, {"detail": "--tol must be a finite, nonnegative number", "error": "input"}
+    )
+
+
+#: files past a width limit, without model markers: each exits 3 at load
+WIDE_FILES = {
+    "layer": (
+        {
+            "layers": [1, 17, 1],
+            "capacities": [
+                {"kind": "additive", "matrix": [[1.0] * 17]},
+                {"kind": "additive", "matrix": [[1.0]] * 17},
+            ],
+        },
+        "subset enumeration limited to 16 nodes per layer",
+    ),
+    "pair": (
+        {
+            "layers": [13, 12, 1],
+            "capacities": [
+                {"kind": "additive", "matrix": [[1.0] * 12] * 13},
+                {"kind": "additive", "matrix": [[1.0]] * 12},
+            ],
+            "boundary": {"source_rates": [0.0] * 13},
+        },
+        "capacity tables limited to 24 nodes per layer pair, network has 25",
+    ),
+}
+
+
+@pytest.mark.parametrize("wide", sorted(WIDE_FILES))
+@pytest.mark.parametrize("command", ENTRY_POINTS, ids=" ".join)
+def test_a_network_past_the_width_limits_exits_three_at_load(
+    tmp_path, capsys, oracle_calls, wide, command
+):
+    # the network cannot be built, so no command reaches its models or cells
+    data, detail = WIDE_FILES[wide]
+    netfile = tmp_path / "wide.json"
+    netfile.write_text(json.dumps(data))
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    assert (code, out) == (3, {"detail": detail, "error": "too_large"})
+    assert oracle_calls == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["plan"], ["check", "--mode", "layered"], ["check", "--mode", "joint"], ["complexity"]],
+    ids=" ".join,
+)
+def test_rate_planning_on_two_sources_exits_two(tmp_path, capsys, command):
+    two_sources = {
+        "layers": [2, 2, 1],
+        "capacities": [
+            {"kind": "additive", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+            {"kind": "additive", "matrix": [[1.0], [1.0]]},
+        ],
+        "models": [{"kind": "deterministic"}] * 2,
+    }
+    netfile = tmp_path / "two.json"
+    netfile.write_text(json.dumps(two_sources))
+    code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
+    assert (code, out) == (
+        2, {"detail": "rate planning is defined for unicast networks", "error": "input"}
+    )
 
 
 def test_infinite_layer_size_exits_two(tmp_path, capsys):

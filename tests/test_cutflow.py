@@ -37,7 +37,7 @@ from relayflow import (
     subnetwork,
     verify_flow,
 )
-from relayflow import cutflow
+from relayflow import capacity, cutflow
 from relayflow.capacity import _leq
 from relayflow.fileformat import network_from_dict, network_to_dict
 from relayflow.oracle import InstanceSpec, brute_max_flow, brute_min_cut, random_instance
@@ -131,10 +131,12 @@ def test_min_cut_matches_brute_on_ties():
         assert cut.members == bcut.members
 
 
-def test_min_cut_layer_guard():
-    net = build_network([1, 17, 1], [AdditiveOracle([[1.0] * 17]), AdditiveOracle([[1.0]] * 17)])
-    with pytest.raises(TooLarge):
-        min_cut(net)
+def test_min_cut_layer_guard(oracle_calls):
+    # a 17-node layer cannot be built, so no cut is ever asked of it
+    oracles = [AdditiveOracle([[1.0] * 17]), AdditiveOracle([[1.0]] * 17)]
+    with pytest.raises(TooLarge, match="subset enumeration limited to 16 nodes per layer"):
+        build_network([1, 17, 1], oracles)
+    assert oracle_calls == []
 
 
 def test_max_flow_and_verify_evaluate_each_cell_once(oracle_calls):
@@ -839,7 +841,7 @@ def test_membership_block_is_built_once_per_width_and_left_unchanged():
 
 def test_widest_membership_block_holds_the_stated_bytes():
     # m * 2^(m + 1) - m bytes: 2,097,136 at the widest split of 16 nodes
-    m = cutflow.LAYER_GUARD
+    m = capacity.LAYER_GUARD
     tracemalloc.start()
     try:
         block = cutflow._membership_block.__wrapped__(m)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from relayflow import (
@@ -6,17 +9,22 @@ from relayflow import (
     Flow,
     InputError,
     EmptyLayer,
+    LayeredNetwork,
     NegativeRate,
     NodeId,
     RateCountMismatch,
     BadRange,
     TooFewLayers,
+    TooLarge,
     attach_supernode,
     build_network,
     check_capacity_axioms,
     cut_value,
+    max_flow,
     subnetwork,
+    verify_flow,
 )
+from relayflow import cutflow, rateplan
 from relayflow.fileformat import oracle_from_spec
 
 
@@ -69,6 +77,90 @@ def test_spec_dicts_build_through_fileformat_only():
     assert net.oracles[0].value([1], [1]) == 3.0
     with pytest.raises(InputError, match="oracle 1 is a dict, not a CapacityOracle"):
         build_network([1, 1], [spec])
+
+
+def _ones(m_in: int, m_out: int) -> AdditiveOracle:
+    return AdditiveOracle([[1.0] * m_out] * m_in)
+
+
+#: shapes the one constructor refuses: sizes, oracles, error, message
+BAD_SHAPES = {
+    "one_layer": ([1], [], TooFewLayers, "a layered network needs at least two layers"),
+    "empty_layer": ([1, 0, 1], [_ones(1, 1), _ones(1, 1)], EmptyLayer, "layer 2 is empty"),
+    "oracle_count": (
+        [1, 1], [_ones(1, 1)] * 2, DimensionMismatch, "2 layers need 1 oracles, got 2"
+    ),
+    "not_an_oracle": (
+        [1, 1],
+        [{"kind": "additive", "matrix": [[1.0]]}],
+        InputError,
+        "oracle 1 is a dict, not a CapacityOracle",
+    ),
+    "dims": (
+        [1, 2, 1],
+        [_ones(1, 1), _ones(2, 1)],
+        DimensionMismatch,
+        "oracle 1 has dims (1, 1), expected (1, 2)",
+    ),
+    "wide_layer": (
+        [1, 17, 1],
+        [_ones(1, 17), _ones(17, 1)],
+        TooLarge,
+        "subset enumeration limited to 16 nodes per layer",
+    ),
+    "wide_pair": (
+        [1, 12, 13, 1],
+        [_ones(1, 12), _ones(12, 13), _ones(13, 1)],
+        TooLarge,
+        "capacity tables limited to 24 nodes per layer pair, network has 25",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_direct_construction_refuses_what_build_network_refuses(oracle_calls, case):
+    sizes, oracles, error, message = BAD_SHAPES[case]
+    for build in (build_network, lambda s, o: LayeredNetwork(tuple(s), tuple(o))):
+        with pytest.raises(error) as refused:
+            build(sizes, oracles)
+        assert (refused.type, str(refused.value)) == (error, message)
+    assert oracle_calls == []
+
+
+def test_derived_networks_pass_the_one_check(monkeypatch):
+    built = []
+    check = LayeredNetwork.__post_init__
+
+    def recording(self):
+        check(self)
+        built.append(self.layer_sizes)
+
+    monkeypatch.setattr(LayeredNetwork, "__post_init__", recording)
+    net = build_network([1, 2, 2, 2, 1], [_ones(1, 2), _ones(2, 2), _ones(2, 2), _ones(2, 1)])
+    # max_flow's bisection builds both halves around the split layer 3
+    assert verify_flow(net, max_flow(net)).passed
+    assert {(1, 2, 2), (2, 2, 1)} <= set(built)
+    assert subnetwork(net, 2, 4)[0].layer_sizes == built[-1] == (2, 2, 2)
+    assert attach_supernode(net, "before_sources", [1.0]).layer_sizes == built[-1]
+    # at both width limits, slices and supernodes still build, with no table
+    wide = build_network([16, 8, 16], [_ones(16, 8), _ones(8, 16)])
+    assert subnetwork(wide, 1, 2)[0].layer_sizes == (16, 8)
+    assert attach_supernode(wide, "after_destinations", [0.0] * 16).layer_sizes == (16, 8, 16, 1)
+    assert all(o._dense is None for o in wide.oracles)
+
+
+@pytest.mark.parametrize("module", [cutflow, rateplan], ids=lambda m: m.__name__)
+def test_only_the_network_checks_its_width(module):
+    # the width limits live in LayeredNetwork alone; no consumer re-checks them
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            names.add(node.name)
+    assert not names & {"LAYER_GUARD", "_guard_layers"}
 
 
 def test_subnetwork_slices():

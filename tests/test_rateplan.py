@@ -185,6 +185,43 @@ def test_entries_that_are_not_layer_models_are_refused(oracle_calls, entry, bad,
     assert oracle_calls == []
 
 
+def _deterministic(sizes):
+    models = [
+        DeterministicLayerModel(AdditiveOracle(np.ones(pair))) for pair in zip(sizes, sizes[1:])
+    ]
+    return network_from_models(models), models
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1), (1, 2, 2)])
+def test_rate_planning_refuses_a_network_that_is_not_unicast(oracle_calls, monkeypatch, sizes):
+    # refused as input before any leak or flow; max_flow's boundary-flow
+    # message would name an input that plan_rates does not take
+    called = []
+    for name in ("penalty_recursion", "max_flow"):
+        monkeypatch.setattr(
+            f"relayflow.rateplan.{name}", lambda *a, name=name, **k: called.append(name)
+        )
+    net, models = _deterministic(sizes)
+    with pytest.raises(InputError) as refused:
+        plan_rates(net, models)
+    assert str(refused.value) == "rate planning is defined for unicast networks"
+    assert oracle_calls == [] and called == []
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1), (1, 2, 2)])
+def test_region_checks_refuse_a_network_that_is_not_unicast(oracle_calls, sizes):
+    net, models = _deterministic(sizes)
+    compression = {NodeId(2, 1): 0.0, NodeId(2, 2): 0.0}
+    plan = RatePlan(0.0, compression, (0.0, 0.0), (), Flow({}))
+    with pytest.raises(InputError) as refused:
+        check_layered_feasible(net, models, plan)
+    assert str(refused.value) == "layered feasibility is defined for unicast networks"
+    with pytest.raises(InputError) as refused:
+        check_joint_feasible(net, models, 0.0, compression)
+    assert str(refused.value) == "joint feasibility is defined for unicast networks"
+    assert oracle_calls == []
+
+
 def test_penalties_grow_toward_the_source():
     # nonnegative leaks and nonempty layers make the penalty sequence
     # non-increasing in the layer index
@@ -783,17 +820,16 @@ def test_region_checks_refuse_a_nan_constraint():
 
 
 def test_layered_check_layer_guard_raises_before_any_sum(oracle_calls, monkeypatch):
-    # a hand-built plan on a 17-relay layer, past the 16-node subset guard
+    # a 17-relay layer, past the 16-node subset guard, cannot be built, so no
+    # layered check ever sums its rates
     sums = []
     monkeypatch.setattr("relayflow.rateplan._subset_sums", sums.append)
     models = [
         DeterministicLayerModel(AdditiveOracle(np.ones((1, 17)))),
         DeterministicLayerModel(AdditiveOracle(np.ones((17, 1)))),
     ]
-    net = network_from_models(models)
-    plan = RatePlan(0.0, {NodeId(2, i): 0.0 for i in range(1, 18)}, (0.0, 0.0), (), Flow({}))
     with pytest.raises(TooLarge, match="subset enumeration limited to 16 nodes per layer"):
-        check_layered_feasible(net, models, plan)
+        network_from_models(models)
     assert oracle_calls == [] and sums == []
 
 
@@ -1269,16 +1305,16 @@ def test_multi_source_guard_raises_before_any_table(oracle_calls, monkeypatch):
 
 
 def test_multi_source_layer_guard_raises_before_any_table(oracle_calls, monkeypatch):
-    # 17 sources pass the 24-node guard, not the 16-node layer guard
+    # 17 sources pass the 24-node guard, not the 16-node layer guard, which
+    # refuses the network before any check is asked of it
     leak_calls = []
     monkeypatch.setattr(
         "relayflow.rateplan.penalty_recursion",
         lambda *args, **kwargs: leak_calls.append(args),
     )
     models = [DeterministicLayerModel(AdditiveOracle(np.ones((17, 1))))]
-    net = network_from_models(models)
     with pytest.raises(TooLarge, match="subset enumeration limited to 16 nodes per layer"):
-        check_multi_source(net, models, [0.0] * 17)
+        network_from_models(models)
     assert oracle_calls == [] and leak_calls == []
 
 
