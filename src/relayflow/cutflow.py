@@ -17,7 +17,9 @@ constraints, whose 0/1 membership block is built once per width.  The
 tableau is stored by columns and makes the pivots of a dense tableau,
 with its floats, in memory proportional to the rows times the structural
 and pivoted columns.  Over more than ``PRUNE_CANDIDATES`` rows, the Bland
-ratio scan skips those a numpy sort of the ratios shows it cannot pick.
+ratio scan skips those whose ratios lie above a gap it cannot bridge,
+found by raising a threshold from the smallest ratio.  The boundary
+functions hand their values from the DP to the simplex as float64 arrays.
 
 The DP reads each oracle's dense table (``CapacityOracle.table``) and has
 one kernel, the min-plus step ``_sweep``, run by ``_backward_tables`` for
@@ -59,6 +61,7 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     InfeasibleBoundary,
+    InputError,
     BadRange,
     NumericalFailure,
     RateCountMismatch,
@@ -119,6 +122,16 @@ def _values_at(
     return found
 
 
+def _require_boundary_flows(flows: Sequence[float]) -> None:
+    """Refuse NaN, +-infinity and negative boundary flows.  Plain Python
+    comparisons: ``max_flow`` passes each split layer's few flows here at
+    every step of its recursion."""
+    if not all(map(math.isfinite, flows)):
+        raise InputError("boundary flows must be finite numbers, not NaN or infinity")
+    if any(v < 0 for v in flows):
+        raise NegativeRate("boundary flows must be nonnegative")
+
+
 def _boundary_lists(
     net: LayeredNetwork, boundary: Mapping[NodeId, float]
 ) -> tuple[list[float], list[float]]:
@@ -127,9 +140,7 @@ def _boundary_lists(
         [float(v) for v in _values_at(boundary, net.layer_nodes(l), "boundary flow")]
         for l in (1, net.num_layers)
     )
-    _require_finite(first + last, "boundary flows")
-    if any(v < 0 for v in first + last):
-        raise NegativeRate("boundary flows must be nonnegative")
+    _require_boundary_flows(first + last)
     return first, last
 
 
@@ -237,7 +248,7 @@ def _first_minimizer(
 BoundarySide = Literal["source", "sink"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFunction:
     """Set function on a split layer bounding the flow its subsets may carry,
     given the capacities of one half-network and the flows fixed on its far
@@ -245,33 +256,55 @@ class BoundaryFunction:
 
     These functions are normalized (zero at the empty set), non-decreasing,
     and submodular, so each defines a polymatroid.
+
+    ``values[mask]`` is the value at the subset ``mask``: a read-only
+    float64 array of ``2^ground_size`` entries, copied from whatever
+    sequence or array the function is built from, so no caller's array can
+    change it later.  Two functions are equal when their sides, ground sizes
+    and the bits of their values agree (``-0.0`` differs from ``0.0``, and
+    a NaN equals the same NaN), and they hash accordingly.
     """
 
     side: BoundarySide
     ground_size: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.side not in ("source", "sink"):
             raise BadRange(f"unknown side {self.side!r}")
         if self.ground_size < 0:
             raise BadRange(f"ground set size {self.ground_size} is negative")
-        if len(self.values) != 1 << self.ground_size:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (1 << self.ground_size,):
             raise DimensionMismatch(
-                f"{len(self.values)} values for a ground set of {self.ground_size}"
+                f"{values.size} values for a ground set of {self.ground_size}"
             )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _key(self) -> tuple[str, int, bytes]:
+        return self.side, self.ground_size, self.values.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundaryFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def value(self, subset: Iterable[int]) -> float:
-        return self.values[_to_mask(subset, self.ground_size)]
+        return float(self.values[_to_mask(subset, self.ground_size)])
 
     def check_polymatroid(self, tol: float = 1e-9) -> tuple[bool, str | None]:
         """Exhaustively verify zero-at-empty, monotonicity, and submodularity,
         the last two by ``check_capacity_axioms``'s kernels on the values as a
         one-column table (``m_out = 0``); the first failure is reported."""
-        if self.values[0] != 0.0:
-            return False, f"value at empty set is {self.values[0]}"
+        empty = float(self.values[0])
+        if empty != 0.0:
+            return False, f"value at empty set is {empty}"
         m = self.ground_size
-        tab = np.array(self.values, dtype=float)[:, None]
+        tab = self.values[:, None]
         step = _first_monotone_failure(tab, m, 0, tol)
         pair = None if step else _first_bisubmodular_failure(tab, tol)
         if step:
@@ -297,6 +330,11 @@ def boundary_function(
     For each ground subset T the value is the cheapest way to route around
     T: the minimum over cuts of the half of the cut value plus the far
     boundary flow the cut leaves exposed.
+
+    Raises:
+        RateCountMismatch: not one far flow per far-layer node.
+        InputError: a NaN or infinite far flow.
+        NegativeRate: a negative far flow.
     """
     if side not in ("source", "sink"):
         raise BadRange(f"unknown side {side!r}")
@@ -305,6 +343,7 @@ def boundary_function(
         m_far, m_ground = m_ground, m_far
     if len(far_flows) != m_far:
         raise RateCountMismatch(f"need {m_far} far-boundary flows")
+    _require_boundary_flows(far_flows)
     costs, far = [_cost(o) for o in half.oracles], _subset_sums(far_flows)
     if side == "source":
         # the cheapest way to reach each ground-layer state: a backward pass
@@ -313,7 +352,7 @@ def boundary_function(
     values = _backward_tables(costs, far)[0]
     if side == "source":
         values = values[::-1]
-    return BoundaryFunction(side, m_ground, tuple(values.tolist()))
+    return BoundaryFunction(side, m_ground, values)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +360,22 @@ def boundary_function(
 # ---------------------------------------------------------------------------
 
 #: candidate rows above which the ratio test prunes them in numpy first.
-#: Measured per pivot (medians of three runs) on the recorded max-flow LPs
-#: of flow-ladder seeds 7 and 11 and wide-split seed 7, scan alone against
-#: sort prune and scan: 13-20 vs 17-25 us at 97-128 candidates, 17-23 vs
-#: 17-22 us at 129-192, 23-34 vs 23-34 us at 193-256 (18-42% of
-#: flow-ladder's candidates survive), 51-75 vs 13-19 us at 385-512 and
-#: 119-146 vs 22-24 us above 512 (under 1% of wide-split's survive).
+#: Measured per pivot (medians of three runs, two such measurements) on
+#: the ratio tests of the recorded max-flow LPs of flow-ladder seeds 7 and
+#: 11 and wide-split seed 7, scan alone against prune and scan: 11.7-12.6
+#: vs 14.2-15.4 us at 97-128 candidates, 12.9-13.2 vs 10.5-10.9 us at
+#: 129-160, 16.4-17.3 vs 13.6-14.7 us at 161-192, 20.1-22.0 vs 17.5-19.7
+#: us at 193-224, 22.6-24.0 vs 20.4-21.5 us at 225-256 (one outlier pair:
+#: 31.7 vs 36.1), where 26% of flow-ladder's candidates survive; 52-56 vs
+#: 12-14 us at 385-512 and 128-137 vs 14 us above 512, where about 1% of
+#: wide-split's survive.  A cut-off of 128 would save about 2.5 us on each
+#: of flow-ladder's 352 ratio tests of 129-241 candidates per pass, under
+#: 1 ms of a steady 0.3-0.4 s pass, so it stays 256 and flow-ladder does
+#: not prune.
 PRUNE_CANDIDATES = 256
+
+#: raises of the prune's threshold after which every candidate survives
+_PRUNE_RAISES = 3
 
 
 def _ratio_survivors(
@@ -337,35 +385,45 @@ def _ratio_survivors(
     ``_pivot_max`` needs to see: scanned in row order, they give the row
     that the scan over every candidate gives.
 
-    Sort the ratios and find the first gap between neighbours wider than
-    ``w = 2 * eps + 4 * ulp(max |ratio|)``; call the ratio below it ``c``
-    and the computed gap ``g > w``.  Rows with ratio ``<= c`` (low) survive,
-    the rest (high) are dropped.  The scan keeps ``best``, the ratio of the
-    row it took last, and takes a row when ``ratio < best - eps`` or when
-    ``|ratio - best| <= eps`` and the basis tie-break favours it:
+    Let ``M`` be the largest magnitude of a ratio that is not NaN and
+    ``w = 2 * eps + 4 * ulp(M)``.  Starting from the smallest ratio, raise
+    ``c`` to the largest ratio ``<= fl(c + w)`` until that is ``c`` itself.
+    Rows with ratio ``<= c`` (low) survive; the rest, each ratio above
+    ``fl(c + w)`` (high) or NaN, are dropped.  The scan keeps ``best``, the
+    ratio of the row it took last, and takes a row when ``ratio < best -
+    eps`` or when ``|ratio - best| <= eps`` and the basis tie-break favours
+    it.  Each rounding below, of ``c + w``, ``h - r`` or ``h - eps``, errs
+    by at most ``ulp(M)`` (or by far less than ``eps``), so for a high
+    ``h`` and a low ``r``:
 
-    - a high ``h`` never displaces a low ``best = r``: ``h > r``, and
-      ``fl(h - r) >= g > eps`` since rounding is monotone;
-    - the first low row ``r`` always displaces a high ``best = h`` (or the
-      initial ``+inf``): ``r < fl(h - eps)``, since ``w`` leaves
-      ``eps + 4 * ulp`` for the rounding errors of ``h - eps`` and ``g``,
-      each at most ``ulp(max |ratio|)`` (or far below ``eps``).
+    - ``h`` never displaces ``best = r``: ``h > r >= fl(r - eps)``, and
+      ``fl(h - r) >= h - c - ulp > w - 2 * ulp > eps``;
+    - the first low row always displaces ``best = h`` (or the initial
+      ``+inf``): ``fl(h - eps) >= h - eps - ulp > c + w - eps - 2 * ulp >
+      c >= r``.
 
     So from the first low row on, the scan makes the comparisons of a scan
-    over the low rows alone.  Without such a gap (chained near-ties) every
-    candidate survives.  An infinite ratio makes ``w`` infinite, so every
-    candidate survives then too.  A NaN ratio sorts last; its gaps are NaN,
-    never wide, and at most it drops out of the survivors, where the scan
-    would never take it.
+    over the low rows alone, and it never takes a NaN row.
+
+    Each raise of ``c`` is one pass over the ratios.  On the benchmark's
+    LPs ``c`` settles after at most one raise; chained near-ties could
+    raise it once per link, so after ``_PRUNE_RAISES`` raises every
+    candidate survives.  An infinite ratio makes ``w`` infinite, as does an
+    all-NaN test, and every candidate survives then too.
     """
-    ordered = np.sort(ratios)
-    low, high = ordered[0].item(), ordered[-1].item()
-    wide = np.diff(ordered) > 2.0 * eps + 4.0 * math.ulp(max(-low, high))
-    first = int(wide.argmax())
-    if not wide[first]:
+    low, high = np.fmin.reduce(ratios).item(), np.fmax.reduce(ratios).item()
+    wide = 2.0 * eps + 4.0 * math.ulp(max(-low, high))
+    if not math.isfinite(wide):
         return candidates, ratios
-    keep = ratios <= ordered[first]
-    return candidates[keep], ratios[keep]
+    top = low
+    for _ in range(_PRUNE_RAISES + 1):
+        keep = ratios <= top + wide
+        kept = ratios[keep]
+        raised = kept.max().item()
+        if raised == top:
+            return candidates[keep], kept
+        top = raised
+    return candidates, ratios
 
 
 @cache
@@ -515,10 +573,10 @@ def polymatroid_intersect(
     m = r_source.ground_size
     if r_sink.ground_size != m:
         raise DimensionMismatch("boundary functions have different ground sets")
-    src = np.array(r_source.values, dtype=float)
-    snk = np.array(r_sink.values, dtype=float)
+    src, snk = r_source.values, r_sink.values
     _require_finite([target_total], "target total")
-    _require_finite(np.concatenate([src, snk]), "boundary function values")
+    for values in (src, snk):
+        _require_finite(values, "boundary function values")
     if target_total < 0:
         raise NegativeRate(f"target total {target_total} is negative")
     # src[::-1][t] is r_source at the complement of t
@@ -529,7 +587,8 @@ def polymatroid_intersect(
         )
 
     # per nonempty mask, two rows: source rank, sink rank
-    rhs = np.stack([src[1:], snk[1:]], axis=1).ravel()
+    rhs = np.empty(2 * (src.size - 1))
+    rhs[0::2], rhs[1::2] = src[1:], snk[1:]
     value, x = _pivot_max(_membership_block(m).astype(float), rhs)
     slack = max(tol, 1e-9) * max(1.0, abs(target_total))
     if value < target_total - slack:
@@ -738,9 +797,11 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     n_constraints = 0
     failing = []
     first_nan = None
+    # each layer's sums serve the layer pairs on both sides of it
+    sums = [_subset_sums(vals) for vals in layer_vals]
     for l in range(1, net.num_layers):
-        f_excluded = np.negative(_subset_sums(layer_vals[l - 1])[::-1])
-        f_included = _subset_sums(layer_vals[l])
+        f_excluded = np.negative(sums[l - 1][::-1])
+        f_included = sums[l]
         n, binding, nan, failed = _scan_constraints(
             net.oracles[l - 1].table(), f_excluded, f_included, tol
         )

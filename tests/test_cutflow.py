@@ -258,7 +258,8 @@ def test_source_side_boundary_function_matches_a_forward_sweep():
                 for oracle in half.oracles:
                     values = cutflow._sweep(cutflow._cost(oracle).T, values)
                 got = boundary_function(half, "source", far).values
-                assert got == tuple(values[::-1].tolist()), (seed, sizes, l)
+                # bit for bit, -0.0 and NaN included
+                assert got.tobytes() == values[::-1].tobytes(), (seed, sizes, l)
 
 
 # --- boundary functions --------------------------------------------------------
@@ -299,8 +300,9 @@ def test_boundary_functions_are_polymatroids():
 
 def _loop_check_polymatroid(fn, tol=1e-9):
     """``BoundaryFunction.check_polymatroid`` as the scalar loop it was
-    before it ran on the capacity-axiom kernels, kept as its reference."""
-    vals = fn.values
+    before it ran on the capacity-axiom kernels, kept as its reference,
+    on the values as Python floats."""
+    vals = fn.values.tolist()
     if vals[0] != 0.0:
         return False, f"value at empty set is {vals[0]}"
     n = 1 << fn.ground_size
@@ -392,6 +394,88 @@ def test_boundary_function_value_refuses_indices_outside_the_ground_set():
     for subset in ([0], [3], [1, 3]):
         with pytest.raises(OutOfRange):
             r.value(subset)
+
+
+@pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "array"])
+def test_boundary_function_holds_read_only_float64_values(make):
+    values = [0.0, 1, 2.5, -0.0]
+    r = BoundaryFunction("sink", 2, make(values))
+    assert r.values.dtype == np.float64 and r.values.shape == (4,)
+    assert r.values.tobytes() == np.array(values, dtype=float).tobytes()
+    assert not r.values.flags.writeable
+    with pytest.raises(ValueError):
+        r.values[1] = 7.0
+    assert r.value([2]) == 2.5 and type(r.value([2])) is float
+
+
+def test_boundary_function_copies_the_array_it_is_built_from():
+    source = np.array([0.0, 1.0, 2.0, 3.0])
+    r = BoundaryFunction("source", 2, source)
+    source[1] = 9.0
+    assert r.value([1]) == 1.0 and source.flags.writeable
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "side,ground_size,values,error",
+    [
+        ("middle", 1, (0.0, 1.0), BadRange),
+        ("source", -1, (0.0,), BadRange),
+        ("source", 1, (0.0, 1.0, 5.0, 7.0), DimensionMismatch),
+        ("sink", 3, (0.0, 1.0, 5.0, 7.0), DimensionMismatch),
+        ("sink", 2, ((0.0, 1.0), (5.0, 7.0)), DimensionMismatch),
+    ],
+)
+def test_boundary_function_refuses_a_wrong_shape_from_a_list_or_array(
+    make, side, ground_size, values, error
+):
+    with pytest.raises(error):
+        BoundaryFunction(side, ground_size, make(values))
+
+
+def test_boundary_functions_are_equal_when_their_value_bits_are():
+    r = BoundaryFunction("source", 1, (0.0, 1.0))
+    same = BoundaryFunction("source", 1, np.array([0, 1]))
+    assert r == same and hash(r) == hash(same) and len({r, same}) == 1
+    assert r != BoundaryFunction("sink", 1, (0.0, 1.0))
+    assert r != BoundaryFunction("source", 1, (0.0, 1.0 + 2**-52))
+    # bits, not float equality: -0.0 differs from 0.0 and NaN equals NaN
+    assert r != BoundaryFunction("source", 1, (-0.0, 1.0))
+    nan = BoundaryFunction("source", 1, (0.0, math.nan))
+    assert nan == BoundaryFunction("source", 1, [0.0, math.nan])
+    assert r != (0.0, 1.0)
+
+
+def test_intersect_answers_alike_for_built_and_computed_functions():
+    for seed, m in ((1, 5), (2, 10)):
+        net = _seeded_network(seed, (1, m, 1), "additive")
+        value, _ = min_cut(net)
+        upper, _ = subnetwork(net, 1, 2)
+        lower, _ = subnetwork(net, 2, 3)
+        computed = [boundary_function(upper, "source", [value]), boundary_function(lower, "sink", [value])]
+        built = [BoundaryFunction(r.side, r.ground_size, tuple(r.values.tolist())) for r in computed]
+        assert built == computed
+        assert repr(polymatroid_intersect(*built, value)) == repr(
+            polymatroid_intersect(*computed, value)
+        )
+
+
+@pytest.mark.parametrize("side", ["source", "sink"])
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        (math.nan, InputError, "boundary flows must be finite numbers, not NaN or infinity"),
+        (math.inf, InputError, "boundary flows must be finite numbers, not NaN or infinity"),
+        (-math.inf, InputError, "boundary flows must be finite numbers, not NaN or infinity"),
+        (-1.0, NegativeRate, "boundary flows must be nonnegative"),
+    ],
+)
+def test_boundary_function_refuses_bad_far_flows(side, bad, error, message):
+    # without the check a (1,2,1) sink side returned (nan, nan) for [nan]
+    # and (-1.0, -1.0) for [-1.0]
+    with pytest.raises(error, match=message) as raised:
+        boundary_function(diamond_net(), side, [bad])
+    assert raised.type is error
 
 
 def test_missing_node_values_are_refused_by_name():
@@ -782,8 +866,24 @@ def _ratio_tests(draw):
     return candidates, ratios, basis.tolist()
 
 
+def _edge_ratio_test(*ratios):
+    """A ratio test over the given ratios on every other row, the basis in
+    row order."""
+    return 2 * np.arange(len(ratios)), np.array(ratios), list(range(2 * len(ratios)))
+
+
+# in [2, 4) every ratio has one ulp, so the prune's bound above 2.5 is
+# fl(2.5 + _EDGE_WIDE) whichever of them is the largest
+_EDGE_WIDE = 2.0 * 1e-12 + 4.0 * math.ulp(3.5)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_ratio_tests())
+@example(_edge_ratio_test(3.5, 2.5 + _EDGE_WIDE, 2.5)).via("a ratio at the bound")
+@example(_edge_ratio_test(3.5, math.nextafter(2.5 + _EDGE_WIDE, math.inf), 2.5)).via(
+    "a ratio an ulp above the bound"
+)
+@example(_edge_ratio_test(3.5, math.nan, 2.5 + 0.5e-12, 2.5)).via("a NaN among finite ratios")
 @np.errstate(invalid="ignore", over="ignore")
 def test_ratio_prune_keeps_the_row_the_bland_scan_picks(ratio_test):
     candidates, ratios, basis = ratio_test
