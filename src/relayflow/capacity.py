@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     InputError,
+    NegativeRate,
     NonNormalizedPMF,
     NumericalFailure,
     OutOfRange,
@@ -83,6 +84,17 @@ def _require_finite(values, what: str) -> None:
     number relayflow takes must be finite."""
     if not np.isfinite(np.asarray(values)).all():
         raise InputError(f"{what} must be finite numbers, not NaN or infinity")
+
+
+def _require_rates(values: Sequence[float], what: str) -> None:
+    """Refuse NaN and +-infinity, then negative numbers (``-0.0`` passes):
+    every rate, flow and leak relayflow takes is checked here, and only
+    here.  Plain Python comparisons, cheaper than a numpy call on the few
+    flows ``max_flow`` passes at every step of its recursion."""
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{what} must be finite numbers, not NaN or infinity")
+    if any(v < 0 for v in values):
+        raise NegativeRate(f"{what} must be nonnegative")
 
 
 def _to_mask(subset: Iterable[int], size: int) -> int:

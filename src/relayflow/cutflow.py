@@ -54,6 +54,7 @@ from .capacity import (
     _mask_indices,
     _quiet_arithmetic,
     _require_finite,
+    _require_rates,
     _subset_sums,
     _to_mask,
 )
@@ -61,11 +62,9 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     InfeasibleBoundary,
-    InputError,
     BadRange,
     NumericalFailure,
     RateCountMismatch,
-    NegativeRate,
 )
 from .netgraph import Cut, Flow, LayeredNetwork, NodeId
 
@@ -122,16 +121,6 @@ def _values_at(
     return found
 
 
-def _require_boundary_flows(flows: Sequence[float]) -> None:
-    """Refuse NaN, +-infinity and negative boundary flows.  Plain Python
-    comparisons: ``max_flow`` passes each split layer's few flows here at
-    every step of its recursion."""
-    if not all(map(math.isfinite, flows)):
-        raise InputError("boundary flows must be finite numbers, not NaN or infinity")
-    if any(v < 0 for v in flows):
-        raise NegativeRate("boundary flows must be nonnegative")
-
-
 def _boundary_lists(
     net: LayeredNetwork, boundary: Mapping[NodeId, float]
 ) -> tuple[list[float], list[float]]:
@@ -140,7 +129,7 @@ def _boundary_lists(
         [float(v) for v in _values_at(boundary, net.layer_nodes(l), "boundary flow")]
         for l in (1, net.num_layers)
     )
-    _require_boundary_flows(first + last)
+    _require_rates(first + last, "boundary flows")
     return first, last
 
 
@@ -180,7 +169,8 @@ def min_cut(
 
     Ties resolve to the lexicographically smallest indicator vector.
     """
-    costs, tables, value = _cut_dp(net, boundary)
+    ends = None if boundary is None else _boundary_lists(net, boundary)
+    costs, tables, value = _cut_dp(net, ends)
     path, _ = _first_minimizer(costs, tables, [0, *net.layer_sizes])
     members = frozenset(
         NodeId(l + 1, i) for l, mask in enumerate(path[1:]) for i in _mask_indices(mask)
@@ -188,17 +178,18 @@ def min_cut(
     return value, Cut(members, value)
 
 
-def _cut_dp(net: LayeredNetwork, boundary: Mapping[NodeId, float] | None = None):
+def _cut_dp(net: LayeredNetwork, ends: tuple[list[float], list[float]] | None = None):
     """``min_cut`` without the cut: the costs (a one-state layer 0 first),
-    their ``_backward_tables`` and the minimum value, which must be finite."""
+    their ``_backward_tables`` and the minimum value, which must be finite.
+    ``ends`` are the boundary flows as ``_boundary_lists`` returns them."""
     m_first, m_last = net.layer_sizes[0], net.layer_sizes[-1]
-    if boundary is None:
+    if ends is None:
         init_costs = [INF] * (1 << m_first)
         init_costs[-1] = 0.0
         final_costs = [INF] * (1 << m_last)
         final_costs[0] = 0.0
     else:
-        first_flows, last_flows = _boundary_lists(net, boundary)
+        first_flows, last_flows = ends
         init_costs = _subset_sums(first_flows)[::-1]
         final_costs = _subset_sums(last_flows)
     # a one-state layer 0 prices the first layer's states
@@ -343,7 +334,7 @@ def boundary_function(
         m_far, m_ground = m_ground, m_far
     if len(far_flows) != m_far:
         raise RateCountMismatch(f"need {m_far} far-boundary flows")
-    _require_boundary_flows(far_flows)
+    _require_rates(far_flows, "boundary flows")
     costs, far = [_cost(o) for o in half.oracles], _subset_sums(far_flows)
     if side == "source":
         # the cheapest way to reach each ground-layer state: a backward pass
@@ -551,16 +542,16 @@ def polymatroid_intersect(
     r_source: BoundaryFunction,
     r_sink: BoundaryFunction,
     target_total: float,
-    tol: float = 1e-9,
 ) -> list[float]:
     """A nonnegative vector in both polymatroids whose coordinates sum to
     ``target_total``.
 
     The largest achievable total is ``min over T of
-    r_source(complement T) + r_sink(T)``; a target above it (plus
-    tolerance) is rejected.  The simplex optimum attains that bound; if it
-    exceeds the target, coordinates are reduced greedily in ascending index
-    order, which stays feasible because both polymatroids are down-closed.
+    r_source(complement T) + r_sink(T)``; a target above it (plus a
+    relative 1e-9) is rejected.  The simplex optimum attains that bound;
+    if it exceeds the target, coordinates are reduced greedily in ascending
+    index order, which stays feasible because both polymatroids are
+    down-closed.
 
     Raises:
         InputError: a non-finite target or boundary-function value.
@@ -574,14 +565,12 @@ def polymatroid_intersect(
     if r_sink.ground_size != m:
         raise DimensionMismatch("boundary functions have different ground sets")
     src, snk = r_source.values, r_sink.values
-    _require_finite([target_total], "target total")
+    _require_rates([target_total], "target total")
     for values in (src, snk):
         _require_finite(values, "boundary function values")
-    if target_total < 0:
-        raise NegativeRate(f"target total {target_total} is negative")
     # src[::-1][t] is r_source at the complement of t
     bound = float((src[::-1] + snk).min())
-    if target_total > bound + tol * max(1.0, abs(bound)):
+    if target_total > bound + 1e-9 * max(1.0, abs(bound)):
         raise Infeasible(
             f"target total {target_total} exceeds intersection bound {bound}"
         )
@@ -590,7 +579,7 @@ def polymatroid_intersect(
     rhs = np.empty(2 * (src.size - 1))
     rhs[0::2], rhs[1::2] = src[1:], snk[1:]
     value, x = _pivot_max(_membership_block(m).astype(float), rhs)
-    slack = max(tol, 1e-9) * max(1.0, abs(target_total))
+    slack = 1e-9 * max(1.0, abs(target_total))
     if value < target_total - slack:
         raise NumericalFailure(
             f"simplex reached {value}, short of target {target_total}"
@@ -652,7 +641,7 @@ def max_flow(
             raise InfeasibleBoundary(
                 f"boundary totals differ: {total_in} vs {total_out}"
             )
-        bound = _cut_dp(net, boundary)[2]
+        bound = _cut_dp(net, (first, last))[2]
         if total_in > bound + 1e-9 * max(1.0, abs(bound)):
             raise InfeasibleBoundary(
                 f"boundary total {total_in} exceeds the cut bound {bound}"
@@ -774,9 +763,10 @@ def _scan_constraints(
     return table.size - int(skip_corner), binding, first_nan, (us, vs, lhs[us, vs], rhs[us, vs])
 
 
-def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck:
+def verify_flow(net: LayeredNetwork, flow: Flow) -> FlowCheck:
     """Check ``f(V) - f(layer_l minus U) <= capacity_l(U, V)`` for every
-    layer pair and subset pair, plus conservation of the boundary totals.
+    layer pair and subset pair, plus conservation of the boundary totals,
+    each within a relative 1e-9.
 
     Each layer pair is one whole-table pass over its capacity table.
     ``worst_excess`` is ``lhs - rhs`` at the first constraint, in (layer,
@@ -803,7 +793,7 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
         f_excluded = np.negative(sums[l - 1][::-1])
         f_included = sums[l]
         n, binding, nan, failed = _scan_constraints(
-            net.oracles[l - 1].table(), f_excluded, f_included, tol
+            net.oracles[l - 1].table(), f_excluded, f_included, 1e-9
         )
         n_constraints += n
         if binding is not None:
@@ -829,7 +819,7 @@ def verify_flow(net: LayeredNetwork, flow: Flow, tol: float = 1e-9) -> FlowCheck
     total_in = sum(layer_vals[0])
     total_out = sum(layer_vals[-1])
     gap = abs(total_in - total_out)
-    conserved = gap <= tol * max(1.0, total_in, total_out)
+    conserved = gap <= 1e-9 * max(1.0, total_in, total_out)
     return FlowCheck(
         passed=conserved and not failing,
         worst_excess=worst,

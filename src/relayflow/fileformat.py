@@ -200,10 +200,8 @@ def source_rates(boundary: dict) -> list:
 def network_to_dict(
     net: LayeredNetwork,
     models: list[LayerModel | None] | None = None,
-    boundary: dict[str, Any] | None = None,
 ) -> dict:
-    """Serialize a network (and optional models / boundary data) to the
-    file format."""
+    """Serialize a network (and optional models) to the file format."""
     data: dict[str, Any] = {
         "layers": list(net.layer_sizes),
         "capacities": [oracle_to_spec(o) for o in net.oracles],
@@ -213,6 +211,4 @@ def network_to_dict(
             if not (model is None or isinstance(model, LayerModel)):
                 raise InputError(f"cannot serialize model {model!r}")
         data["models"] = [{"kind": "none" if m is None else m.kind} for m in models]
-    if boundary:
-        data["boundary"] = boundary
     return data

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .capacity import LAYER_GUARD, TABLE_GUARD_BITS, AdditiveOracle, CapacityOracle, _require_finite
+from .capacity import LAYER_GUARD, TABLE_GUARD_BITS, AdditiveOracle, CapacityOracle, _require_rates
 from .errors import (
     DimensionMismatch,
     EmptyLayer,
     InputError,
-    NegativeRate,
     BadRange,
     RateCountMismatch,
     TooFewLayers,
@@ -138,10 +137,7 @@ class Flow:
     values: Mapping[NodeId, float]
 
     def __post_init__(self):
-        _require_finite(list(self.values.values()), "flow values")
-        for node, val in self.values.items():
-            if val < 0:
-                raise NegativeRate(f"flow at {node.key()} is negative ({val})")
+        _require_rates(list(self.values.values()), "flow values")
 
     def at(self, node: NodeId) -> float:
         return self.values[node]
@@ -215,8 +211,7 @@ def attach_supernode(
         raise RateCountMismatch(
             f"{boundary_size} boundary nodes need {boundary_size} rates, got {len(rates)}"
         )
-    if any(r < 0 for r in rates):
-        raise NegativeRate("boundary rates must be nonnegative")
+    _require_rates(rates, "boundary rates")
     if side == "before_sources":
         oracle = AdditiveOracle([rates])
         return LayeredNetwork((1, *net.layer_sizes), (oracle, *net.oracles))

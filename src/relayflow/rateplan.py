@@ -40,7 +40,7 @@ from .capacity import (
     _entropy,
     _logdet_mi_stack,
     _mask_indices,
-    _require_finite,
+    _require_rates,
     _size_chunks,
     _subset_index,
     _subset_sums,
@@ -57,7 +57,6 @@ from .cutflow import (
 from .errors import (
     DimensionMismatch,
     InputError,
-    NegativeRate,
     NumericalFailure,
     TooLarge,
     UnsupportedModel,
@@ -72,7 +71,8 @@ class RatePlan:
 
     ``flags`` lists entries clamped to zero because the flow at a node fell
     below its layer penalty; such plans are outside the planner's
-    feasibility guarantees.
+    feasibility guarantees.  Every rate must be finite (``InputError``)
+    and nonnegative (``NegativeRate``).
     """
 
     rate: float
@@ -82,7 +82,7 @@ class RatePlan:
     flow: Flow
 
     def __post_init__(self):
-        _require_finite([self.rate, *self.compression.values()], "rates")
+        _require_rates([self.rate, *self.compression.values()], "rates")
 
 
 @dataclass
@@ -183,7 +183,8 @@ def penalty_recursion(
         UnsupportedModel: neither models nor leaks, or a model entry that is
             not a :class:`LayerModel` (named by its layer pair).
         DimensionMismatch: models or leaks that do not fit the layer pairs.
-        InputError: a leak that is not a finite, nonnegative number.
+        InputError: a NaN or infinite leak.
+        NegativeRate: a negative leak.
     """
     L = net.num_layers
     if leaks is None:
@@ -194,9 +195,7 @@ def penalty_recursion(
     elif len(leaks) != L - 1:
         raise DimensionMismatch(f"need {L - 1} leak values")
     else:
-        _require_finite(leaks, "leaks")
-        if any(leak < 0 for leak in leaks):
-            raise InputError("leaks must be nonnegative")
+        _require_rates(leaks, "leaks")
     penalties = [0.0] * (L - 1)
     for l in range(L - 2, 0, -1):
         penalties[l - 1] = float(leaks[l - 1]) + penalties[l] * net.layer_sizes[l]
@@ -406,6 +405,8 @@ def check_joint_feasible(
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), or that are not all Gaussian or
             all discrete, before any information is computed.
+        InputError, NegativeRate: a NaN, infinite or negative rate or
+            compression rate, before any information is computed.
         TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
             all senders and receivers above ``MAX_JOINT_CELLS`` (the message
             gives its cells and bytes), before any information is computed.
@@ -415,7 +416,7 @@ def check_joint_feasible(
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
-    _require_finite([rate, *compression.values()], "rates")
+    _require_rates([rate, *compression.values()], "rates")
     relays = net.relays
     if len(relays) > JOINT_GUARD_RELAYS:
         raise TooLarge(f"joint region enumeration limited to {JOINT_GUARD_RELAYS} relays")
@@ -619,9 +620,7 @@ def check_multi_source(
         raise InputError("multi-source region is defined for a single destination")
     _check_models(net, models)
     rates = [float(r) for r in source_rates]
-    _require_finite(rates, "source rates")
-    if any(r < 0 for r in rates):
-        raise NegativeRate("source rates must be nonnegative")
+    _require_rates(rates, "source rates")
     if len(rates) != net.layer_sizes[0]:
         raise DimensionMismatch(
             f"{net.layer_sizes[0]} sources need {net.layer_sizes[0]} rates"

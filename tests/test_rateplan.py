@@ -141,10 +141,10 @@ MISFITS = {
         _penalties_with_leaks([1.0, math.nan]), InputError, "leaks must be finite"
     ),
     "leak_negative": (
-        _penalties_with_leaks([-5.0, 0.0]), InputError, "leaks must be nonnegative"
+        _penalties_with_leaks([-5.0, 0.0]), NegativeRate, "leaks must be nonnegative"
     ),
     "leak_last_negative": (
-        _penalties_with_leaks([1.0, -1e-300]), InputError, "leaks must be nonnegative"
+        _penalties_with_leaks([1.0, -1e-300]), NegativeRate, "leaks must be nonnegative"
     ),
 }
 
@@ -797,8 +797,10 @@ def test_region_checks_refuse_an_overflowing_margin():
         check_layered_feasible(
             net, models, RatePlan(plan.rate, huge, plan.penalties, plan.flags, plan.flow)
         )
+    # negative compressions, which once reached an overflowing joint
+    # margin, are refused before any information is computed
     negative = {v: -1e308 for v in plan.compression}
-    with pytest.raises(NumericalFailure, match="region margin is -inf, not a finite number"):
+    with pytest.raises(NegativeRate, match="rates must be nonnegative"):
         check_joint_feasible(net, models, plan.rate, negative)
 
 
