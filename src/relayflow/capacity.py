@@ -86,12 +86,23 @@ def _require_finite(values, what: str) -> None:
         raise InputError(f"{what} must be finite numbers, not NaN or infinity")
 
 
+#: types ``math.isfinite`` takes that are not rates
+_BOOLEANS = frozenset({bool, np.bool_})
+
+
 def _require_rates(values: Sequence[float], what: str) -> None:
-    """Refuse NaN and +-infinity, then negative numbers (``-0.0`` passes):
-    every rate, flow and leak relayflow takes is checked here, and only
-    here.  Plain Python comparisons, cheaper than a numpy call on the few
-    flows ``max_flow`` passes at every step of its recursion."""
-    if not all(map(math.isfinite, values)):
+    """Refuse entries that are not real numbers (booleans included), then
+    NaN and +-infinity, then negative numbers (``-0.0`` passes): every rate,
+    flow and leak relayflow takes is checked here, and only here.  Plain
+    Python comparisons, cheaper than a numpy call on the few flows
+    ``max_flow`` passes at every step of its recursion."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except TypeError:  # a string, None, a complex number
+        finite = None
+    if finite is None or not _BOOLEANS.isdisjoint(map(type, values)):
+        raise InputError(f"{what} must be real numbers, not booleans or other values")
+    if not finite:
         raise InputError(f"{what} must be finite numbers, not NaN or infinity")
     if any(v < 0 for v in values):
         raise NegativeRate(f"{what} must be nonnegative")

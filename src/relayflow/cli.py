@@ -5,6 +5,9 @@ writes one deterministic JSON object to stdout with numbers at 12
 significant digits, and keeps diagnostics on stderr.  Exit codes: 0 ok,
 1 domain failure (infeasible region, axiom violation), 2 input error,
 3 enumeration guard.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads no module that its command leaves unused.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 import sys
 from typing import Any
 
-from . import cutflow, oracle, rateplan
-from .capacity import check_capacity_axioms
 from .errors import (
     DomainError,
     InputError,
@@ -25,7 +26,13 @@ from .errors import (
     TooLarge,
     UnsupportedModel,
 )
-from .fileformat import boundary_flows, network_from_dict, network_to_dict, source_rates
+from .fileformat import (
+    FAMILIES,
+    boundary_flows,
+    network_from_dict,
+    network_to_dict,
+    source_rates,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -71,6 +78,8 @@ def _require_models(models) -> list:
 
 
 def cmd_validate(args) -> int:
+    from .capacity import check_capacity_axioms
+
     net, _, _ = _load(args.file)
     reports = []
     for l, orc in enumerate(net.oracles, start=1):
@@ -90,6 +99,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mincut(args) -> int:
+    from . import cutflow
+
     net, _, boundary = _load(args.file)
     value, cut = cutflow.min_cut(net, boundary_flows(net, boundary))
     _emit({"value": value, "cut": sorted(n.key() for n in cut.members)})
@@ -97,6 +108,8 @@ def cmd_mincut(args) -> int:
 
 
 def cmd_maxflow(args) -> int:
+    from . import cutflow
+
     net, _, boundary = _load(args.file)
     flow = cutflow.max_flow(
         net, boundary_flows(net, boundary), split_layer=args.split_layer
@@ -112,6 +125,8 @@ def cmd_maxflow(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from . import rateplan
+
     net, models, _ = _load(args.file)
     plan = rateplan.plan_rates(net, _require_models(models))
     _emit(
@@ -126,6 +141,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import rateplan
+
     net, models, boundary = _load(args.file)
     models = _require_models(models)
     if args.mode == "multi":
@@ -158,6 +175,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    from . import rateplan
+
     net, models, _ = _load(args.file)
     plan = rateplan.plan_rates(net, _require_models(models))
     log2_joint, log2_layered = rateplan.decoding_complexity(
@@ -168,9 +187,11 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import oracle
+
     layers = tuple(int(t) for t in args.layers.split(","))
     if args.family == "mixed":
-        weights = {name: 1.0 for name in oracle.FAMILIES}
+        weights = {name: 1.0 for name in FAMILIES}
     else:
         weights = {args.family: 1.0}
     spec = oracle.InstanceSpec(args.seed, layers, weights)
@@ -223,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--layers", required=True, help="comma-separated layer sizes")
     p.add_argument("--family",
-                   choices=(*oracle.FAMILIES, "mixed"), default="mixed")
+                   choices=(*FAMILIES, "mixed"), default="mixed")
     p.set_defaults(func=cmd_gen)
 
     args = parser.parse_args(argv)

@@ -126,11 +126,10 @@ def _boundary_lists(
 ) -> tuple[list[float], list[float]]:
     """Split a boundary-flow mapping into first-layer and last-layer lists."""
     first, last = (
-        [float(v) for v in _values_at(boundary, net.layer_nodes(l), "boundary flow")]
-        for l in (1, net.num_layers)
+        _values_at(boundary, net.layer_nodes(l), "boundary flow") for l in (1, net.num_layers)
     )
     _require_rates(first + last, "boundary flows")
-    return first, last
+    return [float(v) for v in first], [float(v) for v in last]
 
 
 def _cost(oracle: CapacityOracle) -> np.ndarray:
@@ -324,7 +323,7 @@ def boundary_function(
 
     Raises:
         RateCountMismatch: not one far flow per far-layer node.
-        InputError: a NaN or infinite far flow.
+        InputError: a far flow that is not a real number, NaN or infinite.
         NegativeRate: a negative far flow.
     """
     if side not in ("source", "sink"):

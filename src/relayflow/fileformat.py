@@ -34,6 +34,10 @@ from .capacity import (
 from .errors import InputError
 from .netgraph import LayeredNetwork, NodeId, build_network
 
+#: the capacity kinds seeded instances are drawn from (``oracle.random_instance``,
+#: the CLI's ``gen --family``)
+FAMILIES = ("additive", "rank_gf2", "gaussian", "discrete")
+
 #: capacity kinds whose oracle is also the layer pair's model
 _MODEL_KINDS = ("gaussian", "discrete")
 

@@ -206,12 +206,13 @@ def attach_supernode(
     if side not in ("before_sources", "after_destinations"):
         raise InputError(f"unknown side {side!r}")
     boundary_size = net.layer_sizes[0] if side == "before_sources" else net.layer_sizes[-1]
-    rates = [float(r) for r in boundary_rates]
+    rates = list(boundary_rates)
     if len(rates) != boundary_size:
         raise RateCountMismatch(
             f"{boundary_size} boundary nodes need {boundary_size} rates, got {len(rates)}"
         )
     _require_rates(rates, "boundary rates")
+    rates = [float(r) for r in rates]
     if side == "before_sources":
         oracle = AdditiveOracle([rates])
         return LayeredNetwork((1, *net.layer_sizes), (oracle, *net.oracles))

@@ -42,12 +42,10 @@ from .errors import (
     NumericalFailure,
     TooLarge,
 )
-from .fileformat import network_to_dict
+from .fileformat import FAMILIES, network_to_dict
 from .netgraph import Cut, LayeredNetwork, NodeId, build_network
 
 _MASK64 = (1 << 64) - 1
-
-FAMILIES = ("additive", "rank_gf2", "gaussian", "discrete")
 
 
 class SplitMix64:

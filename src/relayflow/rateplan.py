@@ -183,7 +183,7 @@ def penalty_recursion(
         UnsupportedModel: neither models nor leaks, or a model entry that is
             not a :class:`LayerModel` (named by its layer pair).
         DimensionMismatch: models or leaks that do not fit the layer pairs.
-        InputError: a NaN or infinite leak.
+        InputError: a leak that is not a real number, NaN or infinite.
         NegativeRate: a negative leak.
     """
     L = net.num_layers
@@ -238,11 +238,18 @@ def _relay_rates(
     compression: Mapping[NodeId, float], net: LayeredNetwork
 ) -> dict[int, list[float]]:
     """Each relay layer's compression rates, keyed by layer; a relay missing
-    from ``compression`` is refused by name."""
-    return {
+    from ``compression`` is refused by name, and so, after that, is the
+    first key that is not a relay of ``net``."""
+    rates = {
         l: _values_at(compression, net.layer_nodes(l), "compression rate")
         for l in range(2, net.num_layers)
     }
+    if len(compression) > len(net.relays):  # every relay is a key, so one key is not
+        relays = set(net.relays)
+        stray = next(key for key in compression if key not in relays)
+        name = stray.key() if isinstance(stray, NodeId) else repr(stray)
+        raise InputError(f"compression rate given for {name}, which is not a relay")
+    return rates
 
 
 def _undecoded_terms(sums: np.ndarray, model: LayerModel) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +319,9 @@ def check_layered_feasible(
     Raises:
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), before any table.
+        RateCountMismatch, InputError: a relay missing from the plan's
+            compression, or a key of it that is not a relay, before any
+            table.
         NumericalFailure: the smallest margin is not a finite number, or
             else some constraint's margin is NaN (the first is named).
     """
@@ -405,8 +415,9 @@ def check_joint_feasible(
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), or that are not all Gaussian or
             all discrete, before any information is computed.
-        InputError, NegativeRate: a NaN, infinite or negative rate or
-            compression rate, before any information is computed.
+        InputError, NegativeRate: a rate or compression rate that is not a
+            real number, NaN, infinite or negative, or a compression key
+            that is not a relay, before any information is computed.
         TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
             all senders and receivers above ``MAX_JOINT_CELLS`` (the message
             gives its cells and bytes), before any information is computed.
@@ -426,7 +437,7 @@ def check_joint_feasible(
         raise UnsupportedModel(
             "joint region checker supports all-Gaussian or all-discrete models"
         )
-    relay_rates = _values_at(compression, relays, "compression rate")
+    relay_rates = [r for rates in _relay_rates(compression, net).values() for r in rates]
 
     n = len(relays)
     # every disjoint (s, d): s ascending, then each submask d of the rest ascending
@@ -619,8 +630,8 @@ def check_multi_source(
     if net.layer_sizes[-1] != 1:
         raise InputError("multi-source region is defined for a single destination")
     _check_models(net, models)
+    _require_rates(source_rates, "source rates")
     rates = [float(r) for r in source_rates]
-    _require_rates(rates, "source rates")
     if len(rates) != net.layer_sizes[0]:
         raise DimensionMismatch(
             f"{net.layer_sizes[0]} sources need {net.layer_sizes[0]} rates"
@@ -681,8 +692,9 @@ def decoding_complexity(
     ``log2(quantizer_points)`` terms are added one relay at a time.
 
     Raises:
-        InputError: a block length below 1 or above the float range, or
-            fewer than one quantizer point (checked with or without relays).
+        InputError: a block length below 1 or above the float range,
+            fewer than one quantizer point (checked with or without relays),
+            or a compression key that is not a relay.
         RateCountMismatch: a relay missing from the plan's compression.
         NumericalFailure: either size is not a finite number.
     """

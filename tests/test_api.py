@@ -1,12 +1,16 @@
-"""The public surface: the names ``relayflow`` exports, the names the
-benchmark imports, and the one-object-per-channel layer models."""
+"""The public surface: the names ``relayflow`` exports, the modules a
+process loads for them, the names the benchmark imports, and the
+one-object-per-channel layer models."""
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import relayflow
 from relayflow import (
@@ -20,6 +24,7 @@ from relayflow import (
 from relayflow.oracle import InstanceSpec, random_instance
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+DATA = Path(__file__).parent / "data"
 
 #: every public name of the package; a change here is an API change
 PUBLIC_NAMES = {
@@ -41,12 +46,57 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
+    # the namespace is lazy: a name is bound in vars() once it is first read
+    assert set(relayflow.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(relayflow))
+    for name in PUBLIC_NAMES:
+        obj = getattr(relayflow, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("relayflow.") and getattr(module, name) is obj
     names = {
         name
         for name, obj in vars(relayflow).items()
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="has no attribute 'cli_main'"):
+        relayflow.cli_main
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh ``python <args>`` process imports, as its
+    ``-X importtime`` report on stderr names them."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "command,loads,skips",
+    [
+        ("validate", "capacity", ("cutflow", "rateplan", "oracle")),
+        ("mincut", "cutflow", ("rateplan", "oracle")),
+        ("maxflow", "cutflow", ("rateplan", "oracle")),
+        ("plan", "rateplan", ("oracle",)),
+    ],
+)
+def test_each_cli_command_imports_only_what_it_runs(command, loads, skips):
+    imported = _imported("-m", "relayflow.cli", command, str(DATA / "diamond.json"))
+    assert f"relayflow.{loads}" in imported
+    assert not imported & {f"relayflow.{module}" for module in skips}
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    imported = _imported("-c", "import relayflow")
+    assert "relayflow" in imported
+    assert "numpy" not in imported
+    assert not {name for name in imported if name.startswith("relayflow.")}
 
 
 def test_names_the_benchmark_imports_exist():

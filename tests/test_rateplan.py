@@ -343,7 +343,7 @@ def test_strong_channels_can_starve_a_relay_past_its_leak():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 3: relay 3.2 gets penalty 0, below its own 1-bit leak",
+    reason="ROADMAP item 6: relay 3.2 gets penalty 0, below its own 1-bit leak",
 )
 @pytest.mark.parametrize("seed", [4, 5, 8])
 def test_unflagged_gain_scaled_gaussian_plans_pass_the_layered_check(seed):
@@ -1358,6 +1358,25 @@ def test_missing_relay_rates_are_refused_before_any_table(oracle_calls):
             check()
     assert oracle_calls == []
     assert all(m._leaks is None and m._received is None for m in models)
+
+
+@pytest.mark.parametrize("stray", [NodeId(9, 9), NodeId(1, 1), "2.1"], ids=["9.9", "1.1", "str"])
+def test_stray_compression_keys_are_refused_by_name(oracle_calls, stray):
+    net, models = gaussian_line()
+    name = repr(stray) if isinstance(stray, str) else stray.key()
+    rates = {NodeId(2, 1): 0.5, stray: 1.0}
+    plan = RatePlan(0.5, rates, (0.0, 0.0), (), Flow({}))
+    oracle_calls.clear()
+    for check in (
+        lambda: check_joint_feasible(net, models, 0.5, rates),
+        lambda: check_layered_feasible(net, models, plan),
+        lambda: decoding_complexity(net, plan, 4),
+    ):
+        message = f"compression rate given for {name}, which is not a relay"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$") as refused:
+            check()
+        assert refused.type is InputError
+    assert oracle_calls == []
 
 
 # --- complexity and gap constants ---------------------------------------------------

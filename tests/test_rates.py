@@ -1,6 +1,7 @@
-"""Every rate, flow and leak vector is refused one way: a NaN or infinite
-entry raises ``InputError``, a negative one ``NegativeRate``, and ``-0.0``
-passes, at every entry point that takes one, before any table is built."""
+"""Every rate, flow and leak vector is refused one way: an entry that is
+not a real number (a boolean, a string, None) or is NaN or infinite raises
+``InputError``, a negative one ``NegativeRate``, and ``-0.0`` passes, at
+every entry point that takes one, before any table is built."""
 
 import ast
 import math
@@ -85,6 +86,10 @@ ENTRY_POINTS = {
 }
 
 REFUSALS = [
+    ("1.0", InputError, "must be real numbers, not booleans or other values"),
+    (None, InputError, "must be real numbers, not booleans or other values"),
+    (True, InputError, "must be real numbers, not booleans or other values"),
+    (np.True_, InputError, "must be real numbers, not booleans or other values"),
     (math.nan, InputError, "must be finite numbers, not NaN or infinity"),
     (math.inf, InputError, "must be finite numbers, not NaN or infinity"),
     (-math.inf, InputError, "must be finite numbers, not NaN or infinity"),
@@ -93,7 +98,11 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("bad,error,message", REFUSALS, ids=["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize(
+    "bad,error,message",
+    REFUSALS,
+    ids=["str", "None", "True", "np.True_", "nan", "inf", "-inf", "-1", "-1e-300"],
+)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_rate_vectors_are_refused_alike(oracle_calls, entry, bad, error, message):
     what, build, call = ENTRY_POINTS[entry]
