@@ -135,10 +135,40 @@ def _subset_sums(values: Sequence[float]) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> float:
-    """Shannon entropy in bits; zero cells contribute zero."""
+    """Shannon entropy in bits; zero cells contribute zero.  The sum is
+    negated after it is taken, so an array without a positive cell gives
+    ``-0.0``."""
     p = np.asarray(p, dtype=float).ravel()
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
+
+
+#: fewer rows than this go through ``_entropy`` one by one: below it the
+#: grouped call of ``_entropies`` costs more than the single calls
+_ENTROPY_BATCH_ROWS = 4
+
+
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """``_entropy`` of each row of a 2-D array, bit for bit, as one array.
+
+    ``_entropy`` takes numpy's pairwise sum of a row's positive cells, whose
+    grouping depends only on their count ``k``.  So the rows are grouped by
+    ``k``; each group's positive cells, in row order, form a C-contiguous
+    ``(n, k)`` array, whose ``sum(axis=1)`` adds each row as ``.sum()``
+    does.  The negation follows the sum, as there: a row without a positive
+    cell gives ``-0.0``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) < _ENTROPY_BATCH_ROWS:
+        return np.array([_entropy(row) for row in rows], dtype=float)
+    positive = rows > 0.0
+    counts = positive.sum(axis=1)
+    out = np.empty(len(rows))
+    for k in np.unique(counts):
+        members = np.flatnonzero(counts == k)
+        nz = rows[members][positive[members]].reshape(members.size, k)
+        out[members] = -(nz * np.log2(nz)).sum(axis=1)
+    return out
 
 
 class CapacityOracle:
@@ -868,8 +898,9 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             np.tensordot(self.channels[w], self.quantizers[w], axes=([-1], [0]))
             for w in range(m_out)
         ]
-        # H(X_all) and each H(X_rest), computed on first use
-        self._input_entropies: tuple[float, list] | None = None
+        # H(X_all), the summed axes of each transmitter mask and each
+        # H(X_rest), computed on first use
+        self._input_entropies: tuple[float, list, list] | None = None
 
     def oracle(self) -> "DiscreteLayerModel":
         """The model itself; ``TooLarge`` above ``DISCRETE_GUARD_BITS`` nodes."""
@@ -926,21 +957,28 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             )
         return joint
 
-    def _information_row(self, joint: np.ndarray) -> list[float]:
+    def _information_rows(self, joints: Iterable[np.ndarray]) -> list[list[float]]:
         """``mutual_information_masks``' expression for every transmitter mask
-        ``1 .. 2^m_in - 1`` against the outputs of ``joint``.  ``H(X_all)`` and
-        each ``H(X_rest)`` are computed once per model, on first use."""
+        ``1 .. 2^m_in - 1`` against the outputs of each of ``joints``, one
+        row per joint.  ``H(X_all)`` and each ``H(X_rest)`` are computed
+        once per model, on first use; every entropy goes through
+        ``_entropies_of``."""
         if self._input_entropies is None:
             u_axes = [
                 tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self.dims[0])
             ]
-            h_x_rest = [_entropy(self._p_x.sum(axis=axes)) for axes in u_axes]
-            self._input_entropies = (_entropy(self._p_x), list(zip(u_axes, h_x_rest)))
-        h_x_all, rests = self._input_entropies
-        h_joint = _entropy(joint)
+            h = _entropies_of(_with_marginals([self._p_x], u_axes))
+            self._input_entropies = (h[0], u_axes, h[1:])
+        h_x_all, u_axes, h_x_rest = self._input_entropies
+        # per joint: H(joint), then H(out, X_rest) of each transmitter mask
+        h = _entropies_of(_with_marginals(joints, u_axes))
+        stride = 1 + len(u_axes)
         return [
-            max(0.0, h_x_all + _entropy(joint.sum(axis=axes)) - h_joint - h_rest)
-            for axes, h_rest in rests
+            [
+                max(0.0, h_x_all + h_out_x_rest - h[j] - h_rest)
+                for h_out_x_rest, h_rest in zip(h[j + 1 : j + stride], h_x_rest)
+            ]
+            for j in range(0, len(h), stride)
         ]
 
     def _nonempty_cells(self):
@@ -949,8 +987,10 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
         ``umask = 1 .. 2^m_in - 1``, with the joint pmf and its entropy once
         per receiver mask."""
         umasks = np.arange(1, 1 << self.dims[0])
-        for vmask in range(1, 1 << self.dims[1]):
-            yield umasks, vmask, self._information_row(self._joint(self._quantized, vmask))
+        vmasks = range(1, 1 << self.dims[1])
+        rows = self._information_rows(self._joint(self._quantized, v) for v in vmasks)
+        for vmask, row in zip(vmasks, rows):
+            yield umasks, vmask, row
 
     def _mi_received_masks(self, umask: int, vmask: int) -> float:
         return self.mutual_information_masks(umask, vmask, quantized=False)
@@ -959,27 +999,65 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
         """The raw-channel joint pmf and its entropy once, and ``H(out,
         X_rest)`` per mask."""
         joint = self._joint(self.channels, (1 << self.dims[1]) - 1)
-        return np.array([0.0] + self._information_row(joint))
+        return np.array([0.0] + self._information_rows([joint])[0])
 
     def _receiver_leaks(self) -> list[float]:
         """``H(Yq_w | X) - H(Yq_w | Y_w)`` of each receiver: given all inputs,
         receiver chains are independent, so the leak of a receiver set is
-        the sum of its terms."""
+        the sum of its terms.  Each term's two sums are left folds of ``p *
+        H(row)`` over the rows of one conditional, whose entropies come from
+        one ``_entropies`` call."""
         p_x_flat = self._p_x.ravel()
         terms = []
         for w in range(self.dims[1]):
             q_given_x = self._quantized[w].reshape(p_x_flat.size, -1)
             h_q_given_x = float(
-                sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
+                sum(p * h for p, h in zip(p_x_flat, _entropies(q_given_x)))
             )
             chan = self.channels[w].reshape(p_x_flat.size, -1)
             p_y = p_x_flat @ chan
-            quant = self.quantizers[w]
             h_q_given_y = float(
-                sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
+                sum(p * h for p, h in zip(p_y, _entropies(self.quantizers[w])))
             )
             terms.append(h_q_given_x - h_q_given_y)
         return terms
+
+
+def _with_marginals(joints: Iterable[np.ndarray], axes_list: list[tuple[int, ...]]):
+    """Each of ``joints``, then its sum over each of ``axes_list``, made one
+    at a time."""
+    for joint in joints:
+        yield joint
+        for axes in axes_list:
+            yield joint.sum(axis=axes)
+
+
+def _entropies_of(arrays: Iterable[np.ndarray]) -> list[float]:
+    """``[_entropy(a) for a in arrays]``, bit for bit.  The arrays of one
+    size are stacked as the rows of one ``_entropies`` call; all stacks are
+    computed once they hold ``_BLOCK_CELLS`` cells, so at most that many
+    cells wait beside the array being made."""
+    entropies: list[float] = []
+    pending: dict[int, list[tuple[int, np.ndarray]]] = {}
+    waiting = 0
+    for i, arr in enumerate(arrays):
+        entropies.append(0.0)
+        pending.setdefault(arr.size, []).append((i, arr.ravel()))
+        waiting += arr.size
+        if waiting >= _BLOCK_CELLS:
+            _fill_entropies(entropies, pending)
+            waiting = 0
+    _fill_entropies(entropies, pending)
+    return entropies
+
+
+def _fill_entropies(entropies: list[float], pending: dict) -> None:
+    """Write each stack of ``pending`` into ``entropies`` and empty it."""
+    for size, members in pending.items():
+        rows = np.concatenate([arr for _, arr in members]).reshape(len(members), size)
+        for (i, _), h in zip(members, _entropies(rows).tolist()):
+            entropies[i] = h
+    pending.clear()
 
 
 def _check_pmf(arr: np.ndarray, what: str, axis: int | None = None) -> None:

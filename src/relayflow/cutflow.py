@@ -376,7 +376,7 @@ def _ratio_survivors(
     that the scan over every candidate gives.
 
     Let ``M`` be the largest magnitude of a ratio that is not NaN and
-    ``w = 2 * eps + 4 * ulp(M)``.  Starting from the smallest ratio, raise
+    ``w = eps + 4 * ulp(M)``.  Starting from the smallest ratio, raise
     ``c`` to the largest ratio ``<= fl(c + w)`` until that is ``c`` itself.
     Rows with ratio ``<= c`` (low) survive; the rest, each ratio above
     ``fl(c + w)`` (high) or NaN, are dropped.  The scan keeps ``best``, the
@@ -392,6 +392,8 @@ def _ratio_survivors(
       ``+inf``): ``fl(h - eps) >= h - eps - ulp > c + w - eps - 2 * ulp >
       c >= r``.
 
+    Both need only ``w > eps + 2 * ulp``; ``w`` keeps ``2 * ulp`` more.
+
     So from the first low row on, the scan makes the comparisons of a scan
     over the low rows alone, and it never takes a NaN row.
 
@@ -402,7 +404,7 @@ def _ratio_survivors(
     all-NaN test, and every candidate survives then too.
     """
     low, high = np.fmin.reduce(ratios).item(), np.fmax.reduce(ratios).item()
-    wide = 2.0 * eps + 4.0 * math.ulp(max(-low, high))
+    wide = eps + 4.0 * math.ulp(max(-low, high))
     if not math.isfinite(wide):
         return candidates, ratios
     top = low

@@ -30,7 +30,15 @@ from relayflow import (
     quantizer_leak,
 )
 from relayflow import capacity
-from relayflow.capacity import PMF_TOL, _leq, _leq_cells, _plainly_leq, _subset_index
+from relayflow.capacity import (
+    PMF_TOL,
+    _entropies,
+    _entropy,
+    _leq,
+    _leq_cells,
+    _plainly_leq,
+    _subset_index,
+)
 from relayflow.oracle import FAMILIES, SplitMix64, discrete_mi_reference
 
 
@@ -896,29 +904,36 @@ def _bits(values):
     return np.array(values, dtype=float).view(np.int64)
 
 
+def _leak_term(model, w):
+    """Receiver ``w``'s leak term with one ``_entropy`` call per row, the
+    loop body of ``DiscreteLayerModel.leak`` before the terms were cached
+    and batched, kept verbatim."""
+    p_x_flat = model._p_x.ravel()
+    q_given_x = model._quantized[w - 1].reshape(p_x_flat.size, -1)
+    h_q_given_x = float(
+        sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
+    )
+    chan = model.channels[w - 1].reshape(p_x_flat.size, -1)
+    p_y = p_x_flat @ chan
+    quant = model.quantizers[w - 1]
+    h_q_given_y = float(
+        sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
+    )
+    return h_q_given_x - h_q_given_y
+
+
 def _leak_per_call(model, receivers=None):
     """``DiscreteLayerModel.leak`` as it was before the per-receiver terms
     were cached: every term recomputed on every call."""
-    from relayflow.capacity import _entropy, _mask_indices, _to_mask
+    from relayflow.capacity import _mask_indices, _to_mask
 
     if receivers is None:
         wset = range(1, model.dims[1] + 1)
     else:
         wset = _mask_indices(_to_mask(receivers, model.dims[1]))
     total = 0.0
-    p_x_flat = model._p_x.ravel()
     for w in wset:
-        q_given_x = model._quantized[w - 1].reshape(p_x_flat.size, -1)
-        h_q_given_x = float(
-            sum(p * _entropy(row) for p, row in zip(p_x_flat, q_given_x))
-        )
-        chan = model.channels[w - 1].reshape(p_x_flat.size, -1)
-        p_y = p_x_flat @ chan
-        quant = model.quantizers[w - 1]
-        h_q_given_y = float(
-            sum(p * _entropy(quant[y]) for y, p in enumerate(p_y))
-        )
-        total += h_q_given_x - h_q_given_y
+        total += _leak_term(model, w)
     return max(0.0, total)
 
 
@@ -936,6 +951,86 @@ def test_cached_leak_matches_per_call_leak():
                 assert np.array_equal(_bits(got), _bits(want)), (m_in, m_out)
                 n_models += 1
     assert n_models == 30
+
+
+@st.composite
+def _entropy_rows(draw):
+    """A 2-D array for ``_entropies``: 1-200 rows of width 1-300, cells of
+    unit, pmf, widely spread or subnormal magnitude (pmf rows normalized,
+    the others not), with +0.0, -0.0 and negative cells; often some rows
+    without a positive cell, and often many rows sharing one count of
+    positive cells."""
+    n, width = draw(st.integers(1, 200)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((n, width))
+    scale = draw(st.sampled_from(["unit", "pmf", "wide", "subnormal"]))
+    if scale == "pmf":
+        rows /= rows.sum(axis=1, keepdims=True)
+    elif scale == "wide":
+        rows *= 10.0 ** rng.integers(-320, 300, rows.shape)
+    elif scale == "subnormal":
+        rows *= 2.2e-308
+    rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    rows[rng.random(rows.shape) < 0.05] *= -1.0
+    if draw(st.booleans()):
+        # a share of the rows with exactly k positive cells
+        k = int(rng.integers(0, width + 1))
+        shared = rng.random(n) < draw(st.sampled_from([0.5, 1.0]))
+        keep = np.argsort(rng.random((n, width)), axis=1) < k
+        rows[shared] = np.where(keep, 0.5 + rng.random((n, width)), 0.0)[shared]
+    rows[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] *= -1.0
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entropy_rows())
+def test_entropies_match_entropy_row_by_row(rows):
+    want = np.array([_entropy(row) for row in rows])
+    assert np.array_equal(_entropies(rows).view(np.int64), want.view(np.int64))
+
+
+def test_entropy_of_no_positive_cell_is_negative_zero():
+    # the sum is negated after it is taken: -(0.0) for no positive cell, and
+    # -(1.0 * log2(1.0)) for one certain symbol
+    rows = np.array([[0.0, -0.0, -1.0], [1.0, 0.0, -0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    want = [-0.0, -0.0, -0.0, 1.0]
+    assert np.array_equal(_bits([_entropy(row) for row in rows]), _bits(want))
+    assert np.array_equal(_bits(_entropies(rows)), _bits(want))
+    assert _entropies(np.zeros((0, 3))).shape == (0,)
+
+
+def _sparse_discrete_model(rng, m_in, m_out):
+    """A discrete layer model over alphabets of 1-3 symbols whose input
+    pmfs, channels and quantizers have zero and certain (0/1) rows."""
+
+    def pmf(shape):
+        arr = rng.random(shape)
+        arr[rng.random(shape) < 0.4] = 0.0
+        arr[..., 0] += arr.sum(axis=-1) == 0.0
+        return arr / arr.sum(axis=-1, keepdims=True)
+
+    x_shape = tuple(int(rng.integers(1, 4)) for _ in range(m_in))
+    received = [int(rng.integers(1, 4)) for _ in range(m_out)]
+    return DiscreteLayerModel(
+        [pmf(k) for k in x_shape],
+        [pmf(x_shape + (k,)) for k in received],
+        [pmf((k, int(rng.integers(1, 4)))) for k in received],
+    )
+
+
+def test_receiver_leak_terms_match_the_per_row_loop():
+    rng = np.random.default_rng(31)
+    models = []
+    for m_in in (1, 2, 3):
+        for m_out in range(1, 5):
+            orc = _family_oracle("discrete", m_in, m_out, seed=100 * m_in + m_out)
+            models += [orc, _with_zero_inputs(orc), _sparse_discrete_model(rng, m_in, m_out)]
+    for model in models:
+        got = model._receiver_leaks()
+        want = [_leak_term(model, w) for w in range(1, model.dims[1] + 1)]
+        assert np.array_equal(_bits(got), _bits(want)), model.dims
+        assert all(type(term) is float for term in got)
+    assert len(models) == 36
 
 
 def _received_cases():

@@ -845,12 +845,13 @@ def _ratio_tests(draw):
     a few levels, or a chain down from the largest ratio whose gaps sit just
     under, at and just over the prune's threshold ``w``, or a fraction of an
     ulp above ``eps``, where ``fl(h - eps)`` may round down to ``h``'s lower
-    neighbour; plus, sometimes, NaN, +-inf, -0.0 or arbitrary floats.  The
+    neighbour, or at ``2 * eps + 4 * ulp``, a wider threshold than the
+    proof needs; plus, sometimes, NaN, +-inf, -0.0 or arbitrary floats.  The
     candidate rows are ascending, and the basis gives each row a distinct
     variable, in row order or shuffled."""
     eps = 1e-12
     top = draw(st.sampled_from([1.0, 3.0, 37.5, 1e3, 1e5, 1.3e5]))
-    width = 2.0 * eps + 4.0 * math.ulp(top)
+    width = eps + 4.0 * math.ulp(top)
     values = [top]
     if draw(st.booleans()):
         levels = draw(st.lists(st.floats(0.0, top), min_size=1, max_size=6))
@@ -859,6 +860,7 @@ def _ratio_tests(draw):
         gaps = st.one_of(
             st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0]).map(lambda f: f * width),
             st.sampled_from([0.4, 1.0, 2.0]).map(lambda k: eps + k * math.ulp(top)),
+            st.just(2.0 * eps + 4.0 * math.ulp(top)),
         )
         for gap in draw(st.lists(gaps, min_size=1, max_size=300)):
             values.append(values[-1] - gap)
@@ -887,7 +889,7 @@ def _edge_ratio_test(*ratios):
 
 # in [2, 4) every ratio has one ulp, so the prune's bound above 2.5 is
 # fl(2.5 + _EDGE_WIDE) whichever of them is the largest
-_EDGE_WIDE = 2.0 * 1e-12 + 4.0 * math.ulp(3.5)
+_EDGE_WIDE = 1e-12 + 4.0 * math.ulp(3.5)
 
 
 @settings(max_examples=400, deadline=None)
@@ -902,6 +904,26 @@ def test_ratio_prune_keeps_the_row_the_bland_scan_picks(ratio_test):
     candidates, ratios, basis = ratio_test
     pruned = cutflow._ratio_survivors(candidates, ratios, 1e-12)
     assert _bland_scan(*pruned, basis, 1e-12) == _bland_scan(candidates, ratios, basis, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "high, kept",
+    [
+        (2.5 + _EDGE_WIDE, True),
+        (math.nextafter(2.5 + _EDGE_WIDE, math.inf), False),
+        # within 2 * eps + 4 * ulp, a wider threshold that would keep them
+        (2.5 + 1.5e-12, False),
+        (2.5 + 2.0 * 1e-12 + 4.0 * math.ulp(3.5), False),
+    ],
+)
+def test_ratio_prune_threshold_is_eps_plus_four_ulps(high, kept):
+    # a high ratio is dropped once it lies more than eps + 4 ulp(M) above
+    # the low ones, and the scan still takes the low row
+    candidates, ratios, basis = _edge_ratio_test(3.5, high, 2.5)
+    pruned = cutflow._ratio_survivors(candidates, ratios, 1e-12)
+    want = [2.5, high] if kept else [2.5]
+    assert sorted(pruned[1].tolist()) == want
+    assert _bland_scan(*pruned, basis, 1e-12) == _bland_scan(candidates, ratios, basis, 1e-12) == 4
 
 
 

@@ -1073,9 +1073,9 @@ def _zero_heavy_discrete_models(rng, sizes):
     return models
 
 
-def test_joint_information_matches_dict_grouping_reference():
-    # repr of each value as a Python float tells apart every float, -0.0
-    # from 0.0 included
+def _discrete_joint_cases():
+    """Seeded all-discrete networks: ``random_instance`` draws, then
+    zero-heavy models over alphabets of 1-3 symbols."""
     cases = []
     for shape in [(1, 2, 1), (1, 3, 1), (1, 2, 2, 1), (1, 4, 1), (1, 2, 1, 2, 1), (1, 3, 2, 1)]:
         for seed in range(1, 4):
@@ -1084,8 +1084,14 @@ def test_joint_information_matches_dict_grouping_reference():
     rng = np.random.default_rng(20)
     for shape in [(1, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 1, 2, 1), (1, 2, 2, 1)] * 4:
         cases.append((_placeholder_network(shape), _zero_heavy_discrete_models(rng, shape)))
+    return cases
+
+
+def test_joint_information_matches_dict_grouping_reference():
+    # repr of each value as a Python float tells apart every float, -0.0
+    # from 0.0 included
     n_zero_states = 0
-    for net, models in cases:
+    for net, models in _discrete_joint_cases():
         pairs = _all_joint_pairs(sum(net.layer_sizes[1:-1]))
         s, d = np.array(pairs).T
         got = rateplan._discrete_joint_mi(net, models, s, d)
@@ -1095,6 +1101,95 @@ def test_joint_information_matches_dict_grouping_reference():
             (pmf <= 0.0).any() for model in models for pmf in model.input_pmfs
         )
     assert n_zero_states >= 12
+
+
+def _looped_pair_information(grid, conditioned, h_out_given_all):
+    """``rateplan._pair_information`` with one ``.sum()`` per group, kept
+    verbatim."""
+    from relayflow.capacity import _entropy
+
+    summed = [i for i in range(grid.ndim - 1) if i not in conditioned]
+    folded = grid.transpose(conditioned + summed + [grid.ndim - 1])
+    n_groups = math.prod(folded.shape[: len(conditioned)])
+    folded = folded.reshape(n_groups, -1, grid.shape[-1])
+    groups = folded[:, 0].copy()
+    for t in range(1, folded.shape[1]):
+        groups += folded[:, t]
+    h_joint = sum(_entropy(arr) for arr in groups)
+    h_cond = _entropy(np.array([arr.sum() for arr in groups]))
+    return max(0.0, (h_joint - h_cond) - h_out_given_all)
+
+
+def _looped_joint_mi(net, models, s, d):
+    """``rateplan._discrete_joint_mi`` with one ``_entropy`` call per positive
+    assignment and receiver, and ``_looped_pair_information``, kept
+    verbatim."""
+    import functools
+
+    from relayflow.capacity import _entropy, _mask_indices
+
+    senders = [n for l in range(1, net.num_layers) for n in net.layer_nodes(l)]
+    receivers = senders[1:] + [net.destination]
+    pmfs = [models[n.layer - 1].input_pmfs[n.index - 1] for n in senders]
+    x_sizes = tuple(pmf.size for pmf in pmfs)
+    pos_of = {n: i for i, n in enumerate(senders)}
+    conditionals = [
+        models[w.layer - 2].channels[w.index - 1]
+        if w == net.destination
+        else models[w.layer - 2].quantized_conditional(w.index)
+        for w in receivers
+    ]
+    inputs = [[pos_of[u] for u in net.layer_nodes(w.layer - 1)] for w in receivers]
+    states = math.prod(x_sizes)
+    p = functools.reduce(np.multiply.outer, pmfs, np.ones(())).ravel()
+    positive = p > 0.0
+    coords = np.unravel_index(np.arange(states), x_sizes)
+    rows = [
+        cond[tuple(coords[i] for i in positions)]
+        for cond, positions in zip(conditionals, inputs)
+    ]
+    entropies = np.array(
+        [[_entropy(row[i]) for row in rows] for i in np.flatnonzero(positive)]
+    )
+
+    info = np.empty(s.size)
+    for value in np.unique(d):
+        phi = [w - 1 for w in _mask_indices(int(value) | 1 << (len(receivers) - 1))]
+        terms = (p[positive, None] * entropies[:, phi]).ravel()
+        h_out_given_all = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
+        grid = np.ones((states, 1))
+        for w in phi:
+            grid = (grid[:, :, None] * rows[w][:, None, :]).reshape(states, -1)
+        grid *= p[:, None]
+        grid = grid.reshape(*x_sizes, -1)
+        for c in np.flatnonzero(d == value):
+            conditioned = [i for i in range(1, len(senders)) if not s[c] >> (i - 1) & 1]
+            info[c] = _looped_pair_information(grid, conditioned, h_out_given_all)
+    return info
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def test_joint_information_matches_the_per_assignment_loop(monkeypatch):
+    # every pair's grid goes through both versions of the pair information
+    pair_information = rateplan._pair_information
+    calls = []
+
+    def both(grid, conditioned, h_out_given_all):
+        got = pair_information(grid, conditioned, h_out_given_all)
+        want = _looped_pair_information(grid, conditioned, h_out_given_all)
+        calls.append(_bits(got) == _bits(want))
+        return got
+
+    monkeypatch.setattr(rateplan, "_pair_information", both)
+    for net, models in _discrete_joint_cases():
+        pairs = _all_joint_pairs(sum(net.layer_sizes[1:-1]))
+        s, d = np.array(pairs).T
+        got = rateplan._discrete_joint_mi(net, models, s, d)
+        assert np.array_equal(_bits(got), _bits(_looped_joint_mi(net, models, s, d)))
+    assert len(calls) > 500 and all(calls)
 
 
 # --- multi-source region ---------------------------------------------------------------
