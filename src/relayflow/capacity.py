@@ -143,11 +143,6 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-#: fewer rows than this go through ``_entropy`` one by one: below it the
-#: grouped call of ``_entropies`` costs more than the single calls
-_ENTROPY_BATCH_ROWS = 4
-
-
 def _entropies(rows: np.ndarray) -> np.ndarray:
     """``_entropy`` of each row of a 2-D array, bit for bit, as one array.
 
@@ -159,8 +154,6 @@ def _entropies(rows: np.ndarray) -> np.ndarray:
     cell gives ``-0.0``.
     """
     rows = np.asarray(rows, dtype=float)
-    if len(rows) < _ENTROPY_BATCH_ROWS:
-        return np.array([_entropy(row) for row in rows], dtype=float)
     positive = rows > 0.0
     counts = positive.sum(axis=1)
     out = np.empty(len(rows))
@@ -875,9 +868,11 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             raise InputError("layer model needs at least one node per side")
         super().__init__((m_in, m_out))
 
-        x_shape = tuple(p.size for p in self.input_pmfs)
         for u, p in enumerate(self.input_pmfs):
+            if p.ndim != 1:
+                raise InputError(f"input pmf {u + 1} must be a 1-D array, not {p.ndim}-D")
             _check_pmf(p, f"input pmf {u + 1}")
+        x_shape = tuple(p.size for p in self.input_pmfs)
         for w, c in enumerate(self.channels):
             if c.shape[:-1] != x_shape:
                 raise InputError(f"channel {w + 1} input axes do not match the layer")
@@ -887,9 +882,17 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
                 raise InputError(f"quantizer {w + 1} does not match its channel output")
             _check_pmf(q, f"quantizer {w + 1}", axis=-1)
 
-        cells = math.prod(x_shape) * math.prod(q.shape[1] for q in self.quantizers)
+        # the largest joint pmf: inputs and all quantized, or all raw, outputs
+        outputs = max(
+            math.prod(q.shape[1] for q in self.quantizers),
+            math.prod(c.shape[-1] for c in self.channels),
+        )
+        cells = math.prod(x_shape) * outputs
         if cells > MAX_JOINT_CELLS:
-            raise TooLarge("discrete layer model joint table exceeds the cell cap")
+            raise TooLarge(
+                f"discrete layer model joint table exceeds the cell cap: {cells:,} cells, "
+                f"{8 * cells:,} bytes, over {MAX_JOINT_CELLS:,} cells"
+            )
 
         # joint input pmf as an array with one axis per transmitter
         self._p_x = functools.reduce(np.multiply.outer, self.input_pmfs, np.ones(()))
@@ -898,9 +901,6 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             np.tensordot(self.channels[w], self.quantizers[w], axes=([-1], [0]))
             for w in range(m_out)
         ]
-        # H(X_all), the summed axes of each transmitter mask and each
-        # H(X_rest), computed on first use
-        self._input_entropies: tuple[float, list, list] | None = None
 
     def oracle(self) -> "DiscreteLayerModel":
         """The model itself; ``TooLarge`` above ``DISCRETE_GUARD_BITS`` nodes."""
@@ -930,12 +930,15 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             _to_mask(transmitters, self.dims[0]), _to_mask(receivers, self.dims[1])
         )
 
-    def mutual_information_masks(
-        self, umask: int, vmask: int, quantized: bool = True
-    ) -> float:
+    def mutual_information_masks(self, umask: int, vmask: int) -> float:
+        return self._information(self._quantized, umask, vmask)
+
+    def _information(self, conditionals: Sequence[np.ndarray], umask: int, vmask: int) -> float:
+        """``I(X_U ; out_V | X_rest)`` with per-receiver ``conditionals``
+        (quantized or raw), by exact summation over the joint pmf."""
         if umask == 0 or vmask == 0:
             return 0.0
-        joint = self._joint(self._quantized if quantized else self.channels, vmask)
+        joint = self._joint(conditionals, vmask)
         u_axes = tuple(i - 1 for i in _mask_indices(umask))
         h_x_all = _entropy(self._p_x)
         h_x_rest = _entropy(self._p_x.sum(axis=u_axes))
@@ -957,49 +960,40 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             )
         return joint
 
-    def _information_rows(self, joints: Iterable[np.ndarray]) -> list[list[float]]:
-        """``mutual_information_masks``' expression for every transmitter mask
-        ``1 .. 2^m_in - 1`` against the outputs of each of ``joints``, one
-        row per joint.  ``H(X_all)`` and each ``H(X_rest)`` are computed
-        once per model, on first use; every entropy goes through
-        ``_entropies_of``."""
-        if self._input_entropies is None:
-            u_axes = [
-                tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self.dims[0])
-            ]
-            h = _entropies_of(_with_marginals([self._p_x], u_axes))
-            self._input_entropies = (h[0], u_axes, h[1:])
-        h_x_all, u_axes, h_x_rest = self._input_entropies
-        # per joint: H(joint), then H(out, X_rest) of each transmitter mask
-        h = _entropies_of(_with_marginals(joints, u_axes))
-        stride = 1 + len(u_axes)
+    @functools.cached_property
+    def _input_entropies(self) -> tuple[float, list[tuple[tuple[int, ...], float]]]:
+        """``H(X_all)``, and the summed axes and ``H(X_rest)`` of each
+        transmitter mask ``1 .. 2^m_in - 1``."""
+        u_axes = [tuple(i - 1 for i in _mask_indices(u)) for u in range(1, 1 << self.dims[0])]
+        rests = [(axes, _entropy(self._p_x.sum(axis=axes))) for axes in u_axes]
+        return _entropy(self._p_x), rests
+
+    def _information_row(self, joint: np.ndarray) -> list[float]:
+        """``_information``'s expression for every transmitter mask ``1 ..
+        2^m_in - 1`` against the outputs of ``joint``, with ``H(joint)``
+        once."""
+        h_x_all, rests = self._input_entropies
+        h_joint = _entropy(joint)
         return [
-            [
-                max(0.0, h_x_all + h_out_x_rest - h[j] - h_rest)
-                for h_out_x_rest, h_rest in zip(h[j + 1 : j + stride], h_x_rest)
-            ]
-            for j in range(0, len(h), stride)
+            max(0.0, h_x_all + _entropy(joint.sum(axis=axes)) - h_joint - h_rest)
+            for axes, h_rest in rests
         ]
 
     def _nonempty_cells(self):
         """``mutual_information_masks(umask, vmask)`` of every nonempty cell
         with the same float operations, yielded per receiver mask for
-        ``umask = 1 .. 2^m_in - 1``, with the joint pmf and its entropy once
-        per receiver mask."""
+        ``umask = 1 .. 2^m_in - 1``."""
         umasks = np.arange(1, 1 << self.dims[0])
-        vmasks = range(1, 1 << self.dims[1])
-        rows = self._information_rows(self._joint(self._quantized, v) for v in vmasks)
-        for vmask, row in zip(vmasks, rows):
-            yield umasks, vmask, row
+        for vmask in range(1, 1 << self.dims[1]):
+            yield umasks, vmask, self._information_row(self._joint(self._quantized, vmask))
 
     def _mi_received_masks(self, umask: int, vmask: int) -> float:
-        return self.mutual_information_masks(umask, vmask, quantized=False)
+        return self._information(self.channels, umask, vmask)
 
     def _received_column(self) -> np.ndarray:
-        """The raw-channel joint pmf and its entropy once, and ``H(out,
-        X_rest)`` per mask."""
+        """One row against the raw-channel joint pmf of all receivers."""
         joint = self._joint(self.channels, (1 << self.dims[1]) - 1)
-        return np.array([0.0] + self._information_rows([joint])[0])
+        return np.array([0.0] + self._information_row(joint))
 
     def _receiver_leaks(self) -> list[float]:
         """``H(Yq_w | X) - H(Yq_w | Y_w)`` of each receiver: given all inputs,
@@ -1021,43 +1015,6 @@ class DiscreteLayerModel(CapacityOracle, LayerModel):
             )
             terms.append(h_q_given_x - h_q_given_y)
         return terms
-
-
-def _with_marginals(joints: Iterable[np.ndarray], axes_list: list[tuple[int, ...]]):
-    """Each of ``joints``, then its sum over each of ``axes_list``, made one
-    at a time."""
-    for joint in joints:
-        yield joint
-        for axes in axes_list:
-            yield joint.sum(axis=axes)
-
-
-def _entropies_of(arrays: Iterable[np.ndarray]) -> list[float]:
-    """``[_entropy(a) for a in arrays]``, bit for bit.  The arrays of one
-    size are stacked as the rows of one ``_entropies`` call; all stacks are
-    computed once they hold ``_BLOCK_CELLS`` cells, so at most that many
-    cells wait beside the array being made."""
-    entropies: list[float] = []
-    pending: dict[int, list[tuple[int, np.ndarray]]] = {}
-    waiting = 0
-    for i, arr in enumerate(arrays):
-        entropies.append(0.0)
-        pending.setdefault(arr.size, []).append((i, arr.ravel()))
-        waiting += arr.size
-        if waiting >= _BLOCK_CELLS:
-            _fill_entropies(entropies, pending)
-            waiting = 0
-    _fill_entropies(entropies, pending)
-    return entropies
-
-
-def _fill_entropies(entropies: list[float], pending: dict) -> None:
-    """Write each stack of ``pending`` into ``entropies`` and empty it."""
-    for size, members in pending.items():
-        rows = np.concatenate([arr for _, arr in members]).reshape(len(members), size)
-        for (i, _), h in zip(members, _entropies(rows).tolist()):
-            entropies[i] = h
-    pending.clear()
 
 
 def _check_pmf(arr: np.ndarray, what: str, axis: int | None = None) -> None:

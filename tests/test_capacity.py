@@ -198,6 +198,37 @@ def test_pmf_validation(monkeypatch):
     assert not _pmf_verdict([np.nan]) and not _pmf_verdict([np.inf])
 
 
+def test_input_pmf_must_be_one_dimensional():
+    # four input symbols laid out 2 x 2 sum to 1 as a whole, but the channel
+    # reads them along one axis of four
+    chan = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match=re.escape("input pmf 1 must be a 1-D array, not 2-D")):
+        DiscreteLayerModel([np.full((2, 2), 0.25)], [chan], [np.eye(2)])
+    with pytest.raises(InputError, match=re.escape("input pmf 2 must be a 1-D array, not 0-D")):
+        DiscreteLayerModel([np.full(4, 0.25), np.array(1.0)], [chan[:, None]], [np.eye(2)])
+    model = DiscreteLayerModel([np.full(4, 0.25)], [chan], [np.eye(2)])
+    assert model.mutual_information([1], [1]) == model.mi_received([1], [1]) == 1.0
+
+
+def test_raw_channel_joint_counts_against_the_cell_cap():
+    # three 2-symbol quantizers keep the quantized joint at 2 * 2^3 cells;
+    # the raw joint, built for mi_received, holds 2 * 400^3
+    chan = np.full((2, 400), 1 / 400)
+    quant = np.repeat(np.eye(2), 200, axis=0)
+    message = re.escape(
+        "discrete layer model joint table exceeds the cell cap: 128,000,000 cells, "
+        "1,024,000,000 bytes, over 10,000,000 cells"
+    )
+    with pytest.raises(TooLarge, match=message):
+        DiscreteLayerModel([np.full(2, 0.5)], [chan] * 3, [quant] * 3)
+    # two such receivers, 320,000 cells, are within the cap
+    model = DiscreteLayerModel([np.full(2, 0.5)], [chan] * 2, [quant] * 2)
+    assert model.mi_received_column()[1] == pytest.approx(0.0, abs=1e-9)
+    # the quantized joint still counts where it is the larger: 2 * 10^7 cells
+    with pytest.raises(TooLarge, match="cell cap: 20,000,000 cells, 160,000,000 bytes"):
+        DiscreteLayerModel([np.full(2, 0.5)], [np.ones((2, 1))] * 7, [np.full((1, 10), 0.1)] * 7)
+
+
 # --- axiom checker -----------------------------------------------------------
 
 
@@ -647,6 +678,7 @@ def _with_zero_inputs(model):
 
 
 def _table_cases(widths=range(1, 7)):
+    rng = np.random.default_rng(29)
     yield ExplicitTableOracle(
         (2, 2), {((1,), (1,)): 1.0, ((2,), (2,)): 0.5, ((1, 2), (1, 2)): 1.25}
     )
@@ -659,6 +691,9 @@ def _table_cases(widths=range(1, 7)):
                     yield GaussianLogDetOracle(orc.h * 30.0)
                 if family == "discrete":
                     yield _with_zero_inputs(orc)
+                    if m_in <= 3 and m_out <= 3:
+                        # marginals of mixed sizes within one table
+                        yield _sparse_discrete_model(rng, m_in, m_out)
 
 
 def _assert_tables_match_value_masks(widths=range(1, 7)):
@@ -1036,6 +1071,7 @@ def test_receiver_leak_terms_match_the_per_row_loop():
 def _received_cases():
     from relayflow import DeterministicLayerModel
 
+    rng = np.random.default_rng(29)
     yield DeterministicLayerModel(
         ExplicitTableOracle((2, 2), {((1,), (1, 2)): 1.0, ((1, 2), (1, 2)): 1.25})
     )
@@ -1049,6 +1085,8 @@ def _received_cases():
                 elif family == "discrete":
                     yield orc
                     yield _with_zero_inputs(orc)
+                    if m_in <= 3 and m_out <= 3:
+                        yield _sparse_discrete_model(rng, m_in, m_out)
                 else:
                     yield DeterministicLayerModel(orc)
 

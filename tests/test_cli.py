@@ -618,6 +618,45 @@ def test_discrete_node_limit_exits_three_at_parse(tmp_path, capsys, oracle_calls
     assert oracle_calls == []
 
 
+def _discrete_file(tmp_path, pmf, channel, quantizer, receivers):
+    data = {
+        "layers": [1, receivers, 1],
+        "capacities": [
+            {"kind": "discrete", "pmfs": [pmf], "channel": [channel] * receivers,
+             "quantizer": [quantizer] * receivers},
+            {"kind": "additive", "matrix": [[1.0]] * receivers},
+        ],
+    }
+    netfile = tmp_path / "disc.json"
+    netfile.write_text(json.dumps(data))
+    return str(netfile)
+
+
+def test_two_dimensional_input_pmf_exits_two(tmp_path, capsys):
+    netfile = _discrete_file(
+        tmp_path, [[0.25, 0.25], [0.25, 0.25]], [[1, 0], [0, 1], [1, 0], [0, 1]],
+        [[1, 0], [0, 1]], 1,
+    )
+    assert _run_main(capsys, ["validate", netfile]) == (
+        2, {"detail": "input pmf 1 must be a 1-D array, not 2-D", "error": "input"}
+    )
+
+
+def test_raw_channel_joint_past_the_cell_cap_exits_three(tmp_path, capsys, oracle_calls):
+    # three receivers of 400 raw symbols, each quantized to 2: refused at
+    # load, so no command builds the raw joint
+    netfile = _discrete_file(
+        tmp_path, [0.5, 0.5], [[1 / 400] * 400] * 2, [[1, 0]] * 200 + [[0, 1]] * 200, 3
+    )
+    assert _run_main(capsys, ["validate", netfile]) == (
+        3,
+        {"detail": "discrete layer model joint table exceeds the cell cap: "
+                   "128,000,000 cells, 1,024,000,000 bytes, over 10,000,000 cells",
+         "error": "too_large"},
+    )
+    assert oracle_calls == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_non_finite_tolerance_exits_two(capsys, tol):
     code, out = _run_main(capsys, ["--tol", tol, "validate", str(DATA / "line.json")])
