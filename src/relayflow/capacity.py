@@ -648,11 +648,14 @@ def check_capacity_axioms(oracle: CapacityOracle, tol: float = 1e-9) -> AxiomRep
     cell by cell.  The report is the same either way.
 
     Raises:
+        InputError, NegativeRate: a ``tol`` that is not a real number, NaN,
+            infinite or negative, first.
         TooLarge: if the layer pair exceeds the enumeration guard
             (``m_in + m_out`` above 16).
         NumericalFailure: a table cell is NaN or infinite (an overflowing
             sum, say); it names the first such cell in row-major order.
     """
+    _require_rates([tol], "tol")
     m_in, m_out = oracle.dims
     if m_in + m_out > AXIOM_GUARD_BITS:
         raise TooLarge(

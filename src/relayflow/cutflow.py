@@ -108,30 +108,6 @@ def cut_value(net: LayeredNetwork, members: Iterable[NodeId]) -> float:
     return total
 
 
-def _values_at(
-    values: Mapping[NodeId, float], nodes: Iterable[NodeId], what: str
-) -> list:
-    """``values`` at each of ``nodes``, in order; a node missing from the
-    mapping is refused by name."""
-    found = []
-    for node in nodes:
-        if node not in values:
-            raise RateCountMismatch(f"{what} missing for {node.key()}")
-        found.append(values[node])
-    return found
-
-
-def _boundary_lists(
-    net: LayeredNetwork, boundary: Mapping[NodeId, float]
-) -> tuple[list[float], list[float]]:
-    """Split a boundary-flow mapping into first-layer and last-layer lists."""
-    first, last = (
-        _values_at(boundary, net.layer_nodes(l), "boundary flow") for l in (1, net.num_layers)
-    )
-    _require_rates(first + last, "boundary flows")
-    return [float(v) for v in first], [float(v) for v in last]
-
-
 def _cost(oracle: CapacityOracle) -> np.ndarray:
     """``cost[mask, nmask]``: capacity from the cut's transmitters ``mask`` to
     the receivers outside the cut's next-layer part ``nmask``."""
@@ -167,8 +143,16 @@ def min_cut(
     total.
 
     Ties resolve to the lexicographically smallest indicator vector.
+
+    Raises:
+        RateCountMismatch, InputError, NegativeRate: boundary flows that
+            ``LayeredNetwork.layer_values`` refuses (a boundary node missing,
+            a key that is not a boundary node, a bad value), before any
+            table.
     """
-    ends = None if boundary is None else _boundary_lists(net, boundary)
+    ends = None
+    if boundary is not None:
+        ends = net.layer_values(boundary, (1, net.num_layers), "boundary flow", "boundary node")
     costs, tables, value = _cut_dp(net, ends)
     path, _ = _first_minimizer(costs, tables, [0, *net.layer_sizes])
     members = frozenset(
@@ -177,10 +161,10 @@ def min_cut(
     return value, Cut(members, value)
 
 
-def _cut_dp(net: LayeredNetwork, ends: tuple[list[float], list[float]] | None = None):
+def _cut_dp(net: LayeredNetwork, ends: Sequence[list[float]] | None = None):
     """``min_cut`` without the cut: the costs (a one-state layer 0 first),
     their ``_backward_tables`` and the minimum value, which must be finite.
-    ``ends`` are the boundary flows as ``_boundary_lists`` returns them."""
+    ``ends`` are the first and last layer's boundary flows."""
     m_first, m_last = net.layer_sizes[0], net.layer_sizes[-1]
     if ends is None:
         init_costs = [INF] * (1 << m_first)
@@ -188,9 +172,8 @@ def _cut_dp(net: LayeredNetwork, ends: tuple[list[float], list[float]] | None = 
         final_costs = [INF] * (1 << m_last)
         final_costs[0] = 0.0
     else:
-        first_flows, last_flows = ends
-        init_costs = _subset_sums(first_flows)[::-1]
-        final_costs = _subset_sums(last_flows)
+        init_costs = _subset_sums(ends[0])[::-1]
+        final_costs = _subset_sums(ends[1])
     # a one-state layer 0 prices the first layer's states
     costs = [np.array([init_costs])] + [_cost(o) for o in net.oracles]
     tables = _backward_tables(costs, final_costs)
@@ -289,7 +272,9 @@ class BoundaryFunction:
     def check_polymatroid(self, tol: float = 1e-9) -> tuple[bool, str | None]:
         """Exhaustively verify zero-at-empty, monotonicity, and submodularity,
         the last two by ``check_capacity_axioms``'s kernels on the values as a
-        one-column table (``m_out = 0``); the first failure is reported."""
+        one-column table (``m_out = 0``); the first failure is reported.
+        A ``tol`` that ``_require_rates`` refuses is refused first."""
+        _require_rates([tol], "tol")
         empty = float(self.values[0])
         if empty != 0.0:
             return False, f"value at empty set is {empty}"
@@ -623,6 +608,8 @@ def max_flow(
         split_layer: override the top-level split (debugging aid).
 
     Raises:
+        RateCountMismatch, InputError, NegativeRate: boundary flows that
+            ``LayeredNetwork.layer_values`` refuses, before any table.
         InfeasibleBoundary: boundary totals unequal, infeasible against the
             cut bound, or missing on a multi-node boundary.
     """
@@ -636,7 +623,9 @@ def max_flow(
         value = _cut_dp(net)[2]
         first, last = [value], [value]
     else:
-        first, last = _boundary_lists(net, boundary)
+        first, last = net.layer_values(
+            boundary, (1, net.num_layers), "boundary flow", "boundary node"
+        )
         total_in, total_out = sum(first), sum(last)
         if not math.isclose(total_in, total_out, rel_tol=1e-9, abs_tol=1e-9):
             raise InfeasibleBoundary(
@@ -649,12 +638,7 @@ def max_flow(
             )
 
     per_layer = _construct(net, first, last, split_layer)
-    values = {
-        NodeId(l + 1, i + 1): per_layer[l][i]
-        for l in range(net.num_layers)
-        for i in range(net.layer_sizes[l])
-    }
-    return Flow(values)
+    return Flow(dict(zip(net.nodes(), [v for layer in per_layer for v in layer], strict=True)))
 
 
 def _construct(
@@ -777,13 +761,14 @@ def verify_flow(net: LayeredNetwork, flow: Flow) -> FlowCheck:
     same order, when first read.
 
     Raises:
+        RateCountMismatch, InputError: a node missing from the flow, or a
+            key of it that is not a node of ``net``, before any table.
         NumericalFailure: the worst excess is not a finite number, or
             else some constraint's excess is NaN (the first is named).
     """
-    layer_vals = [
-        _values_at(flow.values, net.layer_nodes(l), "flow value")
-        for l in range(1, net.num_layers + 1)
-    ]
+    layer_vals = net.layer_values(
+        flow.values, range(1, net.num_layers + 1), "flow value", "node of the network"
+    )
     worst = -INF
     n_constraints = 0
     failing = []

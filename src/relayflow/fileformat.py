@@ -31,7 +31,7 @@ from .capacity import (
     _mask_indices,
     _require_finite,
 )
-from .errors import InputError
+from .errors import InputError, RateCountMismatch
 from .netgraph import LayeredNetwork, NodeId, build_network
 
 #: the capacity kinds seeded instances are drawn from (``oracle.random_instance``,
@@ -40,6 +40,14 @@ FAMILIES = ("additive", "rank_gf2", "gaussian", "discrete")
 
 #: capacity kinds whose oracle is also the layer pair's model
 _MODEL_KINDS = ("gaussian", "discrete")
+
+
+def _integer(value: Any, field: str) -> int:
+    """A JSON integer: a number with no fractional part (``2`` or ``2.0``);
+    a fraction, a boolean or a string is refused, naming ``field``."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise InputError(f"{field} must be integers, not {value!r}")
 
 
 def oracle_from_spec(spec: dict, dims: tuple[int, int] | None = None) -> CapacityOracle:
@@ -66,7 +74,7 @@ def oracle_from_spec(spec: dict, dims: tuple[int, int] | None = None) -> Capacit
             return GaussianLogDetOracle(h_re + 1j * h_im)
         if kind == "table":
             if "dims" in spec:
-                dims = (int(spec["dims"][0]), int(spec["dims"][1]))
+                dims = tuple(_integer(m, "table spec 'dims'") for m in spec["dims"])
             if dims is None:
                 raise InputError("table spec needs 'dims' outside a network file")
             values = {}
@@ -128,7 +136,7 @@ def network_from_dict(
         if not isinstance(data.get(key, []), list):
             raise InputError(f"'{key}' must be an array")
     try:
-        layers = [int(m) for m in data["layers"]]
+        layers = [_integer(m, "'layers'") for m in data["layers"]]
         capacity_specs = list(data["capacities"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"network file needs 'layers' and 'capacities': {exc}") from exc
@@ -180,16 +188,22 @@ def _numbers(boundary: dict, key: str) -> list | None:
 
 def boundary_flows(net: LayeredNetwork, boundary: dict) -> dict[NodeId, float] | None:
     """The boundary section's fixed flows of the first and last layer
-    (``source_flows`` and ``destination_flows``), or ``None`` if it gives
-    neither."""
+    (``source_flows`` and ``destination_flows``, one entry per node of its
+    layer), or ``None`` if it gives neither."""
     src = _numbers(boundary, "source_flows")
     dst = _numbers(boundary, "destination_flows")
     if src is None and dst is None:
         return None
     if src is None or dst is None:
         raise InputError("boundary flows need both source_flows and destination_flows")
-    flows = dict(zip(net.layer_nodes(1), map(float, src), strict=True))
-    flows.update(zip(net.layer_nodes(net.num_layers), map(float, dst), strict=True))
+    flows = {}
+    for key, values, layer in ("source_flows", src, 1), ("destination_flows", dst, net.num_layers):
+        nodes = net.layer_nodes(layer)
+        if len(values) != len(nodes):
+            raise RateCountMismatch(
+                f"boundary.{key} has {len(values)} entries for a layer of {len(nodes)} nodes"
+            )
+        flows.update(zip(nodes, map(float, values)))
     return flows
 
 

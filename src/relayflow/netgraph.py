@@ -121,6 +121,33 @@ class LayeredNetwork:
         (layer, index): bit ``i`` of a relay mask stands for ``relays[i]``."""
         return [n for l in range(2, self.num_layers) for n in self.layer_nodes(l)]
 
+    def layer_values(
+        self, values: Mapping[NodeId, float], layers: Sequence[int], what: str, role: str
+    ) -> list[list[float]]:
+        """The ``values`` of each of ``layers``' nodes as floats, one list per
+        layer in index order: the one reader of node-keyed inputs (flows,
+        boundary flows, compression rates).
+
+        Raises, in this order:
+            RateCountMismatch: a node of ``layers`` missing from ``values``,
+                named as ``"<what> missing for 2.2"``.
+            InputError: a key that is none of those nodes, named as
+                ``"<what> given for 9.9, which is not a <role>"``.
+            InputError, NegativeRate: an entry that ``_require_rates``
+                refuses, under the name ``"<what>s"``.
+        """
+        nodes = [self.layer_nodes(l) for l in layers]
+        for node in (node for row in nodes for node in row):
+            if node not in values:
+                raise RateCountMismatch(f"{what} missing for {node.key()}")
+        if len(values) > sum(map(len, nodes)):  # every node is a key, so one key is not
+            stray = next(key for key in values if not any(key in row for row in nodes))
+            name = stray.key() if isinstance(stray, NodeId) else repr(stray)
+            raise InputError(f"{what} given for {name}, which is not a {role}")
+        rows = [[values[node] for node in row] for row in nodes]
+        _require_rates([v for row in rows for v in row], f"{what}s")
+        return [[float(v) for v in row] for row in rows]
+
     @property
     def source(self) -> NodeId:
         return NodeId(1, 1)

@@ -52,7 +52,6 @@ from .cutflow import (
     _cut_dp,
     _first_minimizer,
     _scan_constraints,
-    _values_at,
     max_flow,
 )
 from .errors import (
@@ -235,24 +234,6 @@ def plan_rates(net: LayeredNetwork, models: Sequence[LayerModel]) -> RatePlan:
     return RatePlan(rate, compression, tuple(penalties), tuple(flags), flow)
 
 
-def _relay_rates(
-    compression: Mapping[NodeId, float], net: LayeredNetwork
-) -> dict[int, list[float]]:
-    """Each relay layer's compression rates, keyed by layer; a relay missing
-    from ``compression`` is refused by name, and so, after that, is the
-    first key that is not a relay of ``net``."""
-    rates = {
-        l: _values_at(compression, net.layer_nodes(l), "compression rate")
-        for l in range(2, net.num_layers)
-    }
-    if len(compression) > len(net.relays):  # every relay is a key, so one key is not
-        relays = set(net.relays)
-        stray = next(key for key in compression if key not in relays)
-        name = stray.key() if isinstance(stray, NodeId) else repr(stray)
-        raise InputError(f"compression rate given for {name}, which is not a relay")
-    return rates
-
-
 def _undecoded_terms(sums: np.ndarray, model: LayerModel) -> tuple[np.ndarray, np.ndarray]:
     """Negated compression total and leak of a layer model's receivers left
     undecoded, given their compression ``sums``, indexed by the decoded mask
@@ -318,6 +299,8 @@ def check_layered_feasible(
     same order.
 
     Raises:
+        InputError, NegativeRate: a ``tol`` that is not a real number, NaN,
+            infinite or negative, first.
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), before any table.
         RateCountMismatch, InputError: a relay missing from the plan's
@@ -326,12 +309,14 @@ def check_layered_feasible(
         NumericalFailure: the smallest margin is not a finite number, or
             else some constraint's margin is NaN (the first is named).
     """
+    _require_rates([tol], "tol")
     if not net.is_unicast:
         raise InputError("layered feasibility is defined for unicast networks")
     _check_models(net, models)
     L = net.num_layers
     # sums[l][mask]: compression total of relay layer l's relays in mask
-    sums = {l: _subset_sums(r) for l, r in _relay_rates(plan.compression, net).items()}
+    rates = net.layer_values(plan.compression, range(2, L), "compression rate", "relay")
+    sums = {l: _subset_sums(r) for l, r in enumerate(rates, start=2)}
     checks = []
 
     # family 1: last layer pair, against the raw received signal; row
@@ -413,18 +398,23 @@ def check_joint_feasible(
     conditionals.
 
     Raises:
+        InputError, NegativeRate: a ``tol`` that is not a real number, NaN,
+            infinite or negative, first.
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), or that are not all Gaussian or
             all discrete, before any information is computed.
         InputError, NegativeRate: a rate or compression rate that is not a
             real number, NaN, infinite or negative, or a compression key
             that is not a relay, before any information is computed.
+        RateCountMismatch: a relay missing from ``compression``, before any
+            information is computed.
         TooLarge: above ``JOINT_GUARD_RELAYS`` relays, or a joint table over
             all senders and receivers above ``MAX_JOINT_CELLS`` (the message
             gives its cells and bytes), before any information is computed.
         NumericalFailure: the smallest margin is not a finite number, or
             else some constraint's margin is NaN (the first is named).
     """
+    _require_rates([tol], "tol")
     if not net.is_unicast:
         raise InputError("joint feasibility is defined for unicast networks")
     _check_models(net, models)
@@ -438,7 +428,8 @@ def check_joint_feasible(
         raise UnsupportedModel(
             "joint region checker supports all-Gaussian or all-discrete models"
         )
-    relay_rates = [r for rates in _relay_rates(compression, net).values() for r in rates]
+    by_layer = net.layer_values(compression, range(2, net.num_layers), "compression rate", "relay")
+    relay_rates = [r for rates in by_layer for r in rates]
 
     n = len(relays)
     # every disjoint (s, d): s ascending, then each submask d of the rest ascending
@@ -629,12 +620,15 @@ def check_multi_source(
     smallest margin, which ``min_cut``'s reconstruction finds.
 
     Raises:
+        InputError, NegativeRate: a ``tol`` that is not a real number, NaN,
+            infinite or negative, first.
         DimensionMismatch, UnsupportedModel: models that do not fit the
             network (see ``_check_models``), before any table.
         TooLarge: above ``TABLE_GUARD_BITS`` nodes outside the destination
             (``2^24`` node sets), before any table or penalty is computed.
         NumericalFailure: the margin is not a finite number.
     """
+    _require_rates([tol], "tol")
     if net.layer_sizes[-1] != 1:
         raise InputError("multi-source region is defined for a single destination")
     _check_models(net, models)
@@ -712,12 +706,14 @@ def decoding_complexity(
         raise InputError("block length exceeds the float range")
     if quantizer_points < 1:
         raise InputError("quantizer points must be at least 1")
-    compression = _relay_rates(plan.compression, net)
+    compression = net.layer_values(
+        plan.compression, range(2, net.num_layers), "compression rate", "relay"
+    )
     log_q = math.log2(quantizer_points)
     log2_joint = plan.rate * block_length + sum([log_q] * len(net.relays))
     # layer pair l sends layer l's total to layer l + 1's quantizers
-    totals = [plan.rate, *(sum(rates) for rates in compression.values())]
-    counts = [len(rates) for rates in compression.values()] + [0]
+    totals = [plan.rate, *(sum(rates) for rates in compression)]
+    counts = [len(rates) for rates in compression] + [0]
     terms = [t * block_length + sum([log_q] * n) for t, n in zip(totals, counts)]
     peak = max(terms)
     log2_layered = peak + math.log2(sum(2.0 ** (t - peak) for t in terms))

@@ -241,12 +241,15 @@ WIDE_MODEL_FILES = {
 def test_wide_model_layer_exits_three_before_any_cell(
     tmp_path, capsys, oracle_calls, family, command
 ):
-    # the penalty recursion reads each model's whole leak before the max-flow
-    # guard; that read must not tabulate every receiver mask
+    # the network is refused when the file is loaded, by the width limit
+    # every network checks at construction, before any model is read
     netfile = tmp_path / "wide.json"
     netfile.write_text(json.dumps(WIDE_MODEL_FILES[family]))
     assert cli.main([command[0], str(netfile), *command[1:]]) == 3
-    assert json.loads(capsys.readouterr().out)["error"] == "too_large"
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "subset enumeration limited to 16 nodes per layer",
+        "error": "too_large",
+    }
     assert oracle_calls == []
 
 
@@ -808,6 +811,29 @@ MALFORMED = {
         "unknown model marker {'kind': 'noisy'}",
     ),
     "layers_string": (["mincut"], {"layers": "21"}, "'layers' must be an array"),
+    "source_flows_short": (
+        ["mincut"],
+        {"boundary": {"source_flows": [1.0], "destination_flows": [1.0]}},
+        "boundary.source_flows has 1 entries for a layer of 2 nodes",
+    ),
+    "destination_flows_long": (
+        ["maxflow"],
+        {"boundary": {"source_flows": [0.5, 0.5], "destination_flows": [0.5, 0.5]}},
+        "boundary.destination_flows has 2 entries for a layer of 1 nodes",
+    ),
+    "layers_fraction": (["mincut"], {"layers": [2.9, 1]}, "'layers' must be integers, not 2.9"),
+    "layers_boolean": (["mincut"], {"layers": [2, True]}, "'layers' must be integers, not True"),
+    "layers_numeral": (["mincut"], {"layers": ["2", 1]}, "'layers' must be integers, not '2'"),
+    "dims_fraction": (
+        ["mincut"],
+        {"capacities": [{"kind": "table", "dims": [1.9, 2.2], "values": {}}]},
+        "table spec 'dims' must be integers, not 1.9",
+    ),
+    "dims_count": (
+        ["mincut"],
+        {"capacities": [{"kind": "table", "dims": [2], "values": {}}]},
+        "malformed 'table' oracle spec: not enough values to unpack",
+    ),
 }
 
 
@@ -819,6 +845,17 @@ def test_malformed_field_exits_two(tmp_path, capsys, case):
     code, out = _run_main(capsys, [command[0], str(netfile), *command[1:]])
     assert code == 2 and out["error"] == "input"
     assert out["detail"].startswith(detail)
+
+
+def test_counts_with_a_zero_fraction_read_as_integers(tmp_path, capsys):
+    # JSON integers may be written 2.0; the network is the same
+    table = {"kind": "table", "values": {"1;1": 1.0, "2;1": 2.0, "1,2;1": 2.5}}
+    netfile = tmp_path / "net.json"
+    outputs = []
+    for layers, dims in (([2, 1], [2, 1]), ([2.0, 1.0], [2.0, 1.0])):
+        netfile.write_text(json.dumps({"layers": layers, "capacities": [{**table, "dims": dims}]}))
+        outputs.append(_run_main(capsys, ["mincut", str(netfile)]))
+    assert outputs[0] == outputs[1] == (0, {"cut": ["1.1", "1.2"], "value": 2.5})
 
 
 def test_malformed_boundary_field_is_left_to_the_commands_that_read_it(tmp_path, capsys):

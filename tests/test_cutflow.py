@@ -343,10 +343,14 @@ def test_polymatroid_check_matches_the_scalar_loop():
     verdicts = set()
     for m, values in _polymatroid_cases(18):
         fn = BoundaryFunction("source", m, tuple(values.tolist()))
-        for tol in (0.0, 1e-12, 1e-9, 1e-6, -1e-9, math.nan, math.inf):
+        for tol in (0.0, 1e-12, 1e-9, 1e-6):
             want = _loop_check_polymatroid(fn, tol)
             assert fn.check_polymatroid(tol) == want, (values.tolist(), tol)
             verdicts.add(want[1].split(" at ")[0] if want[1] else None)
+        # a tol the comparisons cannot use is refused, not applied
+        for tol in (-1e-9, math.nan, math.inf):
+            with pytest.raises(InputError, match="^tol must be"):
+                fn.check_polymatroid(tol)
     assert verdicts == {None, "value", "not monotone", "not submodular"}
 
 

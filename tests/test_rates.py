@@ -1,5 +1,6 @@
-"""Every rate, flow and leak vector is refused one way: an entry that is
-not a real number (a boolean, a string, None) or is NaN or infinite raises
+"""Every rate, flow and leak vector, and the ``tol`` of every check that
+compares within one, is refused one way: an entry that is not a real
+number (a boolean, a string, None) or is NaN or infinite raises
 ``InputError``, a negative one ``NegativeRate``, and ``-0.0`` passes, at
 every entry point that takes one, before any table is built."""
 
@@ -23,12 +24,15 @@ from relayflow import (
     attach_supernode,
     boundary_function,
     build_network,
+    check_capacity_axioms,
     check_joint_feasible,
+    check_layered_feasible,
     check_multi_source,
     max_flow,
     min_cut,
     network_from_models,
     penalty_recursion,
+    plan_rates,
     polymatroid_intersect,
 )
 
@@ -43,6 +47,12 @@ def _line():
     """Gaussian (1,1,1) layer models and their network."""
     models = [GaussianLayerModel(np.array([[10.0 + 0j]])) for _ in range(2)]
     return network_from_models(models), models
+
+
+def _planned():
+    """The Gaussian line's network, models and rate plan."""
+    net, models = _line()
+    return net, models, plan_rates(net, models)
 
 
 def _ends(bad):
@@ -82,6 +92,21 @@ ENTRY_POINTS = {
         "boundary rates",
         _square,
         lambda net, bad: attach_supernode(net, "before_sources", [1.0, bad]),
+    ),
+    "check_layered_feasible:tol": (
+        "tol", _planned, lambda planned, bad: check_layered_feasible(*planned, tol=bad)
+    ),
+    "check_joint_feasible:tol": (
+        "tol", _line, lambda line, bad: check_joint_feasible(*line, 0.5, {_RELAY: 0.5}, tol=bad)
+    ),
+    "check_multi_source:tol": (
+        "tol", _line, lambda line, bad: check_multi_source(*line, [0.5], tol=bad)
+    ),
+    "check_capacity_axioms:tol": (
+        "tol", None, lambda _, bad: check_capacity_axioms(AdditiveOracle(np.ones((2, 2))), bad)
+    ),
+    "BoundaryFunction.check_polymatroid:tol": (
+        "tol", None, lambda _, bad: _RANK.check_polymatroid(bad)
     ),
 }
 
